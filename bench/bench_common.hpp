@@ -1,17 +1,16 @@
 // Shared plumbing for the figure-reproduction binaries: CLI flags, table
-// formatting, and the link-rate x RTT sweep grids of Figures 15-18.
+// headers, and the Cubic-vs-X flow mix of the Figure 15-18 sweep.
 //
-// Every binary prints the same rows/series the paper reports. By default a
-// reduced grid / shortened durations keep the whole suite runnable quickly;
-// pass --full for the paper-scale parameters. Sweep-based binaries fan their
-// grid points out over --jobs worker threads (the printed tables stay
-// byte-identical to a serial run) and can emit machine-readable per-point
-// records with --json.
+// Every binary prints the same rows/series the paper reports. By default
+// shortened durations (and, for campaign grids, reduced axes) keep the whole
+// suite runnable quickly; pass --full for the paper-scale parameters.
+// Sweeps fan their grid points out over --jobs worker threads (the printed
+// tables stay byte-identical to a serial run) and can emit machine-readable
+// per-point records with --json.
 #pragma once
 
 #include <cstdio>
 #include <string>
-#include <vector>
 
 #include "scenario/dumbbell.hpp"
 
@@ -77,56 +76,78 @@ struct Options {
   double min_link_mbps = 0;
 };
 
+/// Applies the sweep flag at argv[i] to `opts`, advancing `i` past its
+/// value. Returns false, leaving both untouched, when argv[i] is not a sweep
+/// flag or its value is missing.
+inline bool parse_option(int argc, char** argv, int& i, Options& opts) {
+  const std::string arg = argv[i];
+  if (arg == "--full") {
+    opts.full = true;
+    return true;
+  }
+  if (arg == "--smoke") {
+    opts.duration_s_override = 4.0;
+    opts.stats_start_s_override = 1.0;
+    opts.grid_cap = 2;
+    return true;
+  }
+  if (arg == "--resume") {
+    opts.resume = true;
+    return true;
+  }
+  if (i + 1 >= argc) return false;
+  const char* value = argv[i + 1];
+  if (arg == "--seed") {
+    opts.seed = std::strtoull(value, nullptr, 10);
+  } else if (arg == "--jobs") {
+    opts.jobs = static_cast<unsigned>(std::strtoul(value, nullptr, 10));
+  } else if (arg == "--json") {
+    opts.json_path = value;
+  } else if (arg == "--duration-s") {
+    opts.duration_s_override = std::strtod(value, nullptr);
+  } else if (arg == "--stats-start-s") {
+    opts.stats_start_s_override = std::strtod(value, nullptr);
+  } else if (arg == "--grid-cap") {
+    opts.grid_cap = static_cast<int>(std::strtol(value, nullptr, 10));
+  } else if (arg == "--min-link-mbps") {
+    opts.min_link_mbps = std::strtod(value, nullptr);
+  } else if (arg == "--deadline-s") {
+    opts.deadline_s = std::strtod(value, nullptr);
+  } else if (arg == "--retries") {
+    opts.retries = static_cast<int>(std::strtol(value, nullptr, 10));
+  } else if (arg == "--backoff-ms") {
+    opts.backoff_ms = std::strtoll(value, nullptr, 10);
+  } else if (arg == "--journal") {
+    opts.journal_path = value;
+  } else if (arg == "--inject-fail") {
+    opts.inject_fail = std::strtoll(value, nullptr, 10);
+  } else if (arg == "--inject-hang") {
+    opts.inject_hang = std::strtoll(value, nullptr, 10);
+  } else if (arg == "--hang-s") {
+    opts.hang_s = std::strtod(value, nullptr);
+  } else if (arg == "--telemetry") {
+    opts.telemetry_dir = value;
+  } else if (arg == "--telemetry-interval") {
+    opts.telemetry_interval_s = std::strtod(value, nullptr);
+  } else if (arg == "--packet-background") {
+    opts.packet_background = static_cast<int>(std::strtol(value, nullptr, 10));
+  } else if (arg == "--fluid-background") {
+    opts.fluid_background = static_cast<int>(std::strtol(value, nullptr, 10));
+  } else {
+    return false;
+  }
+  ++i;
+  return true;
+}
+
+/// The figure binaries' parser: sweep flags plus --help; anything else is
+/// ignored.
 inline Options parse_options(int argc, char** argv) {
   Options opts;
   if (argc > 0 && argv[0] != nullptr) opts.argv0 = argv[0];
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--full") {
-      opts.full = true;
-    } else if (arg == "--seed" && i + 1 < argc) {
-      opts.seed = std::strtoull(argv[++i], nullptr, 10);
-    } else if (arg == "--jobs" && i + 1 < argc) {
-      opts.jobs = static_cast<unsigned>(std::strtoul(argv[++i], nullptr, 10));
-    } else if (arg == "--json" && i + 1 < argc) {
-      opts.json_path = argv[++i];
-    } else if (arg == "--smoke") {
-      opts.duration_s_override = 4.0;
-      opts.stats_start_s_override = 1.0;
-      opts.grid_cap = 2;
-    } else if (arg == "--duration-s" && i + 1 < argc) {
-      opts.duration_s_override = std::strtod(argv[++i], nullptr);
-    } else if (arg == "--stats-start-s" && i + 1 < argc) {
-      opts.stats_start_s_override = std::strtod(argv[++i], nullptr);
-    } else if (arg == "--grid-cap" && i + 1 < argc) {
-      opts.grid_cap = static_cast<int>(std::strtol(argv[++i], nullptr, 10));
-    } else if (arg == "--min-link-mbps" && i + 1 < argc) {
-      opts.min_link_mbps = std::strtod(argv[++i], nullptr);
-    } else if (arg == "--deadline-s" && i + 1 < argc) {
-      opts.deadline_s = std::strtod(argv[++i], nullptr);
-    } else if (arg == "--retries" && i + 1 < argc) {
-      opts.retries = static_cast<int>(std::strtol(argv[++i], nullptr, 10));
-    } else if (arg == "--backoff-ms" && i + 1 < argc) {
-      opts.backoff_ms = std::strtoll(argv[++i], nullptr, 10);
-    } else if (arg == "--resume") {
-      opts.resume = true;
-    } else if (arg == "--journal" && i + 1 < argc) {
-      opts.journal_path = argv[++i];
-    } else if (arg == "--inject-fail" && i + 1 < argc) {
-      opts.inject_fail = std::strtoll(argv[++i], nullptr, 10);
-    } else if (arg == "--inject-hang" && i + 1 < argc) {
-      opts.inject_hang = std::strtoll(argv[++i], nullptr, 10);
-    } else if (arg == "--hang-s" && i + 1 < argc) {
-      opts.hang_s = std::strtod(argv[++i], nullptr);
-    } else if (arg == "--telemetry" && i + 1 < argc) {
-      opts.telemetry_dir = argv[++i];
-    } else if (arg == "--telemetry-interval" && i + 1 < argc) {
-      opts.telemetry_interval_s = std::strtod(argv[++i], nullptr);
-    } else if (arg == "--packet-background" && i + 1 < argc) {
-      opts.packet_background = static_cast<int>(std::strtol(argv[++i], nullptr, 10));
-    } else if (arg == "--fluid-background" && i + 1 < argc) {
-      opts.fluid_background = static_cast<int>(std::strtol(argv[++i], nullptr, 10));
-    } else if (arg == "--help" || arg == "-h") {
+    if (arg == "--help" || arg == "-h") {
       std::printf(
           "usage: %s [--full] [--seed N] [--jobs N] [--json PATH] [--smoke]\n"
           "          [--deadline-s S] [--retries N] [--backoff-ms MS]\n"
@@ -168,6 +189,7 @@ inline Options parse_options(int argc, char** argv) {
           argv[0]);
       std::exit(0);
     }
+    (void)parse_option(argc, argv, i, opts);
   }
   return opts;
 }
@@ -176,31 +198,6 @@ inline void print_header(const char* figure, const char* description,
                          const Options& opts) {
   std::printf("# %s — %s\n", figure, description);
   std::printf("# mode: %s\n", opts.full ? "full (paper-scale)" : "quick (reduced)");
-}
-
-namespace detail {
-inline std::vector<double> capped(std::vector<double> grid, int cap) {
-  if (cap > 0 && static_cast<std::size_t>(cap) < grid.size()) {
-    grid.resize(static_cast<std::size_t>(cap));
-  }
-  return grid;
-}
-}  // namespace detail
-
-/// The evaluation grid of Figures 15-18 (link Mb/s x RTT ms).
-inline std::vector<double> link_grid(const Options& opts) {
-  std::vector<double> grid = opts.full
-                                 ? std::vector<double>{4, 12, 40, 120, 200}
-                                 : std::vector<double>{4, 40, 120};
-  if (opts.min_link_mbps > 0) {
-    std::erase_if(grid, [&](double mbps) { return mbps < opts.min_link_mbps; });
-  }
-  return detail::capped(std::move(grid), opts.grid_cap);
-}
-
-inline std::vector<double> rtt_grid(const Options& opts) {
-  if (opts.full) return detail::capped({5, 10, 20, 50, 100}, opts.grid_cap);
-  return detail::capped({5, 20, 100}, opts.grid_cap);
 }
 
 /// Durations for the steady-state runs.

@@ -1,9 +1,8 @@
-// Shared per-point builders for the campaign-style figures (overload,
-// parking lot, RTT mix): scenario config construction, the printed table
-// row, the --json record, and the health predicates. Both the standalone
-// fig binaries and bench/pi2_campaign (the declarative campaign driver)
-// call these, so a spec-driven run of the same grid is *byte-identical* to
-// the fig binary's output — the golden_campaign_* ctests gate exactly that.
+// Per-point builders for the campaign templates (overload, parking lot,
+// RTT mix, resilience): scenario config construction, the printed table
+// row, the --json record, and the health predicates. bench/pi2_campaign
+// runs them; perfbench/driver.cpp calls the same builders so the benchmark
+// times the path campaign users run.
 //
 // Format strings here are the committed golden baselines' schema; change
 // them only together with tests/golden/*.json.
@@ -283,7 +282,7 @@ inline void parking_json_failed(durable::AtomicFile& json, bool& first,
 }
 
 /// Headline check: beyond one hop the long flow must not out-throughput the
-/// cross flows. Prints the diagnostic (stdout schema of the fig binary) and
+/// cross flows. Prints the diagnostic (part of the table's stdout schema) and
 /// returns false when violated.
 inline bool parking_check_headline(int hops, const ParkingSummary& s) {
   if (hops > 1 && s.long_mbps >= s.cross_mbps) {

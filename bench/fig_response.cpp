@@ -158,8 +158,8 @@ int main(int argc, char** argv) {
     }
   }
 
-  // shared_ptr for the same reason as run_sweep: the runner's commit
-  // closure must stay copy-constructible.
+  // shared_ptr, not unique_ptr: the runner's commit closure is a
+  // std::function, which must stay copy-constructible.
   struct PointOutcome {
     scenario::RunResult result;
     std::shared_ptr<telemetry::Recorder> recorder;

@@ -1,10 +1,10 @@
-// pi2_campaign: the declarative campaign driver. One binary replaces the
-// per-figure sweep mains: a committed spec file (campaigns/*.json) names a
-// scenario template and its axes, expand() turns it into the same ordered
-// grid the hand-rolled loop produced, and the per-point configs/printers/
-// JSON emitters are the exact helpers the fig binaries use — so a campaign
-// run of campaigns/fig_overload.json is byte-identical (per record) to
-// fig_overload itself. The golden_campaign_* ctests gate that equivalence.
+// pi2_campaign: the declarative campaign driver, and the only driver of the
+// swept figure grids (Figures 15-18, overload, parking lot, RTT mix,
+// resilience). A committed spec file (campaigns/*.json) names a scenario
+// template and its axes, expand() turns it into an ordered grid, and the
+// per-point configs, table rows, JSON records and health predicates come
+// from campaign_templates.hpp. The golden_* ctests pin each committed spec's
+// --json output to its baseline in tests/golden/.
 //
 // Beyond replaying the figures, the driver adds distributed execution:
 //
@@ -28,9 +28,13 @@
 //
 // Standard sweep flags (--smoke, --full, --seed, --jobs, --json, --resume,
 // --journal, --telemetry, --deadline-s, ...) keep their bench_common
-// meaning. A killed shard is resumed with --resume, which *compacts* its
+// meaning. Any other argument is a usage error (exit 17): a mistyped
+// --resume must not silently re-simulate every point and overwrite the
+// journal it was meant to resume. A killed shard is resumed with --resume, which *compacts* its
 // journal (fresh header, valid points re-appended in index order) so the
 // strict merge loader never sees the torn tail the kill left behind.
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <memory>
@@ -49,8 +53,7 @@ namespace {
 using namespace pi2;
 using namespace pi2::bench;
 
-/// Flags owned by the driver itself; everything else goes through
-/// parse_options (which ignores what it does not know).
+/// Flags owned by the driver itself, plus the bench_common sweep flags.
 struct CampaignCli {
   std::string spec_path;
   bool help = false;
@@ -62,11 +65,13 @@ struct CampaignCli {
   bool merge = false;
   std::vector<std::string> merge_paths;
   bool use_seed = false;  ///< a literal --seed was given (overrides the spec)
+  Options opts;
   std::string error;      ///< non-empty = usage error
 };
 
 CampaignCli parse_campaign_cli(int argc, char** argv) {
   CampaignCli cli;
+  if (argc > 0 && argv[0] != nullptr) cli.opts.argv0 = argv[0];
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--spec" && i + 1 < argc) {
@@ -77,8 +82,6 @@ CampaignCli parse_campaign_cli(int argc, char** argv) {
       cli.list = true;
     } else if (arg == "--digest") {
       cli.digest_only = true;
-    } else if (arg == "--seed") {
-      cli.use_seed = true;  // value consumed by parse_options
     } else if (arg == "--shard" && i + 1 < argc) {
       if (!campaign::parse_shard(argv[++i], cli.shard_index,
                                  cli.shard_count)) {
@@ -92,9 +95,16 @@ CampaignCli parse_campaign_cli(int argc, char** argv) {
       while (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0) {
         cli.merge_paths.emplace_back(argv[++i]);
       }
+    } else if (parse_option(argc, argv, i, cli.opts)) {
+      if (arg == "--seed") cli.use_seed = true;
+    } else if (cli.error.empty()) {
+      // Keep scanning: a later --help still wins over the error.
+      cli.error = "unrecognised argument '" + arg +
+                  "' (unknown flag, or a flag missing its value)";
     }
   }
-  if (cli.spec_path.empty() && !cli.help) {
+  if (!cli.error.empty()) return cli;
+  if (cli.spec_path.empty()) {
     cli.error = "--spec PATH is required";
   }
   if (cli.merge && cli.has_shard) {
@@ -169,9 +179,8 @@ std::string axis_value_str(const campaign::AxisValue& v) {
 
 // ---- per-template dispatch -------------------------------------------------
 //
-// Each template maps a point's axis values onto the same config builder,
-// table row, JSON record and health predicate its fig binary uses. The
-// campaign layer is scenario-free, so this is where strings/numbers become
+// Each template maps a point's axis values onto its config builder, table
+// row, JSON record and health predicate. The campaign layer is scenario-free, so this is where strings/numbers become
 // scenario types.
 
 struct TemplateView {
@@ -218,8 +227,14 @@ struct TemplateView {
 void print_table_header(const TemplateView& v) {
   switch (v.x.template_id) {
     case campaign::TemplateId::kDumbbellSweep:
-      std::printf("%-14s %-16s %-10s %-8s %-9s %-9s %-7s\n", "aqm", "mix",
-                  "link[Mbps]", "rtt[ms]", "qdelay", "p99", "util");
+      // Figures 15-18 are four views of this one sweep: rate balance
+      // (cubic, other, ratio), queue delay, per-class mark/drop probability
+      // and utilization over the stats window, all in one row.
+      std::printf("%-14s %-16s %-10s %-8s %-9s %-9s %-8s %-8s %-8s | %-23s "
+                  "| %-23s | %s\n",
+                  "aqm", "mix", "link[Mbps]", "rtt[ms]", "qdelay", "p99",
+                  "cubic", "other", "ratio", "classic p25/mean/p99 %",
+                  "scalable p25/mean/p99 %", "util P1/mean/P99 %");
       break;
     case campaign::TemplateId::kOverload:
       std::printf("# link %.0f Mb/s, RTT %.0f ms, %.0f s/run; flood = 1 UDP "
@@ -264,9 +279,8 @@ scenario::RunResult run_point(const TemplateView& v, const Options& opts,
   using campaign::TemplateId;
   switch (v.x.template_id) {
     case TemplateId::kDumbbellSweep: {
-      // mix_config + opts reproduces run_sweep()'s per-point config exactly
-      // (durations, ecn_drop_threshold, background tiers); only the seed is
-      // the campaign's own.
+      // mix_config + opts sets the durations, ecn_drop_threshold and
+      // background tiers; only the seed is the campaign's own.
       auto cfg = mix_config(aqm_from_name(v.text(p, v.aqm)),
                             mix_from_name(v.text(p, v.cc_mix)),
                             v.num(p, v.rate), v.num(p, v.rtt), opts);
@@ -314,19 +328,48 @@ scenario::RunResult run_point(const TemplateView& v, const Options& opts,
   return scenario::RunResult();
 }
 
+/// Figure 15's headline over the dumbbell grid: the coupled PI2's worst
+/// Cubic/DCTCP imbalance and PIE's weakest DCTCP dominance.
+struct RateBalanceHeadline {
+  double worst_pi2_log_ratio = 0.0;
+  double best_pie_dctcp_ratio = 1e9;
+
+  void record(scenario::AqmType aqm, MixKind mix, double ratio) {
+    if (mix != MixKind::kCubicVsDctcp || ratio <= 0) return;
+    if (aqm == scenario::AqmType::kCoupledPi2) {
+      worst_pi2_log_ratio =
+          std::max(worst_pi2_log_ratio, std::abs(std::log2(ratio)));
+    } else if (aqm == scenario::AqmType::kPie) {
+      best_pie_dctcp_ratio = std::min(best_pie_dctcp_ratio, 1.0 / ratio);
+    }
+  }
+
+  void print() const {
+    std::printf("# PI2 cubic/dctcp worst-case imbalance: 2^%.2f = %.2fx\n",
+                worst_pi2_log_ratio, std::exp2(worst_pi2_log_ratio));
+    std::printf("# PIE dctcp/cubic dominance (min over grid): %.1fx\n",
+                best_pie_dctcp_ratio);
+  }
+};
+
 /// The per-template output sinks. The dumbbell template streams through
-/// SweepJsonWriter (the figs 15-18 record schema); the campaign-style
-/// templates write through the AtomicFile emitters their fig binaries use.
+/// SweepJsonWriter (the figs 15-18 record schema); the other templates write
+/// through the AtomicFile emitters of campaign_templates.hpp.
 struct OutputSinks {
   std::unique_ptr<SweepJsonWriter> sweep_json;
   std::unique_ptr<durable::AtomicFile> json;
   bool json_first = true;
   bool healthy = true;
-  // Cross-point recovery comparison (resilience template only); checked
-  // after the consume loop by finalize_health().
+  // Cross-point summaries, reported by finish_grid() after the consume
+  // loop: Figure 15's headline (dumbbell) and the PI2-vs-PIE recovery
+  // comparison (resilience).
+  RateBalanceHeadline rate_balance;
   ResilienceGate resilience_gate;
+  // Start of the dumbbell stats window, for the utilization percentiles.
+  sim::Time window_start;
 
-  OutputSinks(const campaign::Expansion& x, const Options& opts) {
+  OutputSinks(const campaign::Expansion& x, const Options& opts)
+      : window_start(stats_start(opts)) {
     if (x.template_id == campaign::TemplateId::kDumbbellSweep) {
       sweep_json = std::make_unique<SweepJsonWriter>(
           opts.json_path,
@@ -365,8 +408,8 @@ struct OutputSinks {
   }
 };
 
-/// Consumes one completed point: the fig binary's table row, JSON record and
-/// health predicate. Runs on the calling thread in global index order — the
+/// Consumes one completed point: its table row, JSON record and health
+/// predicate. Runs on the calling thread in global index order — the
 /// same consume path for live, resumed and merged points.
 void consume_point(const TemplateView& v, OutputSinks& out,
                    const campaign::CampaignPoint& p,
@@ -376,13 +419,31 @@ void consume_point(const TemplateView& v, OutputSinks& out,
   switch (v.x.template_id) {
     case TemplateId::kDumbbellSweep: {
       const auto aqm = aqm_from_name(v.text(p, v.aqm));
-      std::printf("%-14s %-16s %-10g %-8g %-9.2f %-9.2f %-7.3f\n",
+      const MixKind mix = mix_from_name(v.text(p, v.cc_mix));
+      const double cubic = result.mean_goodput_mbps(tcp::CcType::kCubic);
+      const double other = result.mean_goodput_mbps(other_cc(mix));
+      const double ratio = other > 0 ? cubic / other : 0.0;
+      const auto& classic = result.classic_prob_samples;
+      const auto& scalable = result.scalable_prob_samples;
+      stats::PercentileSampler util;  // the 1 s samples in the stats window
+      for (const auto& sample : result.utilization_series.points()) {
+        if (sample.t >= out.window_start) util.add(sample.value);
+      }
+      std::printf("%-14s %-16s %-10g %-8g %-9.2f %-9.2f %-8.2f %-8.2f %-8.3f "
+                  "| %7.3f %7.3f %7.3f | %7.3f %7.3f %7.3f | %5.1f %5.1f "
+                  "%5.1f\n",
                   aqm_label(aqm), v.text(p, v.cc_mix).c_str(),
                   v.num(p, v.rate), v.num(p, v.rtt), result.mean_qdelay_ms,
-                  result.p99_qdelay_ms, result.utilization);
+                  result.p99_qdelay_ms, cubic, other, ratio,
+                  classic.p25() * 100.0, classic.mean() * 100.0,
+                  classic.p99() * 100.0, scalable.p25() * 100.0,
+                  scalable.mean() * 100.0, scalable.p99() * 100.0,
+                  util.p01() * 100.0, result.utilization * 100.0,
+                  util.p99() * 100.0);
+      out.rate_balance.record(aqm, mix, ratio);
       if (out.sweep_json != nullptr) {
         SweepPoint point{aqm,
-                         mix_from_name(v.text(p, v.cc_mix)),
+                         mix,
                          v.num(p, v.rate),
                          v.num(p, v.rtt),
                          result,
@@ -391,7 +452,7 @@ void consume_point(const TemplateView& v, OutputSinks& out,
                          manifest_path};
         out.sweep_json->add(point);
       }
-      return;  // exit parity with sweep_exit_code: no machinery gate
+      return;  // no machinery gate: only failed points fail the run
     }
     case TemplateId::kOverload: {
       const std::string& ecn = v.text(p, v.ecn);
@@ -445,6 +506,20 @@ void consume_point(const TemplateView& v, OutputSinks& out,
                                  result.resilience.worst_recovery_s);
       return;
     }
+  }
+}
+
+/// The cross-point summaries, once every point is consumed. A shard sees
+/// only a slice of the grid, so its callers leave them to --merge.
+void finish_grid(const campaign::Expansion& x, OutputSinks& out) {
+  if (x.template_id == campaign::TemplateId::kDumbbellSweep) {
+    out.rate_balance.print();
+  }
+  // The paper's robustness claim as a semantic gate: PI2 must reconverge at
+  // least as fast as PIE on every fault preset.
+  if (x.template_id == campaign::TemplateId::kResilience &&
+      !out.resilience_gate.check()) {
+    out.healthy = false;
   }
 }
 
@@ -735,12 +810,7 @@ int run_campaign(const campaign::Expansion& x, const CampaignCli& cli,
 
   std::printf("# points ok: %zu/%zu\n", report.ok_count(),
               report.status.size());
-  // The paper's robustness claim, as a semantic gate: PI2 must reconverge
-  // at least as fast as PIE on every fault preset. A shard sees only a
-  // slice of the grid, so the cross-point comparison is left to --merge.
-  if (x.template_id == campaign::TemplateId::kResilience && !cli.has_shard) {
-    if (!out.resilience_gate.check()) out.healthy = false;
-  }
+  if (!cli.has_shard) finish_grid(x, out);
   return report.all_ok() && out.healthy ? 0 : 1;
 }
 
@@ -815,9 +885,7 @@ int run_merge(const campaign::Expansion& x, const CampaignCli& cli,
     consume_point(v, out, x.points[i], result, manifest_path);
   }
   out.commit();
-  if (x.template_id == campaign::TemplateId::kResilience) {
-    if (!out.resilience_gate.check()) out.healthy = false;
-  }
+  finish_grid(x, out);
   std::printf("# merged %zu shard journal(s), %zu point(s) -> %s\n",
               merged.shards, x.points.size(), journal_file.c_str());
   return out.healthy ? 0 : 1;
@@ -826,15 +894,13 @@ int run_merge(const campaign::Expansion& x, const CampaignCli& cli,
 }  // namespace
 
 int main(int argc, char** argv) {
-  // --help must short-circuit before parse_options, whose own generic
-  // --help handler would exit without the template/axis enumeration.
   const CampaignCli cli = parse_campaign_cli(argc, argv);
   if (cli.help) {
     print_usage(stdout);
     return 0;
   }
-  const Options opts = parse_options(argc, argv);
   if (!cli.error.empty()) return usage_error(cli.error);
+  const Options& opts = cli.opts;
   if (cli.has_shard && !opts.json_path.empty()) {
     return usage_error("--shard runs journal only; --json belongs to the "
                        "serial or --merge run");

@@ -7,9 +7,9 @@
 # vs the in-binary legacy baseline — (b) the micro_probe_overhead results,
 # including the probes-attached vs detached dumbbell ratio (budget: <5%,
 # see EXPERIMENTS.md "Observability"), (c) quick-grid sweep wall clock at
-# --jobs 1 / 2 / $(nproc) for fig15_rate_balance (realized speedup is
-# parallel-vs-serial), run with --telemetry so every per-point record
-# carries its RunManifest path, (d) the micro_flow_scale per-N
+# --jobs 1 / 2 / $(nproc) for `pi2_campaign --spec campaigns/fig15.json`
+# (realized speedup is parallel-vs-serial), run with --telemetry so every
+# per-point record carries its RunManifest path, (d) the micro_flow_scale per-N
 # events/s + bytes-per-flow table for the hybrid fluid/packet engine,
 # including its ≥10× scheduler-events acceptance gate, and (e) the
 # distributed-campaign numbers: the committed fig15 and fig_resilience
@@ -28,8 +28,8 @@ OUT=${1:-BENCH_sweep.json}
 JOBS=${JOBS:-$(nproc)}
 
 missing=0
-for bin in micro_scheduler micro_probe_overhead fig15_rate_balance \
-           micro_flow_scale pi2_campaign; do
+for bin in micro_scheduler micro_probe_overhead micro_flow_scale \
+           pi2_campaign; do
   if [[ ! -x "$BUILD_DIR/bench/$bin" ]]; then
     echo "error: $BUILD_DIR/bench/$bin not built (cmake --build $BUILD_DIR --target $bin)" >&2
     missing=1
@@ -56,11 +56,14 @@ import json, os, shutil, subprocess, sys, tempfile, time
 
 build = os.environ["BUILD_DIR"]
 jobs = int(os.environ["JOBS"])
-fig15 = os.path.join(build, "bench", "fig15_rate_balance")
+campaign_bin = os.path.join(build, "bench", "pi2_campaign")
+fig15_spec = os.path.join("campaigns", "fig15.json")
 telemetry_dir = os.path.join(build, "bench", "telemetry_fig15")
+workdir = tempfile.mkdtemp(prefix="campaign_bench_")
 
 def timed_sweep(n_jobs, json_path=None):
-    cmd = [fig15, "--jobs", str(n_jobs)]
+    cmd = [campaign_bin, "--spec", fig15_spec, "--jobs", str(n_jobs),
+           "--journal", os.path.join(workdir, f"sweep_jobs{n_jobs}.journal")]
     if json_path:
         cmd += ["--json", json_path, "--telemetry", telemetry_dir]
     start = time.monotonic()
@@ -97,11 +100,16 @@ if no_manifest:
 serial_s = wall[1]
 parallel_s = wall[jobs]
 
+# google-benchmark reports cpu_time in each benchmark's own time_unit
+# (->Unit(kMillisecond) rows say "ms"); store everything in ns.
+NS_PER_UNIT = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
+
 def load_benchmarks(env_key):
     with open(os.environ[env_key]) as f:
         data = json.load(f)
     return {
-        b["name"]: {"cpu_time_ns": b["cpu_time"],
+        b["name"]: {"cpu_time_ns":
+                        b["cpu_time"] * NS_PER_UNIT[b.get("time_unit", "ns")],
                     "items_per_second": b.get("items_per_second")}
         for b in data["benchmarks"]
     }
@@ -112,9 +120,7 @@ def load_benchmarks(env_key):
 # merge); the merged JSON must be byte-identical. fig15 is the dumbbell
 # sweep reference; fig_resilience exercises the fault-schedule and
 # fluid-background axes (its 100k-fluid points lean on the hybrid engine).
-campaign_bin = os.path.join(build, "bench", "pi2_campaign")
 shard_count = 3
-workdir = tempfile.mkdtemp(prefix="campaign_bench_")
 shard_jobs = max(1, jobs // shard_count)
 
 def shard_benchmark(spec, tag, telemetry=True):
@@ -176,8 +182,7 @@ def shard_benchmark(spec, tag, telemetry=True):
         "byte_identical": True,
     }
 
-campaign_sharding = shard_benchmark(
-    os.path.join("campaigns", "fig15.json"), "fig15")
+campaign_sharding = shard_benchmark(fig15_spec, "fig15")
 # The resilience grid's replayed merge points carry no fresh telemetry, so
 # the sharded runs skip the recorder and time the simulation itself.
 resilience_sharding = shard_benchmark(

@@ -1,35 +1,21 @@
-// The link-rate x RTT sweep engine behind Figures 15-18: for every grid
-// point run two scenarios (Cubic vs DCTCP, Cubic vs ECN-Cubic) under both
-// PIE and the coupled PI2, and hand each result to the figure's printer.
+// Per-point plumbing shared by the guarded, journaled sweep loops of
+// bench/pi2_campaign and bench/fig_response: the dumbbell-sweep JSON record
+// (SweepPoint, SweepJsonWriter), the --inject-fail / --inject-hang test
+// hooks, the watchdog/retry guard options, the per-point telemetry recorder
+// config and the default journal path.
 //
-// Grid points are independent simulations, so they fan out across
-// --jobs worker threads via runner::ParallelRunner. Results are consumed in
-// submission order on the calling thread, which keeps every figure's table
-// byte-identical to a serial run regardless of the job count. Each point
-// seeds its own RNG stream from (base seed, point index) — no shared state.
-//
-// Sweeps run through the *guarded* runner: a point that throws or exceeds
-// the --deadline-s wall-clock watchdog is retried (--retries, default 1,
-// with --backoff-ms exponential backoff) and, if it still fails, reported as
-// `failed`/`timeout` — in the printed table, in the per-point JSON record,
-// and in the returned RunReport — while every other point completes
-// normally. Callers exit non-zero when !report.all_ok().
-//
-// Sweeps are also *durable*: every completed point is appended (fsync'd) to
-// a run journal before it is consumed, SIGINT/SIGTERM stop the sweep at a
-// point boundary (exit code 75 = interrupted-but-resumable), and --resume
-// replays journaled points through the unchanged consume path so the final
-// table and --json output are byte-identical to an uninterrupted run. The
-// --json artifact itself is written atomically (tmp + fsync + rename): an
-// interrupted or crashed sweep leaves no half-written JSON behind.
+// Both loops run grid points on runner::ParallelRunner and consume them in
+// submission order on the calling thread, so tables and --json output are
+// byte-identical for any --jobs. Every completed point is journaled
+// (fsync'd) before it is consumed, SIGINT/SIGTERM stop the run at a point
+// boundary (exit 75), --resume replays journaled points through the same
+// consume path, and --json is published atomically (tmp + fsync + rename).
 #pragma once
 
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <functional>
 #include <memory>
-#include <mutex>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -274,303 +260,6 @@ inline std::string journal_path(const Options& opts) {
   return base + ".journal";
 }
 
-/// Digest of everything that determines the sweep's results: seed, grid
-/// axes, durations. A journal whose header disagrees is from a different
-/// campaign and its cached points are refused on --resume.
-inline std::uint64_t campaign_key(const Options& opts) {
-  durable::Fnv1a h;
-  h.mix_string("pi2-sweep-campaign-v1");
-  h.mix_u64(opts.seed);
-  h.mix_u64(static_cast<std::uint64_t>(run_duration(opts).count()));
-  h.mix_u64(static_cast<std::uint64_t>(stats_start(opts).count()));
-  const std::vector<double> links = link_grid(opts);
-  const std::vector<double> rtts = rtt_grid(opts);
-  h.mix_u64(links.size());
-  for (const double v : links) h.mix_double(v);
-  h.mix_u64(rtts.size());
-  for (const double v : rtts) h.mix_double(v);
-  // Background load changes every point's results, so a journal from a
-  // different background mix must be refused on --resume.
-  h.mix_u64(static_cast<std::uint64_t>(opts.packet_background));
-  h.mix_u64(static_cast<std::uint64_t>(opts.fluid_background));
-  return h.state;
-}
-
-/// Per-point journal key: position plus every parameter the point's
-/// simulation depends on.
-inline std::uint64_t point_key(std::size_t index, scenario::AqmType aqm,
-                               MixKind mix, double link_mbps, double rtt_ms,
-                               std::uint64_t derived_seed) {
-  durable::Fnv1a h;
-  h.mix_string("pi2-sweep-point-v1");
-  h.mix_u64(index);
-  h.mix_u64(static_cast<std::uint64_t>(aqm));
-  h.mix_u64(static_cast<std::uint64_t>(mix));
-  h.mix_double(link_mbps);
-  h.mix_double(rtt_ms);
-  h.mix_u64(derived_seed);
-  return h.state;
-}
 }  // namespace detail
-
-/// Runs the full grid, invoking `consume` per completed point in grid order.
-/// Grid points execute on opts.jobs worker threads; `consume` (and the
-/// progress grouping headers) run on the calling thread only. Failed or
-/// timed-out points are announced on the table, recorded in the JSON stream
-/// and returned in the report — they never reach `consume`.
-///
-/// Durability: each completed point is journaled (append + fsync) *before*
-/// it is consumed; with --resume, journaled points are decoded and pushed
-/// through the same ordered consume path without re-simulating. On
-/// SIGINT/SIGTERM the runner stops at a point boundary, an `interrupted`
-/// marker is journaled, and the --json tmp file is dropped un-renamed;
-/// sweep_exit_code() then reports 75 (resume with --resume).
-inline runner::RunReport run_sweep(
-    const Options& opts, const std::function<void(const SweepPoint&)>& consume) {
-  struct GridPoint {
-    scenario::AqmType aqm;
-    MixKind mix;
-    double link_mbps;
-    double rtt_ms;
-    std::uint64_t seed = 0;  ///< derived per-point RNG seed
-    std::uint64_t key = 0;   ///< journal key
-  };
-  std::vector<GridPoint> grid;
-  for (const auto aqm : {scenario::AqmType::kPie, scenario::AqmType::kCoupledPi2}) {
-    for (const auto mix : {MixKind::kCubicVsEcnCubic, MixKind::kCubicVsDctcp}) {
-      for (const double link : link_grid(opts)) {
-        for (const double rtt : rtt_grid(opts)) {
-          GridPoint g{aqm, mix, link, rtt, 0, 0};
-          g.seed = sim::Rng::derive_seed(opts.seed, grid.size());
-          g.key = detail::point_key(grid.size(), aqm, mix, link, rtt, g.seed);
-          grid.push_back(g);
-        }
-      }
-    }
-  }
-  const std::size_t per_group = link_grid(opts).size() * rtt_grid(opts).size();
-
-  durable::ShutdownController::install();
-  const std::uint64_t campaign = detail::campaign_key(opts);
-  const std::string journal_file = detail::journal_path(opts);
-
-  // --resume: decode every journaled point up front; decode failures (a
-  // payload from an incompatible build, say) simply re-run that point.
-  std::vector<std::unique_ptr<scenario::RunResult>> replay(grid.size());
-  std::size_t replayed = 0;
-  bool journal_keep = false;
-  if (opts.resume) {
-    const durable::LoadedJournal loaded =
-        durable::load_journal(journal_file, campaign);
-    if (loaded.exists && !loaded.header_ok) {
-      std::fprintf(stderr,
-                   "resume: journal %s is from a different campaign "
-                   "(header %016llx, expected %016llx); ignoring it\n",
-                   journal_file.c_str(),
-                   static_cast<unsigned long long>(loaded.header_key),
-                   static_cast<unsigned long long>(campaign));
-    }
-    if (loaded.dropped > 0) {
-      std::fprintf(stderr,
-                   "resume: dropped %zu torn/corrupt journal record(s); "
-                   "affected points re-run\n",
-                   loaded.dropped);
-    }
-    if (loaded.header_ok) {
-      journal_keep = true;
-      for (std::size_t i = 0; i < grid.size(); ++i) {
-        const auto it = loaded.points.find(grid[i].key);
-        if (it == loaded.points.end()) continue;
-        auto result = std::make_unique<scenario::RunResult>();
-        if (durable::decode_result(it->second, *result).ok()) {
-          replay[i] = std::move(result);
-          ++replayed;
-        } else {
-          std::fprintf(stderr,
-                       "resume: undecodable payload for point %zu; re-running\n",
-                       i);
-        }
-      }
-      std::fprintf(stderr, "resume: replaying %zu of %zu point(s) from %s%s\n",
-                   replayed, grid.size(), journal_file.c_str(),
-                   loaded.interrupted > 0 ? " (previous run was interrupted)"
-                                          : "");
-    }
-  }
-
-  durable::JournalWriter journal{journal_file, campaign, journal_keep};
-  if (!journal.healthy()) {
-    std::fprintf(stderr, "warning: run journal unavailable (%s); "
-                 "this sweep will not be resumable\n",
-                 journal.status().message().c_str());
-  }
-
-  SweepJsonWriter json{opts.json_path,
-                       opts.packet_background > 0 || opts.fluid_background > 0};
-  const runner::ParallelRunner pool{opts.jobs};
-
-  // Each attempt owns its telemetry recorder and hands it to the consuming
-  // thread inside the produced result (a stuck attempt's recorder is
-  // discarded with its stale result, so a retry never shares one). Caveat:
-  // a zombie attempt that outlives its deadline still writes the same
-  // artifact paths as its retry; artifacts of a *timed-out-then-retried*
-  // point are therefore best-effort, ok points are exact.
-  const bool telemetry_on = !opts.telemetry_dir.empty();
-  telemetry::MetricsRegistry sweep_registry;  ///< submission-order aggregate
-  telemetry::SectionProfile sweep_profile;
-  // shared_ptr (not unique_ptr): the runner's commit closure is a
-  // std::function, which requires a copy-constructible capture.
-  struct PointOutcome {
-    scenario::RunResult result;
-    std::shared_ptr<telemetry::Recorder> recorder;
-  };
-
-  // Last attempt's exception message per point, for the failure records.
-  std::mutex error_mutex;
-  std::vector<std::string> last_error(grid.size());
-  std::size_t interrupted_points = 0;
-
-  runner::RunReport report = pool.run_ordered_guarded<PointOutcome>(
-      grid.size(),
-      [&](std::size_t i) {
-        if (replay[i] != nullptr) {
-          PointOutcome outcome;
-          outcome.result = *replay[i];
-          return outcome;
-        }
-        try {
-          detail::maybe_inject(opts, i);
-          const GridPoint& g = grid[i];
-          auto cfg = mix_config(g.aqm, g.mix, g.link_mbps, g.rtt_ms, opts);
-          cfg.seed = g.seed;
-          cfg.stop = durable::ShutdownController::flag();
-          PointOutcome outcome;
-          if (telemetry_on) {
-            outcome.recorder = std::make_shared<telemetry::Recorder>(
-                detail::point_recorder_config(opts, i));
-            cfg.recorder = outcome.recorder.get();
-          }
-          outcome.result = scenario::run_dumbbell(cfg);
-          return outcome;
-        } catch (const std::exception& ex) {
-          const std::lock_guard<std::mutex> lock{error_mutex};
-          last_error[i] = ex.what();
-          throw;
-        }
-      },
-      [&](std::size_t i, runner::TaskStatus status, PointOutcome* outcome) {
-        const GridPoint& g = grid[i];
-        if (status == runner::TaskStatus::kInterrupted) {
-          ++interrupted_points;  // summarized once after the run
-          return;
-        }
-        if (i % per_group == 0) {
-          std::printf("\n== %s, %s ==\n", aqm_label(g.aqm), to_string(g.mix));
-        }
-        if (status == runner::TaskStatus::kOk && outcome != nullptr) {
-          SweepPoint point{g.aqm,  g.mix, g.link_mbps,
-                           g.rtt_ms, std::move(outcome->result), i,
-                           g.seed, {}};
-          if (outcome->recorder != nullptr) {
-            point.manifest_path = outcome->recorder->manifest_path();
-            sweep_registry.merge_from(outcome->recorder->registry());
-            sweep_profile.merge_from(outcome->recorder->profile());
-            outcome->recorder.reset();
-          } else if (telemetry_on && replay[i] != nullptr) {
-            // Replayed points re-use the interrupted run's artifacts; the
-            // manifest path is deterministic, so the JSON record matches.
-            point.manifest_path = opts.telemetry_dir + "/" +
-                                  detail::point_run_id(i) + ".manifest.json";
-          }
-          if (replay[i] == nullptr && journal.healthy()) {
-            // Journal *before* consume: a crash while printing still leaves
-            // the point recoverable.
-            (void)journal.append_point(g.key,
-                                       durable::encode_result(point.result));
-          }
-          if (!point.result.violations.empty()) {
-            std::printf("!! point %zu: %llu invariant violation(s), see JSON\n",
-                        i, static_cast<unsigned long long>(
-                               point.result.violations.size()));
-          }
-          consume(point);
-          json.add(point);
-          return;
-        }
-        std::string message;
-        if (status == runner::TaskStatus::kTimeout) {
-          message = "wall-clock deadline exceeded (--deadline-s " +
-                    std::to_string(opts.deadline_s) + ")";
-        } else {
-          const std::lock_guard<std::mutex> lock{error_mutex};
-          message = last_error[i].empty() ? "unknown error" : last_error[i];
-        }
-        std::printf("!! point %zu (%s, %s, %g Mb/s, %g ms) %s: %s\n", i,
-                    aqm_label(g.aqm), to_string(g.mix), g.link_mbps, g.rtt_ms,
-                    runner::to_string(status), message.c_str());
-        json.add_failed(i, g.aqm, g.mix, g.link_mbps, g.rtt_ms, status,
-                        message);
-      },
-      detail::guard_options(opts));
-
-  const bool interrupted = durable::ShutdownController::requested();
-  if (interrupted) {
-    if (journal.healthy()) {
-      (void)journal.append_interrupted(
-          "signal " +
-          std::to_string(durable::ShutdownController::signal_number()));
-    }
-    json.abort();
-    std::fprintf(stderr,
-                 "sweep: interrupted — %zu point(s) unfinished; completed "
-                 "work is journaled in %s, re-run with --resume to finish\n",
-                 interrupted_points, journal_file.c_str());
-  } else {
-    json.commit();
-  }
-  if (!journal.healthy()) {
-    std::fprintf(stderr, "warning: journal write failed (%s); "
-                 "a --resume of this run may repeat completed points\n",
-                 journal.status().message().c_str());
-  }
-
-  if (telemetry_on && !interrupted) {
-    if (replayed > 0) {
-      // Replayed points carry no fresh recorder, so a sweep-wide aggregate
-      // would silently undercount. Skip it rather than publish a lie.
-      std::fprintf(stderr,
-                   "sweep: %zu replayed point(s) have no fresh telemetry; "
-                   "skipping sweep_aggregate.prom\n",
-                   replayed);
-    } else {
-      // Sweep-wide aggregate (counters + histograms summed across points, in
-      // submission order) and the wall-clock section profile. Only the
-      // aggregate snapshot is byte-identical across --jobs values; wall-clock
-      // numbers go to stderr.
-      telemetry::PrometheusExporter aggregate{opts.telemetry_dir +
-                                              "/sweep_aggregate.prom"};
-      sweep_registry.freeze_gauges();
-      aggregate.finish(sweep_registry);
-      sweep_profile.print(stderr, "sweep wall-clock sections");
-    }
-  }
-
-  if (!interrupted && !report.all_ok()) {
-    std::fprintf(stderr, "sweep: %zu of %zu points did not complete\n",
-                 report.failures.size(), report.status.size());
-  }
-  return report;
-}
-
-/// Exit code for a figure binary given its sweep report: 0 when every point
-/// completed, 75 (EX_TEMPFAIL) when the sweep was interrupted by
-/// SIGINT/SIGTERM and can be finished with --resume, 1 otherwise (partial
-/// results were still printed/written).
-inline int sweep_exit_code(const runner::RunReport& report) {
-  if (durable::ShutdownController::requested()) {
-    return durable::ShutdownController::kExitInterrupted;
-  }
-  return report.all_ok() ? 0 : 1;
-}
 
 }  // namespace pi2::bench

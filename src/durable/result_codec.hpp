@@ -10,10 +10,10 @@
 //
 // Deliberate exception: RunResult::qdelay_ms_packets retains up to 2^21
 // per-packet samples — megabytes per point. Only its count and sum are
-// journaled (count()/mean() survive a resume; quantiles do not). Nothing
-// downstream of run_sweep() reads its quantiles: Figure 14, the only
-// consumer, runs its two points directly without the sweep engine. The
-// digest in check/oracles.cpp skips it for the same reason.
+// journaled (count()/mean() survive a resume; quantiles do not). No
+// journaled campaign reads its quantiles: Figure 14, the only consumer,
+// runs its two points directly without a journal. The digest in
+// check/oracles.cpp skips it for the same reason.
 #pragma once
 
 #include <string>

@@ -555,8 +555,7 @@ TEST(CampaignProperties, GeneratedDigestsAreDistinct) {
 
 TEST(CampaignProperties, HoldForCommittedCampaignFiles) {
   const char* files[] = {
-      "fig15.json",       "fig16.json",        "fig17.json",
-      "fig18.json",       "fig_overload.json", "fig_parking_lot.json",
+      "fig15.json",       "fig_overload.json",   "fig_parking_lot.json",
       "fig_rtt_mix.json", "fig_resilience.json",
   };
   ExpandOptions smoke;

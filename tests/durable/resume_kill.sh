@@ -4,11 +4,14 @@
 # --json byte-identical to an uninterrupted reference run — at a different
 # --jobs count, so the journal (not scheduling luck) carries the result.
 #
-# Usage: resume_kill.sh <sweep-binary> <workdir>
+# Usage: resume_kill.sh <sweep-binary> <workdir> [binary-args...]
+# binary-args go to every run (e.g. --spec campaigns/fig15.json).
 set -euo pipefail
 
 fig="$1"
 work="$2"
+shift 2
+args=("$@")
 
 rm -rf "$work"
 mkdir -p "$work"
@@ -35,7 +38,7 @@ last_exit=0
 run_and_signal() {
   local signal="$1" json="$2" journal="$3"
   rm -f "$json" "$journal"
-  "$fig" --smoke --seed 1 --jobs 2 --json "$json" --journal "$journal" \
+  "$fig" "${args[@]}" --smoke --seed 1 --jobs 2 --json "$json" --journal "$journal" \
     --telemetry tele --inject-hang 6 --hang-s 30 \
     >/dev/null 2>&1 &
   local pid=$!
@@ -58,7 +61,7 @@ run_and_signal() {
 # Reference: one uninterrupted run. All runs share the `tele` telemetry dir
 # so the manifest paths embedded in the JSON records are comparable (and the
 # artifacts themselves are deterministic, so overwrites are byte-identical).
-"$fig" --smoke --seed 1 --jobs 2 --json ref.json --journal ref.journal \
+"$fig" "${args[@]}" --smoke --seed 1 --jobs 2 --json ref.json --journal ref.journal \
   --telemetry tele >/dev/null
 [ -s ref.json ] || fail "reference run produced no ref.json"
 
@@ -70,7 +73,7 @@ if [ "$outcome" = killed ]; then
 else
   echo "WARN: sweep finished before SIGKILL; resume degenerates to full replay" >&2
 fi
-"$fig" --smoke --seed 1 --jobs 4 --json a.json --journal a.journal \
+"$fig" "${args[@]}" --smoke --seed 1 --jobs 4 --json a.json --journal a.journal \
   --telemetry tele --resume >/dev/null
 cmp ref.json a.json || fail "resumed JSON differs from the reference (SIGKILL)"
 
@@ -84,7 +87,7 @@ if [ "$outcome" = killed ]; then
 else
   echo "WARN: sweep finished before SIGTERM; exit-code check skipped" >&2
 fi
-"$fig" --smoke --seed 1 --jobs 1 --json b.json --journal b.journal \
+"$fig" "${args[@]}" --smoke --seed 1 --jobs 1 --json b.json --journal b.journal \
   --telemetry tele --resume >/dev/null
 cmp ref.json b.json || fail "resumed JSON differs from the reference (SIGTERM)"
 

@@ -1,6 +1,6 @@
 // RunResult codec: a decoded result must be indistinguishable from the
-// original for everything downstream of run_sweep — exact bit patterns, not
-// approximately-equal doubles.
+// original for everything a resumed or merged campaign prints or records —
+// exact bit patterns, not approximately-equal doubles.
 #include "durable/result_codec.hpp"
 
 #include <gtest/gtest.h>

@@ -1,11 +1,13 @@
 #!/bin/sh
-# Golden-figure regression check: run a figure binary on the deterministic
-# quick grid (--smoke --seed 1; --jobs only changes wall-clock, never output)
-# and compare its --json records against the committed baseline with the
-# per-metric tolerance bands of check_golden.
+# Golden-figure regression check: run a driver (pi2_campaign --spec S, or
+# fig_response) on the deterministic quick grid (--smoke --seed 1; --jobs
+# only changes wall-clock, never output) and compare its --json records
+# against the committed baseline with the per-metric tolerance bands of
+# check_golden. A non-zero driver exit (a failed point or health gate)
+# fails the check.
 #
 # usage: check_figure.sh FIG_BINARY BASELINE CHECK_GOLDEN WORKDIR [fig-args...] [-- checker-args...]
-# Arguments before "--" go to the figure binary, arguments after it to the
+# Arguments before "--" go to the driver, arguments after it to the
 # checker (e.g. -- --ignore enqueued,forwarded for cross-tier comparisons).
 set -eu
 fig="$1"; baseline="$2"; checker="$3"; workdir="$4"; shift 4

@@ -5,8 +5,8 @@
 #   tests/golden/regen.sh build
 #
 # Baselines use the same flags the golden_* ctests use, so a regenerated
-# baseline always starts green. Baseline writes are atomic (the figure
-# binaries publish --json via tmp + fsync + rename), so an interrupted
+# baseline always starts green. Baseline writes are atomic (pi2_campaign and
+# fig_response publish --json via tmp + fsync + rename), so an interrupted
 # regen leaves the previous baseline intact, never a torn file. The run
 # journal each sweep keeps for --resume is pointed at a scratch directory
 # so it never lands next to the committed baselines.
@@ -24,26 +24,19 @@ regen() {
   "$bin" --smoke --seed 1 --jobs 2 --json "$out" \
     --journal "$scratch/$name.journal" "$@" > /dev/null
 }
-regen fig15_rate_balance fig15.json
-regen fig16_queue_delay fig16.json
-regen fig17_mark_prob fig17.json
-regen fig18_utilization fig18.json
+specs="$here/../../campaigns"
+regen pi2_campaign fig15.json --spec "$specs/fig15.json"
+regen pi2_campaign fig_overload.json --spec "$specs/fig_overload.json"
+regen pi2_campaign fig_parking_lot.json --spec "$specs/fig_parking_lot.json"
+regen pi2_campaign fig_rtt_mix.json --spec "$specs/fig_rtt_mix.json"
+regen pi2_campaign fig_resilience.json --spec "$specs/fig_resilience.json"
 regen fig_response fig_response.json
-regen fig_overload fig_overload.json
-regen fig_parking_lot fig_parking_lot.json
-regen fig_rtt_mix fig_rtt_mix.json
-# The resilience campaign is driven by pi2_campaign itself (no standalone
-# figure binary); the spec pins the fault x fluid grid.
-regen pi2_campaign fig_resilience.json \
-  --spec "$here/../../campaigns/fig_resilience.json"
 # The fluid-agreement baseline is the *packet* rendering of the background
-# load; the golden_fluid_fig15..18 ctests run their candidates with
-# --fluid-background 2 against it (figs 15-18 share one sweep engine and
-# JSON schema, so one baseline covers all four). Flags must match the ctest
-# registration in tests/CMakeLists.txt: links >= 40 Mb/s keep the
-# equilibrium marking probability inside the mean-field model's small-p
-# validity envelope, and the 20 s runs let the fluid transient settle
-# before the stats window.
-regen fig15_rate_balance fig15_fluid.json --packet-background 2 \
-  --min-link-mbps 40 --duration-s 20 --stats-start-s 8
+# load; the golden_fluid_fig15 ctest runs its candidate with
+# --fluid-background 2 against it. Flags must match the ctest registration
+# in tests/CMakeLists.txt: links >= 40 Mb/s keep the equilibrium marking
+# probability inside the mean-field model's small-p validity envelope, and
+# the 20 s runs let the fluid transient settle before the stats window.
+regen pi2_campaign fig15_fluid.json --spec "$specs/fig15.json" \
+  --packet-background 2 --min-link-mbps 40 --duration-s 20 --stats-start-s 8
 echo "done; diff and commit tests/golden/*.json"
