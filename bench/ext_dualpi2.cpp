@@ -2,8 +2,10 @@
 // [12]/[13], later RFC 9332) — the deployment the single-queue paper builds
 // towards. Demonstrates the property the single queue cannot deliver:
 // Scalable traffic keeps sub-millisecond queuing delay while Classic traffic
-// gets its own 20 ms-target queue, with rate fairness preserved by the same
-// k = 2 coupling.
+// gets its own 20 ms-target queue. Exits non-zero unless the L queue's mean
+// delay stays below a tenth of the C queue's at both rates and the run is
+// healthy. The Cubic:DCTCP rate ratio is printed but not gated: with the
+// same k = 2 coupling it does not reach the single queue's balance.
 //
 // Runs through the first-class scenario path (AqmType::kDualPi2 behind
 // run_dumbbell) rather than wiring the queue by hand, so the invariant
@@ -20,7 +22,7 @@ int main(int argc, char** argv) {
   using namespace pi2;
   const auto opts = bench::parse_options(argc, argv);
   bench::print_header("Extension",
-                      "DualPI2: L-queue latency isolation with rate fairness",
+                      "DualPI2: L-queue latency isolation",
                       opts);
 
   const double duration_s = opts.duration_s_override > 0
@@ -32,6 +34,7 @@ int main(int argc, char** argv) {
   const double rtt_ms = 10.0;
 
   bool healthy = true;
+  bool isolated = true;
   for (const double link_mbps : {40.0, 120.0}) {
     scenario::DumbbellConfig cfg;
     cfg.link_rate_bps = link_mbps * 1e6;
@@ -74,8 +77,9 @@ int main(int argc, char** argv) {
                 l_delay_ms.p99());
     std::printf("C queue delay [ms]: mean=%.3f p99=%.3f\n", c_delay_ms.mean(),
                 c_delay_ms.p99());
-    std::printf("cubic=%.2f Mb/s dctcp=%.2f Mb/s ratio=%.3f\n", cubic_mbps,
-                dctcp_mbps, dctcp_mbps > 0 ? cubic_mbps / dctcp_mbps : 0.0);
+    std::printf("cubic=%.2f Mb/s dctcp=%.2f Mb/s cubic/dctcp=%.3f\n",
+                cubic_mbps, dctcp_mbps,
+                dctcp_mbps > 0 ? cubic_mbps / dctcp_mbps : 0.0);
     std::printf("marks: L=%lld C=%lld drops: C=%lld  (window)\n",
                 static_cast<long long>(result.window_band_l.marked),
                 static_cast<long long>(result.window_band_c.marked),
@@ -92,10 +96,19 @@ int main(int argc, char** argv) {
                   static_cast<unsigned long long>(result.guard_events));
       healthy = false;
     }
+    // Headline: the L queue's mean delay is an order of magnitude below the
+    // C queue's.
+    if (!(l_delay_ms.mean() < c_delay_ms.mean() / 10.0)) isolated = false;
   }
   std::printf(
-      "\n# expectation: the L (DCTCP) queue holds ~1 ms delay — an order of\n"
-      "# magnitude below the single queue's 20 ms — while rates stay within\n"
-      "# ~2x (the single-queue paper's fairness carried over to the DualQ).\n");
-  return healthy ? 0 : 1;
+      "\n# claim: L-queue mean delay < 1/10 of the C queue's at every rate"
+      " — %s\n",
+      isolated ? "PASS" : "FAIL");
+  std::printf("# claim: no violations, clamped events or guard trips — %s\n",
+              healthy ? "PASS" : "FAIL");
+  std::printf(
+      "# note: rate balance is NOT gated and does not hold here: the\n"
+      "# cubic/dctcp ratios above sit well below the single queue's ~1 (a\n"
+      "# known deviation, see EXPERIMENTS.md).\n");
+  return isolated && healthy ? 0 : 1;
 }

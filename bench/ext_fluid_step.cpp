@@ -1,8 +1,12 @@
 // Extension: time-domain integration of the Appendix B fluid model — the
 // third view connecting the Bode margins (fig04/fig07) to the packet
 // simulator. Prints step responses for the three loop configurations at a
-// stable and an unstable operating point.
+// stable and an unstable operating point, and exits non-zero unless every
+// PI2/scalable case settles on the target and the fixed-gain PI case keeps
+// the larger residual oscillation.
+#include <cmath>
 #include <cstdio>
+#include <vector>
 
 #include "bench_common.hpp"
 #include "control/fluid_sim.hpp"
@@ -32,6 +36,10 @@ int main(int argc, char** argv) {
        40},
   };
 
+  constexpr double kTargetMs = 20.0;
+  constexpr double kSettleToleranceMs = 1.0;
+  bool settled = true;
+  std::vector<double> residual_ms;
   std::printf("%-38s %-12s %-14s %-14s %-12s\n", "configuration", "peak[ms]",
               "settled[ms]", "residual[ms]", "W_end");
   for (const Case& c : cases) {
@@ -43,11 +51,15 @@ int main(int argc, char** argv) {
     cfg.base_rtt_s = 0.1;
     cfg.duration_s = opts.full ? 120.0 : 60.0;
     const auto trace = simulate_fluid(cfg);
+    const double settled_ms = trace.settled_qdelay_s(10.0) * 1000.0;
+    residual_ms.push_back(trace.residual_oscillation_s(10.0) * 1000.0);
     std::printf("%-38s %-12.1f %-14.1f %-14.1f %-12.1f\n", c.name,
-                trace.peak_qdelay_s() * 1000.0,
-                trace.settled_qdelay_s(10.0) * 1000.0,
-                trace.residual_oscillation_s(10.0) * 1000.0,
+                trace.peak_qdelay_s() * 1000.0, settled_ms, residual_ms.back(),
                 trace.window.back());
+    if (c.type != LoopType::kRenoP &&
+        !(std::fabs(settled_ms - kTargetMs) <= kSettleToleranceMs)) {
+      settled = false;
+    }
   }
 
   // Load-step response of PI2 (the fluid version of Figure 13).
@@ -63,11 +75,24 @@ int main(int argc, char** argv) {
   const auto trace = simulate_fluid(step);
   std::printf("  overshoot peak after step: %.1f ms\n",
               trace.peak_qdelay_s(30.0) * 1000.0);
-  std::printf("  settled delay (last 10 s): %.1f ms\n",
-              trace.settled_qdelay_s(10.0) * 1000.0);
+  const double step_settled_ms = trace.settled_qdelay_s(10.0) * 1000.0;
+  std::printf("  settled delay (last 10 s): %.1f ms\n", step_settled_ms);
+  if (!(std::fabs(step_settled_ms - kTargetMs) <= kSettleToleranceMs)) {
+    settled = false;
+  }
+
+  // Cases 0 and 1 share the light-load point (N = 2, 100 Mb/s).
+  const bool pi_oscillates_more = residual_ms[0] > residual_ms[1];
   std::printf(
-      "\n# expectation: the fixed-gain PI case shows sustained oscillation\n"
-      "# (its gain margin is negative there — see fig04); every PI2/scal-PI\n"
-      "# case settles to the 20 ms target, matching fig07's margins.\n");
-  return 0;
+      "\n# claim: every PI2/scal-PI case and the load step settle within"
+      " %.0f ms of the %.0f ms target — %s\n",
+      kSettleToleranceMs, kTargetMs, settled ? "PASS" : "FAIL");
+  std::printf(
+      "# claim: at light load the fixed-gain PI residual exceeds PI2's"
+      " (%.1f vs %.1f ms) — %s\n",
+      residual_ms[0], residual_ms[1], pi_oscillates_more ? "PASS" : "FAIL");
+  std::printf(
+      "# (the fixed-gain PI gain margin is negative there — see fig04; PI2's\n"
+      "# and scal-PI's stay positive — see fig07)\n");
+  return settled && pi_oscillates_more ? 0 : 1;
 }

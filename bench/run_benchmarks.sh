@@ -3,8 +3,7 @@
 #
 #   bench/run_benchmarks.sh [output.json]
 #
-# Records (a) the micro_scheduler google-benchmark results — new scheduler
-# vs the in-binary legacy baseline — (b) the micro_probe_overhead results,
+# Records (a) the micro_scheduler google-benchmark results, (b) the micro_probe_overhead results,
 # including the probes-attached vs detached dumbbell ratio (budget: <5%,
 # see EXPERIMENTS.md "Observability"), (c) quick-grid sweep wall clock at
 # --jobs 1 / 2 / $(nproc) for `pi2_campaign --spec campaigns/fig15.json`

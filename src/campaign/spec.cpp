@@ -415,7 +415,9 @@ std::string values_to_json(const std::vector<AxisValue>& values) {
     if (values[i].is_number) {
       out += format_number(values[i].number);
     } else {
-      out += "\"" + escape(values[i].text) + "\"";
+      out += '"';
+      out += escape(values[i].text);
+      out += '"';
     }
   }
   return out + "]";

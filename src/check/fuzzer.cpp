@@ -238,7 +238,7 @@ topology::TopologyConfig ScenarioFuzzer::make_topology_config(
   // A chain of 2-4 links, each with its own AQM, rate, buffer and faults.
   const int hops = static_cast<int>(rng.uniform_below(3)) + 2;
   for (int i = 0; i <= hops; ++i) {
-    cfg.nodes.push_back("n" + std::to_string(i));
+    cfg.nodes.push_back(std::string("n").append(std::to_string(i)));
   }
   bool any_rtt_fault = false;
   for (int i = 0; i < hops; ++i) {

@@ -46,8 +46,7 @@ std::size_t FluidFlowEnsemble::add_spec(const FluidFlowSpec& spec) {
   s.spec = spec;
   s.w = std::max(spec.initial_window, 1.0);
   // Pre-fill the rings with the initial state so early lag lookups (before
-  // one RTT of history exists) see the starting conditions, matching
-  // fluid_sim's warm-up behaviour.
+  // one RTT of history exists) see the starting conditions.
   s.w_hist.assign(hist_len_, s.w);
   s.p_hist.assign(hist_len_, 0.0);
   s.r_hist.assign(hist_len_, std::max(spec.base_rtt_s, 1e-6));
@@ -94,16 +93,9 @@ void FluidFlowEnsemble::advance(SpecState& s, double now_s, double p_classic,
   const double p_lag = s.p_hist[lag_idx];
   const double r_lag = s.r_hist[lag_idx];
 
-  // Window dynamics: equation (15) for the Classic signal (Reno halves the
-  // window once per congested RTT), equation (22) for the Scalable signal
-  // (one 1/2-segment decrease per mark).
-  double dw;
-  if (s.spec.signal == FluidSignal::kClassic) {
-    dw = 1.0 / r - 0.5 * s.w * (w_lag / r_lag) * p_lag;
-  } else {
-    dw = 1.0 / r - 0.5 * (w_lag / r_lag) * p_lag;
-  }
-  s.w = std::max(s.w + dw * config_.dt_s, 1.0);
+  // Reno halves the window once per congested RTT (eq. 15); a Scalable flow
+  // takes one 1/2-segment decrease per mark (eq. 22).
+  s.w = window_step(s.spec.signal, s.w, r, w_lag, r_lag, p_lag, config_.dt_s);
   s.rate_bps = s.spec.count * s.w * s.spec.mss_bytes * 8.0 / r;
 
   s.w_hist[idx] = s.w;

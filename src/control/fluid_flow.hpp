@@ -2,15 +2,15 @@
 // against a bottleneck's p/p' signal, as an event-driven ensemble.
 //
 // Where control/fluid_sim integrates the whole closed loop offline (its own
-// queue, its own PI controller), a FluidFlowEnsemble integrates *only* the
-// window dynamics and leaves queue and controller to the packet simulation
-// it is embedded in: each tick it reads the live AQM probabilities and queue
-// delay through caller-supplied sources, advances every spec's window ODE,
-// and reports the aggregate arrival rate to a sink. That makes a spec of
-// N homogeneous flows cost one ODE state and one scheduler event per tick —
-// O(1) in N — so thousands to millions of background flows can share a
-// bottleneck with a handful of full packet flows (fidelity foreground,
-// fluid load).
+// fluid queue, driving an aqm::PiCore), a FluidFlowEnsemble integrates
+// *only* the window dynamics and leaves queue and controller to the packet
+// simulation it is embedded in: each tick it reads the live AQM
+// probabilities and queue delay through caller-supplied sources, advances
+// every spec's window ODE, and reports the aggregate arrival rate to a sink.
+// That makes a spec of N homogeneous flows cost one ODE state and one
+// scheduler event per tick — O(1) in N — so thousands to millions of
+// background flows can share a bottleneck with a handful of full packet
+// flows (fidelity foreground, fluid load).
 //
 // Signal routing follows the paper's architecture: Reno-family flows react
 // to the Classic signal p (which a PI2 coupling already squares, p=(p'/k)²),
@@ -19,6 +19,7 @@
 // modelled controller.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -34,6 +35,24 @@ enum class FluidSignal {
   kClassic,   ///< p: Reno-family multiplicative decrease, eq. (15)
   kScalable,  ///< p': Scalable-family per-mark decrease, eq. (22)
 };
+
+/// One Euler step of the Appendix B window ODE, floored at one segment:
+///   Classic  (eq. 15): dW = 1/R - W(t) W(t-R) p(t-R) / 2R(t-R)
+///   Scalable (eq. 22): dW = 1/R - W(t-R) p(t-R) / 2R(t-R)
+/// `p_lag` is the probability the flows actually saw, already squared for a
+/// PI2 Classic signal. The one implementation of the window laws: both the
+/// live ensemble below and the closed-loop integrator (control/fluid_sim)
+/// step through it.
+inline double window_step(FluidSignal signal, double w, double r, double w_lag,
+                          double r_lag, double p_lag, double dt_s) {
+  double dw;
+  if (signal == FluidSignal::kClassic) {
+    dw = 1.0 / r - 0.5 * w * (w_lag / r_lag) * p_lag;
+  } else {
+    dw = 1.0 / r - 0.5 * (w_lag / r_lag) * p_lag;
+  }
+  return std::max(w + dw * dt_s, 1.0);
+}
 
 /// N homogeneous fluid flows sharing one window ODE (the Appendix B
 /// aggregation): one state per spec, whatever the count.

@@ -1,9 +1,9 @@
 #include "control/fluid_sim.hpp"
 
 #include <algorithm>
-#include <cassert>
-#include <cmath>
-#include <deque>
+
+#include "aqm/pi_core.hpp"
+#include "control/fluid_flow.hpp"
 
 namespace pi2::control {
 
@@ -47,8 +47,16 @@ FluidTrace simulate_fluid(const FluidConfig& config) {
   const double dt = config.dt_s;
   const auto steps = static_cast<std::size_t>(config.duration_s / dt);
 
+  // The loop type picks the window law and how the controller output is
+  // applied: Reno sees p directly (35) or p'^2 (36), Scalable sees p' (37).
+  const FluidSignal signal = config.type == LoopType::kScalableP
+                                 ? FluidSignal::kScalable
+                                 : FluidSignal::kClassic;
+  const bool squared = config.type == LoopType::kRenoPSquared;
+
   // History ring for delayed terms, indexed on the dt grid. The maximum
   // delay we ever look back is base_rtt + max queueing delay; cap at 10 s.
+  // p_hist holds the applied probability.
   const auto hist_len = static_cast<std::size_t>(10.0 / dt);
   std::vector<double> w_hist(hist_len, 1.0);
   std::vector<double> p_hist(hist_len, 0.0);
@@ -57,8 +65,8 @@ FluidTrace simulate_fluid(const FluidConfig& config) {
   double n = config.n_flows;
   double w = 2.0;   // start near slow-start exit
   double q = 0.0;   // packets
-  double prob = 0.0;
-  double prev_qdelay = 0.0;
+  pi2::aqm::PiCore pi{config.gains.alpha_hz, config.gains.beta_hz,
+                      config.max_prob};
   double next_update = config.gains.t_update_s;
 
   FluidTrace trace;
@@ -77,43 +85,22 @@ FluidTrace simulate_fluid(const FluidConfig& config) {
     const double lag = std::min(r, t);
     const auto lag_steps = static_cast<std::size_t>(lag / dt);
     const std::size_t lag_idx = (i + hist_len - lag_steps) % hist_len;
-    const double w_lag = w_hist[lag_idx];
-    const double p_lag = p_hist[lag_idx];
-    const double r_lag = r_hist[lag_idx];
-
-    // Window dynamics (equations (15)/(18)/(22)).
-    double dw;
-    switch (config.type) {
-      case LoopType::kRenoP:
-        dw = 1.0 / r - 0.5 * w * (w_lag / r_lag) * p_lag;
-        break;
-      case LoopType::kRenoPSquared:
-        dw = 1.0 / r - 0.5 * w * (w_lag / r_lag) * p_lag * p_lag;
-        break;
-      case LoopType::kScalableP:
-        dw = 1.0 / r - 0.5 * (w_lag / r_lag) * p_lag;
-        break;
-      default:
-        dw = 0.0;
-    }
-    w = std::max(w + dw * dt, 1.0);
+    w = window_step(signal, w, r, w_hist[lag_idx], r_hist[lag_idx],
+                    p_hist[lag_idx], dt);
 
     // Queue dynamics (equation (16)), non-negative.
     const double dq = n * w / r - config.capacity_pps;
     q = std::max(q + dq * dt, 0.0);
 
-    // PI update every t_update.
+    // PI update (equation (4)) every t_update.
     if (t >= next_update) {
-      const double qdelay = q / config.capacity_pps;
-      prob += config.gains.alpha_hz * (qdelay - config.target_s) +
-              config.gains.beta_hz * (qdelay - prev_qdelay);
-      prob = std::clamp(prob, 0.0, config.max_prob);
-      prev_qdelay = qdelay;
+      pi.update(q / config.capacity_pps, config.target_s);
       next_update += config.gains.t_update_s;
     }
+    const double prob = pi.prob();
 
     w_hist[idx] = w;
-    p_hist[idx] = prob;
+    p_hist[idx] = squared ? prob * prob : prob;
     r_hist[idx] = r;
 
     if (i % sample_every == 0) {

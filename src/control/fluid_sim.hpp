@@ -6,6 +6,12 @@
 // margins (control/fluid_model) and the packet simulator (scenario/):
 // step responses here must oscillate exactly where the margins go negative,
 // and settle where they are positive.
+//
+// It shares its equations with the other views rather than restating them:
+// the window step is control::window_step (the FluidFlowEnsemble's law) and
+// the controller is aqm::PiCore (the packet AQMs' integrator). What it owns
+// is the closed loop around them: the delay ring, the fluid queue (16) and
+// the load step in N.
 #pragma once
 
 #include <vector>
@@ -34,7 +40,7 @@ struct FluidTrace {
   std::vector<double> t_s;
   std::vector<double> window;     ///< W(t), segments
   std::vector<double> qdelay_s;   ///< q(t)/C
-  std::vector<double> prob;       ///< controller output p or p'
+  std::vector<double> prob;       ///< controller output p or p' (unsquared)
 
   /// Peak queue delay after `from_s`.
   [[nodiscard]] double peak_qdelay_s(double from_s = 0.0) const;

@@ -1,17 +1,11 @@
 #include "core/dualpi2.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 
 namespace pi2::core {
 
-using pi2::net::Ecn;
-using pi2::net::Packet;
-using pi2::sim::Duration;
-using pi2::sim::from_seconds;
 using pi2::sim::to_seconds;
-using pi2::sim::Time;
 
 // --- DualPi2Core -------------------------------------------------------------
 
@@ -80,131 +74,23 @@ DualPi2Core::Signal DualPi2Core::l_signal(pi2::sim::Rng& rng, double sojourn_s,
   return rng.uniform() < p_l ? Signal::kMark : Signal::kNone;
 }
 
-// --- DualPi2Link -------------------------------------------------------------
-
-DualPi2Link::DualPi2Link(pi2::sim::Simulator& sim, Params params)
-    : sim_(sim), params_(params), core_(params), rng_(sim.rng().split()) {
-  schedule_update();
-}
-
-Duration DualPi2Link::l_queue_delay() const {
-  return from_seconds(static_cast<double>(l_backlog_bytes_) * 8.0 / params_.rate_bps);
-}
-
-Duration DualPi2Link::c_queue_delay() const {
-  return from_seconds(static_cast<double>(c_backlog_bytes_) * 8.0 / params_.rate_bps);
-}
-
-void DualPi2Link::schedule_update() {
-  sim_.after(params_.t_update, [this] {
-    update();
-    schedule_update();
-  });
-}
-
-void DualPi2Link::update() {
-  // The PI controller regulates the Classic queue's delay, measured as the
-  // sojourn of the head packet (as Linux sch_dualpi2 does). Backlog/rate
-  // would under-estimate it: C drains at less than the full link rate while
-  // the scheduler favours L, and the controller must see that extra wait.
-  double c_delay_s = 0.0;
-  if (!c_queue_.empty()) {
-    c_delay_s = to_seconds(sim_.now() - c_queue_.front().enqueued_at);
-  }
-  core_.update(c_delay_s);
-}
-
-void DualPi2Link::send(Packet packet) {
-  const bool scalable = net::is_scalable(packet.ecn);
-  if (total_backlog_packets() >= params_.buffer_packets) {
-    ++counters_.tail_dropped;
-    ++(scalable ? counters_.l_tail_dropped : counters_.c_tail_dropped);
-    return;
-  }
-  if (!scalable) {
-    switch (core_.classic_signal(rng_, net::ecn_capable(packet.ecn))) {
-      case DualPi2Core::Signal::kMark:
-        packet.ecn = Ecn::kCe;
-        ++counters_.c_marked;
-        break;
-      case DualPi2Core::Signal::kDrop:
-        ++counters_.c_dropped;
-        return;
-      case DualPi2Core::Signal::kNone:
-        break;
-    }
-  }
-  packet.enqueued_at = sim_.now();
-  if (scalable) {
-    ++counters_.l_enqueued;
-    l_backlog_bytes_ += packet.size;
-    l_queue_.push_back(packet);
-  } else {
-    ++counters_.c_enqueued;
-    c_backlog_bytes_ += packet.size;
-    c_queue_.push_back(packet);
-  }
-  try_start_transmission();
-}
-
-void DualPi2Link::try_start_transmission() {
-  if (transmitting_) return;
-  while (!l_queue_.empty() || !c_queue_.empty()) {
-    // Time-shifted FIFO: compare head sojourns, crediting the L queue.
-    bool from_l;
-    const Time now = sim_.now();
-    if (l_queue_.empty()) {
-      from_l = false;
-    } else if (c_queue_.empty()) {
-      from_l = true;
-    } else {
-      const Duration l_sojourn = now - l_queue_.front().enqueued_at + params_.t_shift;
-      const Duration c_sojourn = now - c_queue_.front().enqueued_at;
-      from_l = l_sojourn >= c_sojourn;
-    }
-
-    Packet packet = from_l ? l_queue_.front() : c_queue_.front();
-    if (from_l) {
-      const auto l_backlog = static_cast<std::int64_t>(l_queue_.size());
-      l_queue_.pop_front();
-      l_backlog_bytes_ -= packet.size;
-      const double sojourn_s = to_seconds(now - packet.enqueued_at);
-      switch (core_.l_signal(rng_, sojourn_s, l_backlog)) {
-        case DualPi2Core::Signal::kMark:
-          packet.ecn = Ecn::kCe;
-          ++counters_.l_marked;
-          break;
-        case DualPi2Core::Signal::kDrop:
-          ++counters_.l_dropped;
-          continue;  // offer the next head packet
-        case DualPi2Core::Signal::kNone:
-          break;
-      }
-    } else {
-      c_queue_.pop_front();
-      c_backlog_bytes_ -= packet.size;
-    }
-
-    const Duration tx_time =
-        from_seconds(static_cast<double>(packet.size) * 8.0 / params_.rate_bps);
-    transmitting_ = true;
-    sim_.after(tx_time, [this, packet, from_l]() mutable {
-      finish_transmission(std::move(packet), from_l);
-    });
-    return;
-  }
-}
-
-void DualPi2Link::finish_transmission(Packet packet, bool from_l) {
-  transmitting_ = false;
-  if (departure_probe_) {
-    departure_probe_(packet, sim_.now() - packet.enqueued_at, from_l);
-  }
-  if (sink_) sink_(packet);
-  try_start_transmission();
-}
-
 // --- DualPi2Qdisc ------------------------------------------------------------
+
+namespace {
+
+net::QueueDiscipline::Verdict verdict(DualPi2Core::Signal signal) {
+  switch (signal) {
+    case DualPi2Core::Signal::kMark:
+      return net::QueueDiscipline::Verdict::kMark;
+    case DualPi2Core::Signal::kDrop:
+      return net::QueueDiscipline::Verdict::kDrop;
+    case DualPi2Core::Signal::kNone:
+      break;
+  }
+  return net::QueueDiscipline::Verdict::kAccept;
+}
+
+}  // namespace
 
 void DualPi2Qdisc::install(pi2::sim::Simulator& sim, const net::QueueView& view) {
   QueueDiscipline::install(sim, view);
@@ -213,7 +99,10 @@ void DualPi2Qdisc::install(pi2::sim::Simulator& sim, const net::QueueView& view)
 
 void DualPi2Qdisc::schedule_update() {
   sim().after(params_.t_update, [this] {
-    // Same controller input as the link: the C head packet's sojourn.
+    // The PI controller regulates the Classic queue's delay, measured as the
+    // sojourn of the head packet (as Linux sch_dualpi2 does). Backlog/rate
+    // would under-estimate it: C drains at less than the full link rate
+    // while the scheduler favours L, and the controller must see that wait.
     core_.update(to_seconds(view().band_head_sojourn(kCBand)));
     schedule_update();
   });
@@ -231,15 +120,7 @@ std::size_t DualPi2Qdisc::select_band() {
 
 DualPi2Qdisc::Verdict DualPi2Qdisc::enqueue(const net::Packet& packet) {
   if (net::is_scalable(packet.ecn)) return Verdict::kAccept;  // signalled at dequeue
-  switch (core_.classic_signal(rng(), net::ecn_capable(packet.ecn))) {
-    case DualPi2Core::Signal::kMark:
-      return Verdict::kMark;
-    case DualPi2Core::Signal::kDrop:
-      return Verdict::kDrop;
-    case DualPi2Core::Signal::kNone:
-      break;
-  }
-  return Verdict::kAccept;
+  return verdict(core_.classic_signal(rng(), net::ecn_capable(packet.ecn)));
 }
 
 DualPi2Qdisc::Verdict DualPi2Qdisc::dequeue_band(const net::Packet& packet,
@@ -249,15 +130,7 @@ DualPi2Qdisc::Verdict DualPi2Qdisc::dequeue_band(const net::Packet& packet,
   // The head packet has already left the band's FIFO, so the view's count
   // excludes it; add it back for the l_thresh comparison.
   const std::int64_t l_backlog = view().band_backlog_packets(kLBand) + 1;
-  switch (core_.l_signal(rng(), sojourn_s, l_backlog)) {
-    case DualPi2Core::Signal::kMark:
-      return Verdict::kMark;
-    case DualPi2Core::Signal::kDrop:
-      return Verdict::kDrop;
-    case DualPi2Core::Signal::kNone:
-      break;
-  }
-  return Verdict::kAccept;
+  return verdict(core_.l_signal(rng(), sojourn_s, l_backlog));
 }
 
 }  // namespace pi2::core

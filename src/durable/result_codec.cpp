@@ -10,21 +10,17 @@ namespace pi2::durable {
 
 namespace {
 
-// v2: fluid-tier stats (arrival/served/dropped/backlog/ticks) and the
-// per-flow is_fluid flag joined the payload; v1 journals decode as corrupt
-// and their points are re-simulated rather than silently misread.
-// v3: DualPI2's per-band (L/C queue) counter slices, whole-run and window.
-// v4: per-link result slices (multi-bottleneck topologies) appended after
-// the violations section. v3 payloads stay readable — the links section is
-// strictly trailing, so a v3 record decodes with `links` empty, which is
-// exactly what a v3-era (single-link) run would have carried.
-// v5: the trailing ResilienceReport section (recovery scoring of the
-// primary link's fault windows). v4 and v3 payloads still decode — the new
-// section is strictly trailing, so older records decode with the default
-// (unanalyzed) report, which is what a fault-free run carries anyway.
+// Only the current layout decodes. An older journal record (v1-v4, written
+// before the fluid-tier stats, the per-band slices, the per-link slices or
+// the trailing ResilienceReport joined the payload) fails as `corrupt: bad
+// magic`, so a resumed campaign re-simulates that point instead of
+// misreading it.
+// v5: RunResult scalars, aggregate/window counters, DualPI2's per-band
+// (L/C queue) slices, fault and fluid-tier stats, series and samplers,
+// per-flow results, violations, per-link slices (multi-bottleneck
+// topologies) and the ResilienceReport (recovery scoring of the primary
+// link's fault windows).
 constexpr const char* kMagic = "pi2-result-v5";
-constexpr const char* kMagicV4 = "pi2-result-v4";
-constexpr const char* kMagicV3 = "pi2-result-v3";
 
 void put_u64(std::string& out, std::uint64_t v) {
   char buf[24];
@@ -302,12 +298,9 @@ std::string encode_result(const scenario::RunResult& result) {
 Status decode_result(const std::string& payload, scenario::RunResult& result) {
   std::istringstream magic_in(payload);
   std::string magic;
-  if (!(magic_in >> magic) ||
-      (magic != kMagic && magic != kMagicV4 && magic != kMagicV3)) {
+  if (!(magic_in >> magic) || magic != kMagic) {
     return Status::corrupt("result payload: bad magic");
   }
-  const bool has_links = magic == kMagic || magic == kMagicV4;
-  const bool has_resilience = magic == kMagic;
   Reader reader(payload.substr(magic.size()));
   scenario::RunResult out;
 
@@ -385,44 +378,40 @@ Status decode_result(const std::string& payload, scenario::RunResult& result) {
     }
   }
 
-  if (has_links) {
-    std::uint64_t link_count = 0;
-    ok = ok && reader.u64(link_count) && link_count <= (1u << 20);
-    for (std::uint64_t i = 0; ok && i < link_count; ++i) {
-      scenario::LinkSlice link;
-      ok = reader.str(link.name) && reader.real(link.mean_qdelay_ms) &&
-           reader.real(link.p99_qdelay_ms) && reader.real(link.utilization) &&
-           read_counters(link.counters) && read_counters(link.window_counters) &&
-           reader.i64(link.fault_counters.dropped) &&
-           reader.i64(link.fault_counters.bleached) &&
-           reader.i64(link.fault_counters.reordered) &&
-           reader.i64(link.fault_counters.rate_changes) &&
-           reader.i64(link.fault_counters.rtt_changes) &&
-           reader.u64(link.guard_events) &&
-           reader.i64(link.final_backlog_packets);
-      if (ok) out.links.push_back(std::move(link));
-    }
+  std::uint64_t link_count = 0;
+  ok = ok && reader.u64(link_count) && link_count <= (1u << 20);
+  for (std::uint64_t i = 0; ok && i < link_count; ++i) {
+    scenario::LinkSlice link;
+    ok = reader.str(link.name) && reader.real(link.mean_qdelay_ms) &&
+         reader.real(link.p99_qdelay_ms) && reader.real(link.utilization) &&
+         read_counters(link.counters) && read_counters(link.window_counters) &&
+         reader.i64(link.fault_counters.dropped) &&
+         reader.i64(link.fault_counters.bleached) &&
+         reader.i64(link.fault_counters.reordered) &&
+         reader.i64(link.fault_counters.rate_changes) &&
+         reader.i64(link.fault_counters.rtt_changes) &&
+         reader.u64(link.guard_events) &&
+         reader.i64(link.final_backlog_packets);
+    if (ok) out.links.push_back(std::move(link));
   }
 
-  if (has_resilience) {
-    stats::ResilienceReport& rr = out.resilience;
-    std::uint64_t analyzed = 0;
-    ok = ok && reader.u64(analyzed) && reader.u64(rr.windows) &&
-         reader.u64(rr.recovered_windows) && reader.real(rr.worst_recovery_s) &&
-         reader.real(rr.mean_recovery_s) && reader.real(rr.peak_qdelay_ms) &&
-         reader.real(rr.pre_fault_mean_qdelay_ms) &&
-         reader.real(rr.post_fault_mean_qdelay_ms) &&
-         reader.real(rr.post_fault_delta_ms) &&
-         reader.u64(rr.violations_in_window) &&
-         reader.u64(rr.violations_outside);
-    rr.analyzed = analyzed != 0;
-    std::uint64_t recovery_count = 0;
-    ok = ok && reader.u64(recovery_count) && recovery_count <= (1u << 20);
-    for (std::uint64_t i = 0; ok && i < recovery_count; ++i) {
-      double r = 0.0;
-      ok = reader.real(r);
-      if (ok) rr.recovery_s.push_back(r);
-    }
+  stats::ResilienceReport& rr = out.resilience;
+  std::uint64_t analyzed = 0;
+  ok = ok && reader.u64(analyzed) && reader.u64(rr.windows) &&
+       reader.u64(rr.recovered_windows) && reader.real(rr.worst_recovery_s) &&
+       reader.real(rr.mean_recovery_s) && reader.real(rr.peak_qdelay_ms) &&
+       reader.real(rr.pre_fault_mean_qdelay_ms) &&
+       reader.real(rr.post_fault_mean_qdelay_ms) &&
+       reader.real(rr.post_fault_delta_ms) &&
+       reader.u64(rr.violations_in_window) &&
+       reader.u64(rr.violations_outside);
+  rr.analyzed = analyzed != 0;
+  std::uint64_t recovery_count = 0;
+  ok = ok && reader.u64(recovery_count) && recovery_count <= (1u << 20);
+  for (std::uint64_t i = 0; ok && i < recovery_count; ++i) {
+    double r = 0.0;
+    ok = reader.real(r);
+    if (ok) rr.recovery_s.push_back(r);
   }
 
   if (!ok || reader.failed()) {

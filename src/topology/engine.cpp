@@ -346,8 +346,8 @@ TopologyResult run_topology(const TopologyConfig& config) {
                              target_busy_s = 0.0, credited_busy_s = 0.0,
                              last_packet_busy_s =
                                  0.0](double aggregate_bps) mutable {
-      net::BottleneckLink& link = *rt.link;
-      const double rate_bps = link.link_rate_bps();
+      net::BottleneckLink& bottleneck = *rt.link;
+      const double rate_bps = bottleneck.link_rate_bps();
       const double cap_bytes = rate_bps * dt_s / 8.0;
       const double pkt_bytes = std::exchange(rt.pkt_bytes_this_tick, 0.0);
       const double avail = std::max(cap_bytes - pkt_bytes, 0.0);
@@ -366,13 +366,15 @@ TopologyResult run_topology(const TopologyConfig& config) {
       const double buffer_bytes =
           static_cast<double>(buffer_packets) * net::kDefaultMss;
       const double fluid_room = std::max(
-          buffer_bytes - static_cast<double>(link.packet_backlog_bytes()), 0.0);
+          buffer_bytes -
+              static_cast<double>(bottleneck.packet_backlog_bytes()),
+          0.0);
       if (rt.fluid_backlog_bytes > fluid_room) {
         rt.fluid_dropped_bytes += rt.fluid_backlog_bytes - fluid_room;
         rt.fluid_backlog_bytes = fluid_room;
       }
-      link.set_fluid_state(std::llround(rt.fluid_backlog_bytes),
-                           served * 8.0 / dt_s);
+      bottleneck.set_fluid_state(std::llround(rt.fluid_backlog_bytes),
+                                 served * 8.0 / dt_s);
       // Credit the carried fluid bytes to the run's utilization and
       // throughput accounting; the comparison is cumulative because a
       // single packet's serialization spans many ticks at a small residual

@@ -7,8 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
+#include "net/bottleneck_link.hpp"
 #include "sim/simulator.hpp"
 
 namespace pi2::core {
@@ -152,13 +154,14 @@ TEST(DualPi2Overload, TShiftBoundsClassicWaitUnderLFlood) {
   // 1.2 Mb/s (10 ms per packet) with the default 30 ms shift, a C packet
   // queued behind a continuous L feed departs around t = 50 ms.
   Simulator sim{1};
-  DualPi2Link::Params params;
-  params.rate_bps = 1.2e6;
-  DualPi2Link link{sim, params};
+  const DualPi2Params params;
+  net::BottleneckLink::Config config;
+  config.rate_bps = 1.2e6;
+  net::BottleneckLink link{sim, config, std::make_unique<DualPi2Qdisc>(params)};
   std::vector<double> c_departures_ms;
   int l_departures = 0;
-  link.set_departure_probe([&](const Packet&, pi2::sim::Duration, bool from_l) {
-    if (from_l) {
+  link.add_departure_probe([&](const Packet& p, pi2::sim::Duration) {
+    if (net::is_scalable(p.ecn)) {
       ++l_departures;
     } else {
       c_departures_ms.push_back(to_millis(sim.now()));
@@ -180,7 +183,7 @@ TEST(DualPi2Overload, TShiftBoundsClassicWaitUnderLFlood) {
   EXPECT_GE(c_departures_ms[0], to_millis(params.t_shift));
   EXPECT_LE(c_departures_ms[0], to_millis(params.t_shift) + 3 * 10.0);
   EXPECT_GT(l_departures, 10);  // the flood kept flowing around it
-  EXPECT_EQ(link.guard_events(), 0u);
+  EXPECT_EQ(link.qdisc().guard_events(), 0u);
 }
 
 }  // namespace

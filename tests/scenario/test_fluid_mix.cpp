@@ -123,7 +123,8 @@ TEST(BatchedAckClock, FewerSchedulerEventsSameMacroBehaviour) {
   cfg.ack_quantum = from_millis(1);
   const RunResult batched = run_dumbbell(cfg);
 
-  EXPECT_LT(batched.events_executed, exact.events_executed * 0.8)
+  EXPECT_LT(static_cast<double>(batched.events_executed),
+            static_cast<double>(exact.events_executed) * 0.8)
       << "batching saved <20% of scheduler events";
 
   auto total_goodput = [](const RunResult& r) {

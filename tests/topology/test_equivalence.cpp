@@ -95,8 +95,8 @@ INSTANTIATE_TEST_SUITE_P(
     PaperAqms, DumbbellTopologyEquivalence,
     ::testing::Values(scenario::AqmType::kCoupledPi2,
                       scenario::AqmType::kDualPi2, scenario::AqmType::kPie),
-    [](const ::testing::TestParamInfo<scenario::AqmType>& info) {
-      switch (info.param) {
+    [](const ::testing::TestParamInfo<scenario::AqmType>& param_info) {
+      switch (param_info.param) {
         case scenario::AqmType::kCoupledPi2:
           return std::string("CoupledPi2");
         case scenario::AqmType::kDualPi2:

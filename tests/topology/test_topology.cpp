@@ -17,7 +17,7 @@ namespace {
 TopologyConfig parking_lot(int hops) {
   TopologyConfig cfg;
   for (int i = 0; i <= hops; ++i) {
-    cfg.nodes.push_back("n" + std::to_string(i));
+    cfg.nodes.push_back(std::string("n").append(std::to_string(i)));
   }
   for (int i = 0; i < hops; ++i) {
     LinkSpec link;

@@ -11,6 +11,8 @@
 namespace pi2::topology {
 namespace {
 
+using namespace std::string_literals;
+
 /// A well-formed 2-link chain with one flow of each kind; each test breaks
 /// exactly one field.
 TopologyConfig valid_chain() {
@@ -54,13 +56,13 @@ TEST(TopologyValidate, RejectsEmptyNodes) {
 
 TEST(TopologyValidate, RejectsEmptyNodeName) {
   auto cfg = valid_chain();
-  cfg.nodes[1] = "";
+  cfg.nodes[1].clear();
   EXPECT_EQ(cfg.validate(), "nodes[1] must be a non-empty name");
 }
 
 TEST(TopologyValidate, RejectsDuplicateNode) {
   auto cfg = valid_chain();
-  cfg.nodes[2] = "a";
+  cfg.nodes[2] = cfg.nodes[0];
   EXPECT_EQ(cfg.validate(), "nodes[2] must be unique (got \"a\")");
 }
 
@@ -72,29 +74,29 @@ TEST(TopologyValidate, RejectsEmptyLinks) {
 
 TEST(TopologyValidate, RejectsUnknownFromNode) {
   auto cfg = valid_chain();
-  cfg.links[0].from = "zz";
+  cfg.links[0].from = "zz"s;
   EXPECT_EQ(cfg.validate(),
             "links[0].from must name a configured node (got \"zz\")");
 }
 
 TEST(TopologyValidate, RejectsUnknownToNode) {
   auto cfg = valid_chain();
-  cfg.links[1].to = "zz";
+  cfg.links[1].to = "zz"s;
   EXPECT_EQ(cfg.validate(),
             "links[1].to must name a configured node (got \"zz\")");
 }
 
 TEST(TopologyValidate, RejectsSelfLoop) {
   auto cfg = valid_chain();
-  cfg.links[0].to = "a";
+  cfg.links[0].to = cfg.links[0].from;
   EXPECT_EQ(cfg.validate(),
             "links[0].to must differ from .from (got \"a\")");
 }
 
 TEST(TopologyValidate, RejectsDuplicateDirectedPair) {
   auto cfg = valid_chain();
-  cfg.links[1].from = "a";
-  cfg.links[1].to = "b";
+  cfg.links[1].from = "a"s;
+  cfg.links[1].to = "b"s;
   // The tcp/udp routes still resolve a->b->c? No — b->c is gone, so break
   // the routes too would mask the earlier check; the link check fires first.
   EXPECT_EQ(cfg.validate(),
@@ -103,8 +105,8 @@ TEST(TopologyValidate, RejectsDuplicateDirectedPair) {
 
 TEST(TopologyValidate, RejectsDuplicateLinkName) {
   auto cfg = valid_chain();
-  cfg.links[0].name = "x";
-  cfg.links[1].name = "x";
+  cfg.links[0].name = "x"s;
+  cfg.links[1].name = "x"s;
   EXPECT_EQ(cfg.validate(), "links[1].name must be unique (got \"x\")");
 }
 
