@@ -10,6 +10,7 @@
 #include <memory>
 
 #include "net/bottleneck_link.hpp"
+#include "net/delay_pipe.hpp"
 #include "scenario/dumbbell.hpp"
 #include "sim/simulator.hpp"
 #include "stats/percentile.hpp"
@@ -64,15 +65,16 @@ Outcome run_with(std::unique_ptr<net::QueueDiscipline> qdisc) {
   tcp::TcpReceiver receiver{simulator, 0};
   std::int64_t delivered = 0;
   sender.set_output([&](net::Packet p) { link.send(p); });
-  link.set_sink([&](net::Packet p) {
-    simulator.after(sim::from_millis(5), [&receiver, p] { receiver.on_data(p); });
-  });
+  // 5 ms of propagation each way.
+  net::DelayPipe forward{simulator, sim::from_millis(5)};
+  net::DelayPipe reverse{simulator, sim::from_millis(5)};
+  link.set_sink([&](net::Packet p) { forward.send(p); });
+  forward.set_sink([&](net::Packet p) { receiver.on_data(p); });
   receiver.set_delivery_probe([&](const net::Packet& p) {
     if (simulator.now() > sim::from_seconds(10)) delivered += p.size;
   });
-  receiver.set_ack_path([&](net::Packet a) {
-    simulator.after(sim::from_millis(5), [&sender, a] { sender.on_ack(a); });
-  });
+  receiver.set_ack_path([&](net::Packet a) { reverse.send(a); });
+  reverse.set_sink([&](net::Packet a) { sender.on_ack(a); });
   sender.start();
   simulator.run_until(sim::from_seconds(40.0));
 

@@ -12,7 +12,7 @@ using pi2::sim::Time;
 
 BottleneckLink::BottleneckLink(pi2::sim::Simulator& sim, Config config,
                                std::unique_ptr<QueueDiscipline> qdisc)
-    : sim_(sim), config_(config), qdisc_(std::move(qdisc)) {
+    : sim_(sim), config_(config), qdisc_(std::move(qdisc)), held_(sim, {}) {
   assert(config_.rate_bps > 0);
   assert(qdisc_ != nullptr);
   const std::size_t bands = std::max<std::size_t>(qdisc_->band_count(), 1);
@@ -20,6 +20,7 @@ BottleneckLink::BottleneckLink(pi2::sim::Simulator& sim, Config config,
   band_counters_.resize(bands);
   band_backlog_bytes_.resize(bands, 0);
   qdisc_->install(sim_, *this);
+  held_.set_sink([this](Packet packet) { accept(std::move(packet)); });
 }
 
 pi2::sim::Duration BottleneckLink::band_head_sojourn(std::size_t band) const {
@@ -74,9 +75,9 @@ void BottleneckLink::send(Packet packet) {
         drop(packet, DropReason::kFault);
         return;
       case IngressVerdict::Action::kDelay:
-        // Deflect through the scheduler; the re-offer bypasses the filter so
-        // a held packet cannot be deflected again.
-        sim_.after(verdict.delay, [this, packet]() mutable { accept(packet); });
+        // Hold the packet back; the re-offer bypasses the filter so a held
+        // packet cannot be deflected again.
+        held_.send(std::move(packet), verdict.delay);
         return;
       case IngressVerdict::Action::kPass:
         break;
@@ -144,19 +145,21 @@ void BottleneckLink::try_start_transmission() {
       case QueueDiscipline::Verdict::kAccept:
         break;
     }
-    const Time started = sim_.now();
     const Duration tx_time =
         from_seconds(static_cast<double>(packet.size) * 8.0 / packet_rate_bps());
     transmitting_ = true;
     transmitting_band_ = band;
-    sim_.after(tx_time, [this, packet, started]() mutable {
-      finish_transmission(std::move(packet), started);
-    });
+    in_service_ = packet;
+    tx_started_ = sim_.now();
+    sim_.after(tx_time, [this] { finish_transmission(); });
     return;
   }
 }
 
-void BottleneckLink::finish_transmission(Packet packet, Time started) {
+void BottleneckLink::finish_transmission() {
+  // Copies: the sink may offer a packet that starts the next transmission.
+  const Packet packet = in_service_;
+  const Time started = tx_started_;
   transmitting_ = false;
   ++counters_.forwarded;
   ++band_counters_[transmitting_band_].forwarded;

@@ -13,6 +13,7 @@
 #include <memory>
 #include <vector>
 
+#include "net/delay_pipe.hpp"
 #include "net/packet.hpp"
 #include "net/probe_bus.hpp"
 #include "net/queue_discipline.hpp"
@@ -64,8 +65,8 @@ class BottleneckLink final : public QueueView {
   using DropReason = pi2::net::DropReason;
 
   /// Verdict of the ingress fault filter, applied before the AQM sees the
-  /// packet. kDelay re-offers the packet to the queue after `delay` via the
-  /// scheduler (packet reordering); re-injected packets bypass the filter.
+  /// packet. kDelay re-offers the packet to the queue after `delay` through
+  /// a delay pipe (packet reordering); re-injected packets bypass the filter.
   struct IngressVerdict {
     enum class Action { kPass, kDrop, kDelay } action = Action::kPass;
     pi2::sim::Duration delay{};
@@ -201,7 +202,7 @@ class BottleneckLink final : public QueueView {
  private:
   void accept(Packet packet);  ///< post-filter path: AQM + buffer limit
   void try_start_transmission();
-  void finish_transmission(Packet packet, pi2::sim::Time started);
+  void finish_transmission();
   void drop(const Packet& packet, DropReason reason);
   /// Capacity left for packets after the fluid tier's service share.
   [[nodiscard]] double packet_rate_bps() const;
@@ -225,32 +226,16 @@ class BottleneckLink final : public QueueView {
 #endif
   bool transmitting_ = false;
   std::size_t transmitting_band_ = 0;
+  /// The packet on the wire and when its serialization started, held here
+  /// so the completion event captures nothing but `this`.
+  Packet in_service_;
+  pi2::sim::Time tx_started_{};
+  /// Packets the ingress filter holds back (kDelay), re-offered to accept().
+  DelayPipe held_;
   Counters counters_;
   std::function<void(Packet)> sink_;
   std::function<IngressVerdict(Packet&)> ingress_filter_;
   ProbeBus probes_;
-};
-
-/// Fixed-delay pipe: models propagation (and the uncongested reverse path).
-class DelayPipe {
- public:
-  DelayPipe(pi2::sim::Simulator& sim, pi2::sim::Duration delay)
-      : sim_(sim), delay_(delay) {}
-
-  void set_sink(std::function<void(Packet)> sink) { sink_ = std::move(sink); }
-  void set_delay(pi2::sim::Duration delay) { delay_ = delay; }
-  [[nodiscard]] pi2::sim::Duration delay() const { return delay_; }
-
-  void send(Packet packet) {
-    sim_.after(delay_, [this, packet]() mutable {
-      if (sink_) sink_(packet);
-    });
-  }
-
- private:
-  pi2::sim::Simulator& sim_;
-  pi2::sim::Duration delay_;
-  std::function<void(Packet)> sink_;
 };
 
 }  // namespace pi2::net

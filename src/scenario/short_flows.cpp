@@ -2,9 +2,11 @@
 
 #include <cmath>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "net/bottleneck_link.hpp"
+#include "net/delay_pipe.hpp"
 #include "sim/simulator.hpp"
 #include "stats/meters.hpp"
 #include "tcp/endpoint.hpp"
@@ -59,13 +61,19 @@ ShortFlowResult run_short_flows(const ShortFlowConfig& config) {
   // is tiny) so ids remain stable.
   std::vector<std::unique_ptr<ShortFlow>> flows;
 
+  // Propagation both ways: half the base RTT, one pending event per pipe.
+  net::DelayPipe data_pipe{sim, config.base_rtt / 2};
+  net::DelayPipe ack_pipe{sim, config.base_rtt / 2};
+  data_pipe.set_sink([&flows](net::Packet packet) {
+    flows[static_cast<std::size_t>(packet.flow)]->receiver->on_data(packet);
+  });
+  ack_pipe.set_sink([&flows](net::Packet ack) {
+    flows[static_cast<std::size_t>(ack.flow)]->sender->on_ack(ack);
+  });
   link.set_sink([&](net::Packet packet) {
     const auto id = static_cast<std::size_t>(packet.flow);
     if (id >= flows.size()) return;
-    ShortFlow* flow = flows[id].get();
-    sim.after(config.base_rtt / 2, [flow, packet] {
-      flow->receiver->on_data(packet);
-    });
+    data_pipe.send(std::move(packet));
   });
 
   auto start_flow = [&](std::int64_t segments, bool background) {
@@ -82,9 +90,8 @@ ShortFlowResult run_short_flows(const ShortFlowConfig& config) {
     flow->receiver = std::make_unique<tcp::TcpReceiver>(sim, id);
     ShortFlow* raw = flow.get();
     flow->sender->set_output([&link](net::Packet p) { link.send(p); });
-    flow->receiver->set_ack_path([&sim, raw, &config](net::Packet ack) {
-      sim.after(config.base_rtt / 2, [raw, ack] { raw->sender->on_ack(ack); });
-    });
+    flow->receiver->set_ack_path(
+        [&ack_pipe](net::Packet ack) { ack_pipe.send(std::move(ack)); });
     if (!background) {
       ++result.flows_started;
       flow->sender->set_completion_callback([&result, raw, &sim, &config] {

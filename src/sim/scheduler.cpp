@@ -19,11 +19,13 @@ bool EventHandle::pending() const {
   return scheduler_ != nullptr && scheduler_->pending(slot_, generation_);
 }
 
-EventHandle Scheduler::schedule_at(Time at, UniqueFunction fn) {
+EventHandle Scheduler::schedule_at(Time at, std::uint64_t seq,
+                                   UniqueFunction fn) {
   const std::uint32_t slot = allocate_slot();
   const std::uint32_t generation = slots_[slot].generation;
   slots_[slot].fn = std::move(fn);
-  heap_.push_back(Entry{at, next_seq_++, slot});
+  ++scheduled_;
+  heap_.push_back(Entry{at, seq, slot});
   std::push_heap(heap_.begin(), heap_.end(), Later{});
   return EventHandle{this, slot, generation};
 }
@@ -58,6 +60,7 @@ void Scheduler::cancel(std::uint32_t slot, std::uint32_t generation) {
   // itself is skipped lazily or reclaimed by compaction.
   s.fn = UniqueFunction{};
   ++dead_;
+  ++cancelled_;
   maybe_compact();
 }
 

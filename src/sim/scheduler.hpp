@@ -12,9 +12,16 @@
 // std::function, and handles are (slot index, generation) pairs instead of
 // shared_ptr<bool>, which removes two heap allocations and the refcount
 // traffic from the per-event hot path.
+//
+// A component that defers its heap push (a delay line holding many packets
+// behind one event, a lazily re-armed timer) takes its tie-break number with
+// reserve_seq() at the moment it would have scheduled, and pushes later with
+// schedule_at(at, seq, fn). The execution order is then exactly what an
+// immediate push would have produced.
 #pragma once
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "sim/time.hpp"
@@ -51,7 +58,16 @@ class Scheduler {
  public:
   /// Schedules `fn` to run at absolute time `at`. `at` must not be before
   /// the current time of the owning simulator (checked by Simulator).
-  EventHandle schedule_at(Time at, UniqueFunction fn);
+  EventHandle schedule_at(Time at, UniqueFunction fn) {
+    return schedule_at(at, next_seq_++, std::move(fn));
+  }
+
+  /// Schedules `fn` at `at` with a tie-break number taken earlier from
+  /// reserve_seq(). Each reserved number is used for at most one live event.
+  EventHandle schedule_at(Time at, std::uint64_t seq, UniqueFunction fn);
+
+  /// Takes the next tie-break number without scheduling anything.
+  [[nodiscard]] std::uint64_t reserve_seq() { return next_seq_++; }
 
   /// True if no live events remain.
   [[nodiscard]] bool empty() const;
@@ -75,6 +91,12 @@ class Scheduler {
 
   /// Number of compaction passes performed (observability / tests).
   [[nodiscard]] std::uint64_t compactions() const { return compactions_; }
+
+  /// Heap pushes so far (schedule_at calls).
+  [[nodiscard]] std::uint64_t scheduled() const { return scheduled_; }
+
+  /// Events cancelled before they fired.
+  [[nodiscard]] std::uint64_t cancelled() const { return cancelled_; }
 
  private:
   friend class EventHandle;
@@ -122,6 +144,8 @@ class Scheduler {
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;
   std::uint64_t compactions_ = 0;
+  std::uint64_t scheduled_ = 0;
+  std::uint64_t cancelled_ = 0;
 };
 
 }  // namespace pi2::sim

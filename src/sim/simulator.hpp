@@ -31,12 +31,22 @@ class Simulator {
   /// always a component bug; the time is clamped to now and counted in
   /// clamped_events() so harnesses can assert it never happens.
   EventHandle at(Time when, UniqueFunction fn) {
+    return at(when, reserve_seq(), std::move(fn));
+  }
+
+  /// Schedules `fn` at `when` with a tie-break number taken earlier from
+  /// reserve_seq() (clamped and counted like at()).
+  EventHandle at(Time when, std::uint64_t seq, UniqueFunction fn) {
     if (when < now_) {
       ++clamped_;
       when = now_;
     }
-    return scheduler_.schedule_at(when, std::move(fn));
+    return scheduler_.schedule_at(when, seq, std::move(fn));
   }
+
+  /// Takes the tie-break number an event scheduled now would get, for a
+  /// component that pushes the event later (see Scheduler::reserve_seq).
+  [[nodiscard]] std::uint64_t reserve_seq() { return scheduler_.reserve_seq(); }
 
   /// Schedules `fn` after a relative delay. A negative delay targets the
   /// past and is clamped to now by `at()`, which also counts it in
@@ -70,7 +80,8 @@ class Simulator {
   /// clamped to now. Healthy runs keep this at 0.
   [[nodiscard]] std::uint64_t clamped_events() const { return clamped_; }
 
-  /// The underlying scheduler (observability: heap occupancy, compactions).
+  /// The underlying scheduler (observability: heap occupancy, compactions,
+  /// schedule and cancel counts).
   [[nodiscard]] const Scheduler& scheduler() const { return scheduler_; }
 
  private:

@@ -13,7 +13,10 @@ using pi2::sim::to_seconds;
 
 TcpSender::TcpSender(pi2::sim::Simulator& sim, Config config,
                      std::unique_ptr<CongestionControl> cc)
-    : sim_(sim), config_(config), cc_(std::move(cc)) {
+    : sim_(sim),
+      config_(config),
+      cc_(std::move(cc)),
+      rto_timer_(sim, [this] { on_rto(); }) {
   assert(cc_ != nullptr);
 }
 
@@ -47,7 +50,7 @@ void TcpSender::maybe_send() {
   // Ensure a timer is running while data is outstanding — but never push an
   // already-armed timer forward (duplicate ACKs must not delay the RTO, or a
   // lost retransmission would stall the flow in recovery forever).
-  if (inflight() > 0 && !rto_timer_.pending()) arm_rto();
+  if (inflight() > 0 && !rto_timer_.armed()) arm_rto();
 }
 
 void TcpSender::transmit(std::int64_t seq, bool is_retransmit) {
@@ -74,10 +77,7 @@ Duration TcpSender::rto() const {
   return from_seconds(rto_s);
 }
 
-void TcpSender::arm_rto() {
-  rto_timer_.cancel();
-  rto_timer_ = sim_.after(rto(), [this] { on_rto(); });
-}
+void TcpSender::arm_rto() { rto_timer_.arm(sim_.now() + rto()); }
 
 void TcpSender::on_rto() {
   if (!running_ || completed_) return;
@@ -225,10 +225,7 @@ void TcpReceiver::on_data(const net::Packet& data) {
     ++unacked_segments_;
     if (unacked_segments_ < options_.ack_every) {
       pending_sent_at_ = data.sent_at;
-      delack_timer_.cancel();
-      delack_timer_ = sim_.after(options_.delack_timeout, [this] {
-        emit_ack(/*ce_echo=*/false, pending_sent_at_);
-      });
+      delack_timer_.arm(sim_.now() + options_.delack_timeout);
       return;
     }
   }

@@ -17,6 +17,7 @@
 
 #include "net/packet.hpp"
 #include "sim/simulator.hpp"
+#include "sim/timer.hpp"
 #include "tcp/congestion_control.hpp"
 
 namespace pi2::tcp {
@@ -104,7 +105,7 @@ class TcpSender {
   pi2::sim::Time ecn_cwr_until_{};
   bool send_cwr_ = false;
 
-  pi2::sim::EventHandle rto_timer_;
+  pi2::sim::Timer rto_timer_;
   int backoff_ = 0;
 
   std::int64_t segments_sent_ = 0;
@@ -128,7 +129,12 @@ class TcpReceiver {
   TcpReceiver(pi2::sim::Simulator& sim, std::int32_t flow)
       : TcpReceiver(sim, flow, Options{}) {}
   TcpReceiver(pi2::sim::Simulator& sim, std::int32_t flow, Options options)
-      : sim_(sim), flow_(flow), options_(options) {}
+      : sim_(sim),
+        flow_(flow),
+        options_(options),
+        delack_timer_(sim, [this] {
+          emit_ack(/*ce_echo=*/false, pending_sent_at_);
+        }) {}
 
   /// Where ACKs go (the reverse-path delay pipe back to the sender).
   void set_ack_path(std::function<void(net::Packet)> path) {
@@ -162,7 +168,7 @@ class TcpReceiver {
 
   // Delayed-ACK state.
   int unacked_segments_ = 0;
-  pi2::sim::EventHandle delack_timer_;
+  pi2::sim::Timer delack_timer_;
   pi2::sim::Time pending_sent_at_{};
 };
 

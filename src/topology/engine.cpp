@@ -21,8 +21,7 @@
 #include "control/fluid_flow.hpp"
 #include "durable/status.hpp"
 #include "faults/fault_presets.hpp"
-#include "net/batch_pipe.hpp"
-#include "net/packet_pool.hpp"
+#include "net/delay_pipe.hpp"
 #include "net/trace.hpp"
 #include "scenario/wiring.hpp"
 #include "sim/simulator.hpp"
@@ -161,59 +160,65 @@ TopologyResult run_topology(const TopologyConfig& config) {
     flows.sender(ack.flow)->on_ack(ack);
   };
 
-  // ACK-clock batching (config.ack_quantum > 0): the final propagation hop
-  // and the ACK return run through BatchDelayPipes bucketed by half-RTT, so
-  // same-quantum packets share one scheduler event and one pooled slab.
-  // With quantum == 0 every packet keeps its own exactly-timed event.
-  const bool batched = config.ack_quantum > Duration{0};
-  net::PacketSlabPool slab_pool;
-  std::deque<net::BatchDelayPipe> data_pipes;  // deque: stable refs as buckets appear
-  std::deque<net::BatchDelayPipe> ack_pipes;
+  // Propagation runs through delay pipes, one event pending per pipe: a
+  // data and an ACK pipe per half-RTT bucket, and one per link for the
+  // hop to the next queue on a route. ack_quantum > 0 batches the bucket
+  // pipes' delivery onto that grid (ACK-clock batching).
+  std::deque<net::DelayPipe> data_pipes;  // deque: stable refs as buckets appear
+  std::deque<net::DelayPipe> ack_pipes;
   std::unordered_map<std::int64_t, std::size_t> bucket_by_half_rtt;
   std::vector<std::size_t> bucket_of_flow;
   auto bucket_for = [&](Duration half_rtt) {
     const auto [it, inserted] =
         bucket_by_half_rtt.try_emplace(half_rtt.count(), data_pipes.size());
     if (inserted) {
-      data_pipes.emplace_back(sim, half_rtt, config.ack_quantum, slab_pool);
+      data_pipes.emplace_back(sim, half_rtt, config.ack_quantum);
       data_pipes.back().set_sink(deliver_data);
-      ack_pipes.emplace_back(sim, half_rtt, config.ack_quantum, slab_pool);
+      ack_pipes.emplace_back(sim, half_rtt, config.ack_quantum);
       ack_pipes.back().set_sink(deliver_ack);
     }
     return it->second;
   };
 
+  // The queue after link `li` on the packet's route; nullptr after the
+  // final hop.
+  const auto next_link = [&links, &route_links, &route_of_flow](
+                             const net::Packet& packet,
+                             std::uint32_t li) -> net::BottleneckLink* {
+    const std::vector<std::uint32_t>& route =
+        route_links[route_of_flow[static_cast<std::size_t>(packet.flow)]];
+    std::size_t hop = 0;
+    while (hop < route.size() && route[hop] != li) ++hop;
+    return hop + 1 < route.size() ? links[route[hop + 1]].link.get() : nullptr;
+  };
+  std::deque<net::DelayPipe> hop_pipes;
+  for (std::uint32_t li = 0; li < n_links; ++li) {
+    hop_pipes.emplace_back(sim, config.links[li].delay);
+    hop_pipes.back().set_sink([next_link, li](net::Packet packet) {
+      next_link(packet, li)->send(std::move(packet));
+    });
+  }
+
   // Forward path. After an intermediate hop, the packet propagates the
   // link's `delay` to the next queue on its route; after the *final* hop it
   // propagates base_rtt/2 to the flow's receiver, and ACKs return after
   // another base_rtt/2 (the dumbbell semantic — a one-link route degenerates
-  // to exactly the legacy path).
+  // to exactly the legacy path). The half-RTT is the flow's current one, so
+  // RTT-step faults apply to each packet sent after the step.
   for (std::uint32_t li = 0; li < n_links; ++li) {
     LinkRuntime& rt = links[li];
-    rt.link->set_sink([&rt, &sim, &flows, &links, &config, &route_links,
-                       &route_of_flow, &deliver_data, &data_pipes,
-                       &bucket_of_flow, batched, li](net::Packet packet) {
+    rt.link->set_sink([&rt, &sim, &flows, &data_pipes, &hop_pipes,
+                       &bucket_of_flow, next_link, li](net::Packet packet) {
       if (!flows.contains(packet.flow)) return;
       rt.pkt_bytes_this_tick += packet.size;
       rt.total_meter.add_bytes(sim.now(), packet.size);
-      const std::vector<std::uint32_t>& route =
-          route_links[route_of_flow[static_cast<std::size_t>(packet.flow)]];
-      std::size_t hop = 0;
-      while (hop < route.size() && route[hop] != li) ++hop;
-      if (hop + 1 < route.size()) {
-        net::BottleneckLink& next = *links[route[hop + 1]].link;
-        sim.after(config.links[li].delay, [&next, packet]() mutable {
-          next.send(std::move(packet));
-        });
+      if (next_link(packet, li) != nullptr) {
+        hop_pipes[li].send(std::move(packet));
         return;
       }
-      if (batched) {
-        data_pipes[bucket_of_flow[static_cast<std::size_t>(packet.flow)]].send(
-            std::move(packet));
-        return;
-      }
-      sim.after(flows.half_rtt(packet.flow),
-                [&deliver_data, packet] { deliver_data(packet); });
+      const Duration half_rtt = flows.half_rtt(packet.flow);
+      data_pipes[bucket_of_flow[static_cast<std::size_t>(packet.flow)]].send(
+          std::move(packet), half_rtt);
     });
   }
 
@@ -229,7 +234,7 @@ TopologyResult run_topology(const TopologyConfig& config) {
     const std::int32_t flow_id =
         flows.add_tcp(spec.cc, spec.base_rtt, std::move(sender),
                       std::move(receiver));
-    bucket_of_flow.push_back(batched ? bucket_for(spec.base_rtt / 2) : 0);
+    bucket_of_flow.push_back(bucket_for(spec.base_rtt / 2));
     route_of_flow.push_back(route);
 
     net::BottleneckLink& first = *links[route_links[route][0]].link;
@@ -239,20 +244,11 @@ TopologyResult run_topology(const TopologyConfig& config) {
         [&flows, flow_id, &sim](const net::Packet& p) {
           flows.goodput(flow_id).add_bytes(sim.now(), p.size);
         });
-    if (batched) {
-      flows.receiver(flow_id)->set_ack_path(
-          [&ack_pipes, &bucket_of_flow, flow_id](net::Packet ack) {
-            ack_pipes[bucket_of_flow[static_cast<std::size_t>(flow_id)]].send(
-                std::move(ack));
-          });
-    } else {
-      flows.receiver(flow_id)->set_ack_path(
-          [&flows, flow_id, &sim](net::Packet ack) {
-            sim.after(flows.half_rtt(flow_id), [&flows, flow_id, ack] {
-              flows.sender(flow_id)->on_ack(ack);
-            });
-          });
-    }
+    flows.receiver(flow_id)->set_ack_path(
+        [&ack_pipes, &bucket_of_flow, &flows, flow_id](net::Packet ack) {
+          ack_pipes[bucket_of_flow[static_cast<std::size_t>(flow_id)]].send(
+              std::move(ack), flows.half_rtt(flow_id));
+        });
 
     const Time start = spec.start + spec.stagger * index_in_spec;
     sim.at(start, [&flows, flow_id] { flows.sender(flow_id)->start(); });
@@ -269,7 +265,7 @@ TopologyResult run_topology(const TopologyConfig& config) {
     uc.ecn = spec.ecn;
     auto udp = std::make_unique<tcp::UdpSender>(sim, uc);
     const std::int32_t flow_id = flows.add_udp(spec.base_rtt, std::move(udp));
-    bucket_of_flow.push_back(batched ? bucket_for(spec.base_rtt / 2) : 0);
+    bucket_of_flow.push_back(bucket_for(spec.base_rtt / 2));
     route_of_flow.push_back(route);
     net::BottleneckLink& first = *links[route_links[route][0]].link;
     flows.udp(flow_id)->set_output(
@@ -419,27 +415,25 @@ TopologyResult run_topology(const TopologyConfig& config) {
         sim, config.links[li].faults, injector_seed);
     if (single_link) {
       rt.injector->set_rtt_setter(
-          [&flows, &data_pipes, &ack_pipes](Duration rtt) {
-            flows.set_all_base_rtt(rtt);
-            // RTT steps apply to every flow, so every half-RTT bucket moves.
-            for (net::BatchDelayPipe& pipe : data_pipes) pipe.set_delay(rtt / 2);
-            for (net::BatchDelayPipe& pipe : ack_pipes) pipe.set_delay(rtt / 2);
-          });
+          [&flows](Duration rtt) { flows.set_all_base_rtt(rtt); });
     } else {
       // Per-link RTT step: applies to the flows routed across this link.
-      // validate() rejects the batched-pipe combination, so the per-flow
-      // half-RTT is the only delay state to move.
-      rt.injector->set_rtt_setter(
-          [&flows, &route_links, &route_of_flow, li](Duration rtt) {
-            for (std::int32_t f = 0;
-                 f < static_cast<std::int32_t>(flows.size()); ++f) {
-              const std::vector<std::uint32_t>& route =
-                  route_links[route_of_flow[static_cast<std::size_t>(f)]];
-              if (std::find(route.begin(), route.end(), li) != route.end()) {
-                flows.set_base_rtt(f, rtt);
-              }
-            }
-          });
+      // Each such flow moves to the pipes of its new half-RTT, so a pipe
+      // never mixes delays and its sends stay O(1). validate() rejects
+      // ack_quantum > 0 here, so the move cannot split a batch.
+      rt.injector->set_rtt_setter([&flows, &route_links, &route_of_flow,
+                                   &bucket_of_flow, &bucket_for,
+                                   li](Duration rtt) {
+        for (std::int32_t f = 0; f < static_cast<std::int32_t>(flows.size());
+             ++f) {
+          const std::vector<std::uint32_t>& route =
+              route_links[route_of_flow[static_cast<std::size_t>(f)]];
+          if (std::find(route.begin(), route.end(), li) != route.end()) {
+            flows.set_base_rtt(f, rtt);
+            bucket_of_flow[static_cast<std::size_t>(f)] = bucket_for(rtt / 2);
+          }
+        }
+      });
     }
     rt.injector->attach(*rt.link);
   }

@@ -1,4 +1,5 @@
 #include "net/bottleneck_link.hpp"
+#include "net/delay_pipe.hpp"
 
 #include <gtest/gtest.h>
 

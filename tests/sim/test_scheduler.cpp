@@ -172,5 +172,36 @@ TEST(Scheduler, ManyEventsStressOrdering) {
   EXPECT_EQ(times.size(), 1000u);
 }
 
+TEST(Scheduler, ReservedSeqKeepsTieOrder) {
+  // An event pushed late with a reserved number runs where an immediate
+  // push at reservation time would have: after earlier-scheduled events at
+  // the same instant, before later-scheduled ones.
+  Scheduler s;
+  std::vector<int> order;
+  s.schedule_at(Time{10}, [&] { order.push_back(0); });
+  const std::uint64_t reserved = s.reserve_seq();
+  s.schedule_at(Time{10}, [&] { order.push_back(2); });
+  s.schedule_at(Time{5}, [&] { order.push_back(-1); });
+  s.schedule_at(Time{10}, reserved, [&] { order.push_back(1); });
+  while (!s.empty()) s.run_next();
+  EXPECT_EQ(order, (std::vector<int>{-1, 0, 1, 2}));
+}
+
+TEST(Scheduler, CountsSchedulesAndCancels) {
+  Scheduler s;
+  EventHandle a = s.schedule_at(Time{1}, [] {});
+  EventHandle b = s.schedule_at(Time{2}, [] {});
+  const std::uint64_t reserved = s.reserve_seq();  // not a schedule
+  s.schedule_at(Time{3}, reserved, [] {});
+  a.cancel();
+  a.cancel();  // idempotent: counted once
+  s.run_next();
+  b.cancel();  // already fired: not a cancel
+  while (!s.empty()) s.run_next();
+  EXPECT_EQ(s.scheduled(), 3u);
+  EXPECT_EQ(s.cancelled(), 1u);
+  EXPECT_EQ(s.executed(), 2u);
+}
+
 }  // namespace
 }  // namespace pi2::sim

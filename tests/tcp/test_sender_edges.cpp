@@ -162,5 +162,41 @@ TEST(SenderEdges, AcksAfterCompletionAreIgnored) {
   EXPECT_EQ(completions, 1);
 }
 
+TEST(SenderEdges, RtoFiresAtLatestDeadline) {
+  // Every new ACK re-arms the RTO. After the path goes dark the timeout
+  // must fire exactly one RTO after the last re-arm, not after the first.
+  Simulator sim{1};
+  TcpSender::Config config;
+  config.flow = 0;
+  config.max_cwnd = 10;
+  TcpSender sender{sim, config, make_reno()};
+  TcpReceiver receiver{sim, 0};
+  bool blackhole = false;
+  pi2::sim::Time last_rearm{};
+  sender.set_output([&](Packet p) {
+    if (blackhole) return;
+    sim.after(from_millis(10), [&receiver, p] { receiver.on_data(p); });
+  });
+  receiver.set_ack_path([&](Packet a) {
+    sim.after(from_millis(10), [&, a] {
+      if (blackhole) return;
+      if (a.ack_seq > sender.snd_una()) last_rearm = sim.now();
+      sender.on_ack(a);
+    });
+  });
+  sender.start();
+  sim.run_until(from_millis(2000));
+  ASSERT_GT(sender.snd_una(), 100);
+  ASSERT_EQ(sender.timeouts(), 0);
+  blackhole = true;
+  // A constant 20 ms RTT keeps srtt + 4 rttvar under the 200 ms floor, so
+  // the RTO is exactly kMinRto.
+  sim.run_until(last_rearm + kMinRto - pi2::sim::Duration{1});
+  EXPECT_EQ(sender.timeouts(), 0);
+  sim.run_until(last_rearm + kMinRto);
+  EXPECT_EQ(sender.timeouts(), 1);
+  EXPECT_GT(last_rearm, from_millis(1900));
+}
+
 }  // namespace
 }  // namespace pi2::tcp
