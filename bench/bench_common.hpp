@@ -17,8 +17,8 @@
 namespace pi2::bench {
 
 struct Options {
-  /// argv[0], captured so the default journal name can be derived from the
-  /// binary when --json is unset.
+  /// argv[0]. Nothing reads it since journals are named after their
+  /// campaign; perfbench/driver.cpp still assigns it.
   std::string argv0;
   bool full = false;
   std::uint64_t seed = 1;
@@ -47,7 +47,7 @@ struct Options {
   /// same grid/seed/duration flags as the interrupted run.
   bool resume = false;
   /// Journal path override. Empty = derived from --json (`<json>.journal`)
-  /// or `<argv0 basename>.journal` when --json is unset.
+  /// or `<campaign name>.journal` when --json is unset.
   std::string journal_path;
   /// Test hooks for the partial-failure path: force the given grid point to
   /// throw / to stall for `hang_s` wall seconds (-1 = disabled). With a
@@ -144,7 +144,6 @@ inline bool parse_option(int argc, char** argv, int& i, Options& opts) {
 /// ignored.
 inline Options parse_options(int argc, char** argv) {
   Options opts;
-  if (argc > 0 && argv[0] != nullptr) opts.argv0 = argv[0];
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--help" || arg == "-h") {
@@ -174,7 +173,7 @@ inline Options parse_options(int argc, char** argv) {
           "              only re-simulate the missing ones; the final output\n"
           "              is byte-identical to an uninterrupted run\n"
           "  --journal PATH  journal location (default: <json>.journal, or\n"
-          "              <binary>.journal without --json)\n"
+          "              <campaign>.journal without --json)\n"
           "  --inject-fail I / --inject-hang I / --hang-s S\n"
           "              fault-injection test hooks: force point I to throw,\n"
           "              or to stall S wall seconds (default 2)\n"

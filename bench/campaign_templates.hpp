@@ -1,8 +1,8 @@
 // Per-point builders for the campaign templates (overload, parking lot,
-// RTT mix, resilience): scenario config construction, the printed table
-// row, the --json record, and the health predicates. bench/pi2_campaign
-// runs them; perfbench/driver.cpp calls the same builders so the benchmark
-// times the path campaign users run.
+// RTT mix, resilience, step response): scenario config construction, the
+// printed table row, the --json record, and the health predicates.
+// bench/pi2_campaign runs them; perfbench/driver.cpp calls the same
+// builders so the benchmark times the path campaign users run.
 //
 // Format strings here are the committed golden baselines' schema; change
 // them only together with tests/golden/*.json.
@@ -404,9 +404,11 @@ inline void rtt_mix_json_record(durable::AtomicFile& json, bool& first,
   first = false;
 }
 
-inline void rtt_mix_json_failed(durable::AtomicFile& json, bool& first,
-                                std::size_t index, runner::TaskStatus status,
-                                const char* aqm_name) {
+/// The reduced record of a failed point keyed by its AQM alone (the RTT mix
+/// and step-response grids).
+inline void aqm_json_failed(durable::AtomicFile& json, bool& first,
+                            std::size_t index, runner::TaskStatus status,
+                            const char* aqm_name) {
   json.printf("%s\n  {\"index\": %zu, \"status\": \"%s\", \"aqm\": \"%s\"}",
               first ? "" : ",", index, runner::to_string(status), aqm_name);
   first = false;
@@ -593,5 +595,119 @@ struct ResilienceGate {
     return ok;
   }
 };
+
+// ---- step response (the section 4.4 capacity step, PI2 vs PIE) -------------
+
+/// Settle criterion of the step response: queue delay back inside twice the
+/// 20 ms target and held there for 2 s (0.5 s on runs shorter than 30 s).
+inline constexpr double kStepBandMs = 2.0 * 20.0;
+inline double step_hold_s(double total_s) {
+  return total_s >= 30.0 ? 2.0 : 0.5;
+}
+
+/// 4 Cubic flows; the bottleneck drops to a quarter of its rate at T/3 and
+/// recovers at 2T/3, replayed by the FaultInjector.
+inline scenario::DumbbellConfig step_response_config(
+    scenario::AqmType aqm, double link_mbps, double rtt_ms, double total_s,
+    double stats_start_s, std::uint64_t seed) {
+  scenario::DumbbellConfig cfg;
+  cfg.link_rate_bps = link_mbps * 1e6;
+  cfg.aqm.type = aqm;
+  cfg.aqm.ecn_drop_threshold = 1.0;
+  cfg.duration = sim::from_seconds(total_s);
+  cfg.stats_start = sim::from_seconds(stats_start_s);
+  cfg.seed = seed;
+  scenario::TcpFlowSpec cubic;
+  cubic.cc = tcp::CcType::kCubic;
+  cubic.count = 4;
+  cubic.base_rtt = sim::from_millis(rtt_ms);
+  cfg.tcp_flows.push_back(cubic);
+  cfg.faults.rate_step(sim::from_seconds(total_s / 3.0), cfg.link_rate_bps / 4)
+      .rate_step(sim::from_seconds(2.0 * total_s / 3.0), cfg.link_rate_bps);
+  return cfg;
+}
+
+struct StepSummary {
+  double settle_drop_s = -1;  ///< -1 = never settled before the rise
+  double settle_rise_s = -1;  ///< -1 = never settled before the run end
+  double peak_qdelay_ms = 0;  ///< from the drop on
+};
+
+/// Scores both steps as zero-width recovery windows in one analyzer pass.
+inline StepSummary step_summary(const scenario::RunResult& result,
+                                double total_s) {
+  const double down_s = total_s / 3.0;
+  const double up_s = 2.0 * total_s / 3.0;
+  stats::RecoveryOptions opts;
+  opts.band_ms = kStepBandMs;
+  opts.hold_s = step_hold_s(total_s);
+  opts.duration_s = total_s;
+  const stats::ResilienceReport rr = stats::analyze_recovery(
+      result.qdelay_ms_series, {{down_s, down_s}, {up_s, up_s}}, {}, opts);
+  return {rr.recovery_s[0], rr.recovery_s[1], rr.peak_qdelay_ms};
+}
+
+/// The ResilienceGate key under which each point's settle_drop_s is scored.
+inline constexpr const char* kStepGateKey = "capacity_drop";
+
+/// The responsiveness headline, printed when both AQMs settled after the
+/// drop (the gate itself scores a never-settled run as +inf).
+inline void step_print_headline(const ResilienceGate& gate) {
+  const auto it = gate.by_fault.find(kStepGateKey);
+  if (it == gate.by_fault.end()) return;
+  const ResilienceGate::Cell& cell = it->second;
+  if (!cell.has_pi2 || !cell.has_pie || std::isinf(cell.pi2) ||
+      std::isinf(cell.pie)) {
+    return;
+  }
+  std::printf("# PI2 settles %.2f s after the 4x drop vs PIE %.2f s (%s)\n",
+              cell.pi2, cell.pie,
+              cell.pi2 <= cell.pie ? "PI2 at least as fast" : "PIE faster here");
+}
+
+inline void step_print_row(const char* aqm_label, const StepSummary& s,
+                           const scenario::RunResult& result) {
+  std::printf("%-14s %-16.2f %-16.2f %-12.1f %-12llu %-8llu\n", aqm_label,
+              s.settle_drop_s, s.settle_rise_s, s.peak_qdelay_ms,
+              static_cast<unsigned long long>(result.violations.size()),
+              static_cast<unsigned long long>(result.guard_events));
+}
+
+inline void step_json_record(durable::AtomicFile& json, bool& first,
+                             std::size_t index, const char* aqm_label,
+                             std::uint64_t seed, const StepSummary& s,
+                             const scenario::RunResult& result) {
+  json.printf(
+      "%s\n  {\"index\": %zu, \"status\": \"ok\", \"aqm\": \"%s\", "
+      "\"seed\": %llu, "
+      "\"settle_drop_s\": %.6g, \"settle_rise_s\": %.6g, "
+      "\"peak_qdelay_ms\": %.6g, \"mean_qdelay_ms\": %.6g, "
+      "\"utilization\": %.6g, "
+      "\"events_executed\": %llu, \"clamped_events\": %llu, "
+      "\"invariant_violations\": %llu, \"guard_events\": %llu}",
+      first ? "" : ",", index, aqm_label,
+      static_cast<unsigned long long>(seed), s.settle_drop_s, s.settle_rise_s,
+      s.peak_qdelay_ms, result.mean_qdelay_ms, result.utilization,
+      static_cast<unsigned long long>(result.events_executed),
+      static_cast<unsigned long long>(result.clamped_events),
+      static_cast<unsigned long long>(result.violations.size()),
+      static_cast<unsigned long long>(result.guard_events));
+  first = false;
+}
+
+/// The step's machinery gate: a clean run whose injector applied exactly the
+/// two rate changes. Whether and when a run settles is the experiment's
+/// finding, gated across points by ResilienceGate instead.
+inline bool step_machinery_healthy(const char* aqm_label,
+                                   const scenario::RunResult& result) {
+  if (result.fault_counters.rate_changes != 2) {
+    std::printf("!! %s: expected 2 rate changes, injector applied %llu\n",
+                aqm_label,
+                static_cast<unsigned long long>(
+                    result.fault_counters.rate_changes));
+    return false;
+  }
+  return machinery_healthy(result);
+}
 
 }  // namespace pi2::bench

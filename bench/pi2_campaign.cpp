@@ -1,10 +1,11 @@
 // pi2_campaign: the declarative campaign driver, and the only driver of the
 // swept figure grids (Figures 15-18, overload, parking lot, RTT mix,
-// resilience). A committed spec file (campaigns/*.json) names a scenario
-// template and its axes, expand() turns it into an ordered grid, and the
-// per-point configs, table rows, JSON records and health predicates come
-// from campaign_templates.hpp. The golden_* ctests pin each committed spec's
-// --json output to its baseline in tests/golden/.
+// resilience) and of the section 4.4 capacity step response. A committed
+// spec file (campaigns/*.json) names a scenario template and its axes,
+// expand() turns it into an ordered grid, and the per-point configs, table
+// rows, JSON records and health predicates come from campaign_templates.hpp.
+// The golden_* ctests pin each committed spec's --json output to its
+// baseline in tests/golden/.
 //
 // Beyond replaying the figures, the driver adds distributed execution:
 //
@@ -71,7 +72,6 @@ struct CampaignCli {
 
 CampaignCli parse_campaign_cli(int argc, char** argv) {
   CampaignCli cli;
-  if (argc > 0 && argv[0] != nullptr) cli.opts.argv0 = argv[0];
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--spec" && i + 1 < argc) {
@@ -138,7 +138,7 @@ void print_usage(std::FILE* to) {
   for (const TemplateId id :
        {TemplateId::kDumbbellSweep, TemplateId::kOverload,
         TemplateId::kParkingLot, TemplateId::kRttMix,
-        TemplateId::kResilience}) {
+        TemplateId::kResilience, TemplateId::kStepResponse}) {
     std::fprintf(to, "  %-14s axes: %s\n", campaign::to_string(id),
                  joined(campaign::axes_of_template(id)).c_str());
   }
@@ -269,6 +269,19 @@ void print_table_header(const TemplateView& v) {
                   "aqm", "fault", "fluid", "recov", "mean_rec", "peak",
                   "delta", "qdelay", "util", "viol i/o");
       break;
+    case campaign::TemplateId::kStepResponse:
+      std::printf("# link %.0f -> %.0f -> %.0f Mb/s, RTT %.0f ms, %.0f s/run, "
+                  "4 Cubic flows\n",
+                  v.x.link_mbps, v.x.link_mbps / 4, v.x.link_mbps, v.x.rtt_ms,
+                  v.x.duration_s);
+      std::printf("# step down at %.1f s, step up at %.1f s; settle = qdelay "
+                  "held <= %.0f ms for %.1f s\n",
+                  v.x.duration_s / 3.0, 2.0 * v.x.duration_s / 3.0,
+                  kStepBandMs, step_hold_s(v.x.duration_s));
+      std::printf("%-14s %-16s %-16s %-12s %-12s %-8s\n", "aqm",
+                  "settle_drop[s]", "settle_rise[s]", "peak[ms]",
+                  "invariants", "guards");
+      break;
   }
 }
 
@@ -324,6 +337,15 @@ scenario::RunResult run_point(const TemplateView& v, const Options& opts,
       if (recorder != nullptr) cfg.recorder = recorder;
       return scenario::run_dumbbell(cfg);
     }
+    case TemplateId::kStepResponse: {
+      auto cfg = step_response_config(aqm_from_name(v.text(p, v.aqm)),
+                                      v.x.link_mbps, v.x.rtt_ms,
+                                      v.x.duration_s, v.x.stats_start_s,
+                                      p.seed);
+      cfg.stop = durable::ShutdownController::flag();
+      if (recorder != nullptr) cfg.recorder = recorder;
+      return scenario::run_dumbbell(cfg);
+    }
   }
   return scenario::RunResult();
 }
@@ -362,7 +384,7 @@ struct OutputSinks {
   bool healthy = true;
   // Cross-point summaries, reported by finish_grid() after the consume
   // loop: Figure 15's headline (dumbbell) and the PI2-vs-PIE recovery
-  // comparison (resilience).
+  // comparison (resilience per fault preset, step response after the drop).
   RateBalanceHeadline rate_balance;
   ResilienceGate resilience_gate;
   // Start of the dumbbell stats window, for the utilization percentiles.
@@ -506,18 +528,36 @@ void consume_point(const TemplateView& v, OutputSinks& out,
                                  result.resilience.worst_recovery_s);
       return;
     }
+    case TemplateId::kStepResponse: {
+      const std::string& aqm = v.text(p, v.aqm);
+      const char* label = aqm_label(aqm_from_name(aqm));
+      const StepSummary summary = step_summary(result, v.x.duration_s);
+      step_print_row(label, summary, result);
+      if (out.json != nullptr) {
+        step_json_record(*out.json, out.json_first, p.index, label, p.seed,
+                         summary, result);
+      }
+      if (!step_machinery_healthy(label, result)) out.healthy = false;
+      out.resilience_gate.record(kStepGateKey, aqm, summary.settle_drop_s);
+      return;
+    }
   }
 }
 
 /// The cross-point summaries, once every point is consumed. A shard sees
 /// only a slice of the grid, so its callers leave them to --merge.
 void finish_grid(const campaign::Expansion& x, OutputSinks& out) {
-  if (x.template_id == campaign::TemplateId::kDumbbellSweep) {
+  using campaign::TemplateId;
+  if (x.template_id == TemplateId::kDumbbellSweep) {
     out.rate_balance.print();
   }
+  if (x.template_id == TemplateId::kStepResponse && out.healthy) {
+    step_print_headline(out.resilience_gate);
+  }
   // The paper's robustness claim as a semantic gate: PI2 must reconverge at
-  // least as fast as PIE on every fault preset.
-  if (x.template_id == campaign::TemplateId::kResilience &&
+  // least as fast as PIE on every fault preset, and after the capacity drop.
+  if ((x.template_id == TemplateId::kResilience ||
+       x.template_id == TemplateId::kStepResponse) &&
       !out.resilience_gate.check()) {
     out.healthy = false;
   }
@@ -564,8 +604,8 @@ void consume_failed(const TemplateView& v, OutputSinks& out,
       std::printf("%-12s point %s\n", v.text(p, v.aqm).c_str(),
                   runner::to_string(status));
       if (out.json != nullptr) {
-        rtt_mix_json_failed(*out.json, out.json_first, p.index, status,
-                            v.text(p, v.aqm).c_str());
+        aqm_json_failed(*out.json, out.json_first, p.index, status,
+                        v.text(p, v.aqm).c_str());
       }
       return;
     case TemplateId::kResilience:
@@ -578,6 +618,14 @@ void consume_failed(const TemplateView& v, OutputSinks& out,
                                v.num(p, v.fluid));
       }
       return;
+    case TemplateId::kStepResponse: {
+      const char* label = aqm_label(aqm_from_name(v.text(p, v.aqm)));
+      std::printf("%-14s point %s\n", label, runner::to_string(status));
+      if (out.json != nullptr) {
+        aqm_json_failed(*out.json, out.json_first, p.index, status, label);
+      }
+      return;
+    }
   }
 }
 

@@ -1,10 +1,10 @@
-// Per-point plumbing shared by the guarded, journaled sweep loops of
-// bench/pi2_campaign and bench/fig_response: the dumbbell-sweep JSON record
-// (SweepPoint, SweepJsonWriter), the --inject-fail / --inject-hang test
-// hooks, the watchdog/retry guard options, the per-point telemetry recorder
-// config and the default journal path.
+// Per-point plumbing of bench/pi2_campaign's guarded, journaled campaign
+// loop (which the perfbench driver also times): the dumbbell-sweep JSON
+// record (SweepPoint, SweepJsonWriter), the --inject-fail / --inject-hang
+// test hooks, the watchdog/retry guard options and the per-point telemetry
+// recorder config.
 //
-// Both loops run grid points on runner::ParallelRunner and consume them in
+// The loop runs grid points on runner::ParallelRunner and consumes them in
 // submission order on the calling thread, so tables and --json output are
 // byte-identical for any --jobs. Every completed point is journaled
 // (fsync'd) before it is consumed, SIGINT/SIGTERM stop the run at a point
@@ -247,17 +247,6 @@ inline telemetry::RecorderConfig point_recorder_config(const Options& opts,
     rc.interval = pi2::sim::from_seconds(opts.telemetry_interval_s);
   }
   return rc;
-}
-
-/// Journal location: --journal wins, then `<json>.journal`, then
-/// `<binary basename>.journal` in the working directory.
-inline std::string journal_path(const Options& opts) {
-  if (!opts.journal_path.empty()) return opts.journal_path;
-  if (!opts.json_path.empty()) return opts.json_path + ".journal";
-  std::string base = opts.argv0.empty() ? "sweep" : opts.argv0;
-  const std::size_t slash = base.find_last_of('/');
-  if (slash != std::string::npos) base = base.substr(slash + 1);
-  return base + ".journal";
 }
 
 }  // namespace detail

@@ -311,12 +311,14 @@ const std::vector<std::string>& template_axes(TemplateId id) {
   static const std::vector<std::string> rtt_mix{"aqm"};
   static const std::vector<std::string> resilience{"aqm", "fault_schedule",
                                                    "fluid_flows"};
+  static const std::vector<std::string> step_response{"aqm"};
   switch (id) {
     case TemplateId::kDumbbellSweep: return dumbbell;
     case TemplateId::kOverload: return overload;
     case TemplateId::kParkingLot: return parking;
     case TemplateId::kRttMix: return rtt_mix;
     case TemplateId::kResilience: return resilience;
+    case TemplateId::kStepResponse: return step_response;
   }
   return dumbbell;
 }
@@ -327,12 +329,14 @@ bool known_template(const std::string& name, TemplateId& id) {
   if (name == "parking_lot") { id = TemplateId::kParkingLot; return true; }
   if (name == "rtt_mix") { id = TemplateId::kRttMix; return true; }
   if (name == "resilience") { id = TemplateId::kResilience; return true; }
+  if (name == "step_response") { id = TemplateId::kStepResponse; return true; }
   return false;
 }
 
 bool known_aqm(TemplateId id, const std::string& name) {
-  if (id == TemplateId::kDumbbellSweep) {
-    // The 15-18 sweep engine labels records "PIE" / "PI2(coupled)" only.
+  if (id == TemplateId::kDumbbellSweep || id == TemplateId::kStepResponse) {
+    // The 15-18 sweep and step-response records label "PIE" /
+    // "PI2(coupled)" only.
     return name == "pie" || name == "coupled-pi2";
   }
   if (id == TemplateId::kResilience) {
@@ -432,6 +436,7 @@ const char* to_string(TemplateId id) {
     case TemplateId::kParkingLot: return "parking_lot";
     case TemplateId::kRttMix: return "rtt_mix";
     case TemplateId::kResilience: return "resilience";
+    case TemplateId::kStepResponse: return "step_response";
   }
   return "?";
 }
@@ -447,7 +452,8 @@ const std::vector<std::string>& axis_names() {
 
 const std::vector<std::string>& template_names() {
   static const std::vector<std::string> names{
-      "dumbbell_sweep", "overload", "parking_lot", "rtt_mix", "resilience"};
+      "dumbbell_sweep", "overload",   "parking_lot",
+      "rtt_mix",        "resilience", "step_response"};
   return names;
 }
 
@@ -480,7 +486,7 @@ std::string CampaignSpec::validate() const {
   if (!known_template(template_name, id)) {
     return "template '" + template_name +
            "' is not a recognized template (dumbbell_sweep, overload, "
-           "parking_lot, rtt_mix, resilience)";
+           "parking_lot, rtt_mix, resilience, step_response)";
   }
   if (link_mbps < 0 || (link_mbps != 0 && !std::isfinite(link_mbps))) {
     return "link_mbps must be a finite rate > 0 (got " +
@@ -659,22 +665,24 @@ Expansion expand(const CampaignSpec& spec, const ExpandOptions& opts) {
   out.base_seed = opts.use_seed ? opts.seed : spec.seed;
 
   // Durations mirror the fig binaries: the 15-18 sweep runs 40 s quick /
-  // 100 s full with a fixed stats window, the campaign-style figures run
-  // 20 s quick / 60 s full with stats from the final three quarters.
+  // 100 s full with a fixed stats window, the step response 30 s quick /
+  // 60 s full with stats from T/10, the other campaign-style figures 20 s
+  // quick / 60 s full with stats from the final three quarters.
   const bool dumbbell = out.template_id == TemplateId::kDumbbellSweep;
+  const bool step = out.template_id == TemplateId::kStepResponse;
   if (opts.duration_s_override > 0) {
     out.duration_s = opts.duration_s_override;
   } else if (dumbbell) {
     out.duration_s = opts.full ? 100.0 : 40.0;
   } else {
-    out.duration_s = opts.full ? 60.0 : 20.0;
+    out.duration_s = opts.full ? 60.0 : (step ? 30.0 : 20.0);
   }
   if (opts.stats_start_s_override > 0) {
     out.stats_start_s = opts.stats_start_s_override;
   } else if (dumbbell) {
     out.stats_start_s = opts.full ? 30.0 : 15.0;
   } else {
-    out.stats_start_s = out.duration_s / 4.0;
+    out.stats_start_s = out.duration_s / (step ? 10.0 : 4.0);
   }
   out.link_mbps = spec.link_mbps != 0 ? spec.link_mbps : (dumbbell ? 0 : 10.0);
   out.rtt_ms = spec.rtt_ms != 0 ? spec.rtt_ms : (dumbbell ? 0 : 10.0);

@@ -16,6 +16,7 @@
 //     "name": "fig15",                 // campaign identity (journal checks)
 //     "template": "dumbbell_sweep",    // | "overload" | "parking_lot"
 //                                      // | "rtt_mix" | "resilience"
+//                                      // | "step_response"
 //     "seed": 1,                       // base RNG seed (CLI --seed overrides)
 //     "link_mbps": 10,                 // optional fixed-parameter overrides
 //     "rtt_ms": 10,
@@ -54,6 +55,7 @@ enum class TemplateId {
   kParkingLot,
   kRttMix,
   kResilience,
+  kStepResponse,
 };
 
 [[nodiscard]] const char* to_string(TemplateId id);

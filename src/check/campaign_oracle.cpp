@@ -222,7 +222,7 @@ CampaignSpec random_campaign_spec(std::uint64_t seed) {
       {"fifo", "pie", "bare-pie", "pi", "pi2", "coupled-pi2", "red", "codel",
        "curvy-red", "step", "dualpi2"});
   std::vector<Axis> axes;
-  switch (rng.uniform_below(5)) {
+  switch (rng.uniform_below(6)) {
     case 0:
       spec.template_name = "dumbbell_sweep";
       axes.push_back(make_axis(rng, "aqm", texts({"pie", "coupled-pi2"})));
@@ -246,6 +246,10 @@ CampaignSpec random_campaign_spec(std::uint64_t seed) {
     case 3:
       spec.template_name = "rtt_mix";
       axes.push_back(make_axis(rng, "aqm", all_aqms));
+      break;
+    case 4:
+      spec.template_name = "step_response";
+      axes.push_back(make_axis(rng, "aqm", texts({"pie", "coupled-pi2"})));
       break;
     default:
       // The campaign layer treats fault_schedule values as opaque text (the

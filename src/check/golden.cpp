@@ -212,7 +212,7 @@ GoldenOptions default_golden_options() {
   options.metric_rel_tol["invariant_violations"] = 0.0;
   options.metric_rel_tol["clamped_events"] = 0.0;
   options.metric_rel_tol["guard_events"] = 0.0;
-  // fig_response settle metrics: -1 means "never settled", so relative
+  // Step-response settle metrics: -1 means "never settled", so relative
   // bands work for both signs; peaks wobble more.
   options.metric_rel_tol["settle_drop_s"] = 0.25;
   options.metric_rel_tol["settle_rise_s"] = 0.25;

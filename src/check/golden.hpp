@@ -10,7 +10,7 @@
 //   * numeric fields must agree within a per-metric relative tolerance band
 //     (|a - b| <= rel_tol * max(|a|, |b|) or <= abs_floor near zero), so the
 //     guard survives benign cross-toolchain floating-point drift while still
-//     pinning every headline metric of figs 15-18 and fig_response.
+//     pinning every headline metric of figs 15-18 and the step response.
 //
 // The parser handles exactly the subset the writers emit — an array of flat
 // objects with string / number values — and is reused by the telemetry

@@ -5,7 +5,7 @@
 // failure, a watchdog timeout) deserve a short backoff so a congested
 // machine isn't hammered, while deterministic sim bugs deserve to fail fast.
 // RetryPolicy makes attempts, per-attempt deadline and backoff explicit and
-// sharable between the sweep harness, fig_response and check_fuzz.
+// sharable between the campaign driver and check_fuzz.
 //
 // Backoff is exponential with *deterministic* jitter: the jitter fraction is
 // derived from (jitter_seed, task index, attempt) via a splitmix-style hash,

@@ -10,8 +10,7 @@ using pi2::sim::to_seconds;
 
 /// First time at/after `from_s` from which the sampled qdelay stays inside
 /// the band for `hold_s` seconds, as a latency relative to `from_s`; the
-/// hold interval must fit before `limit_s`. -1 when the run never settles —
-/// the fig_response criterion, verbatim.
+/// hold interval must fit before `limit_s`. -1 when the run never settles.
 double settle_after_s(const TimeSeries& qdelay_ms, double from_s,
                       double limit_s, double band_ms, double hold_s) {
   const auto& pts = qdelay_ms.points();

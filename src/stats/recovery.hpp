@@ -2,14 +2,15 @@
 // scheduled disturbance?
 //
 // The paper's robustness claim is dynamic — PI2's linearized control returns
-// to its delay target faster than PIE after load/capacity transients
-// (fig_response measures one such step). analyze_recovery() generalizes that
-// measurement to any fault schedule: given the sampled queue-delay series
-// and the disturbance windows (see faults::fault_windows), it scores each
-// window with the fig_response settle criterion — the first time after the
-// window from which qdelay stays inside the band for `hold_s` — plus the
-// peak excursion, the post-fault steady-state shift, and how the invariant
-// violations split across fault windows vs. quiet time.
+// to its delay target faster than PIE after load/capacity transients.
+// analyze_recovery() scores any fault schedule: given the sampled queue-delay
+// series and the disturbance windows (see faults::fault_windows), it scores
+// each window with the settle criterion — the first time after the window
+// from which qdelay stays inside the band for `hold_s` — plus the peak
+// excursion, the post-fault steady-state shift, and how the invariant
+// violations split across fault windows vs. quiet time. The step_response
+// campaign (campaigns/fig_response.json) scores its capacity drop and rise as
+// two zero-width windows; the resilience campaign scores its fault presets.
 //
 // The module is deliberately faults-agnostic (plain window structs, plain
 // violation timestamps) so pi2_stats keeps its single pi2_sim dependency.
@@ -33,7 +34,7 @@ struct RecoveryWindow {
 
 struct RecoveryOptions {
   /// In-band means sampled qdelay <= band_ms (the drivers use 2x the AQM
-  /// delay target, matching fig_response).
+  /// delay target).
   double band_ms = 40.0;
   /// Sustained time inside the band required to count as reconverged.
   double hold_s = 1.0;

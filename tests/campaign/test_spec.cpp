@@ -86,6 +86,22 @@ CampaignSpec resilience_spec() {
   return spec;
 }
 
+/// The committed capacity-step campaign, inline.
+CampaignSpec step_spec() {
+  CampaignSpec spec;
+  spec.name = "fig_response";
+  spec.template_name = "step_response";
+  spec.seed = 1;
+  spec.link_mbps = 40;
+  spec.rtt_ms = 10;
+  Axis aqm;
+  aqm.name = "aqm";
+  aqm.cap = false;
+  aqm.values = {axis_text("coupled-pi2"), axis_text("pie")};
+  spec.axes = {aqm};
+  return spec;
+}
+
 std::string validate_parsed(const std::string& json) {
   CampaignSpec spec;
   const std::string parse_err = parse_spec(json, spec);
@@ -97,6 +113,47 @@ TEST(CampaignSpec, ValidSpecsValidateClean) {
   EXPECT_EQ(sweep_spec().validate(), "");
   EXPECT_EQ(overload_spec().validate(), "");
   EXPECT_EQ(resilience_spec().validate(), "");
+  EXPECT_EQ(step_spec().validate(), "");
+}
+
+TEST(CampaignSpec, StepResponseRequiresExactlyTheAqmAxis) {
+  EXPECT_EQ(axes_of_template(TemplateId::kStepResponse),
+            std::vector<std::string>{"aqm"});
+  CampaignSpec spec = step_spec();
+  Axis rtt;
+  rtt.name = "rtt_ms";
+  rtt.values = {axis_number(10)};
+  spec.axes.push_back(rtt);
+  EXPECT_EQ(spec.validate(),
+            "axes[1].name 'rtt_ms' is not an axis of template 'step_response'");
+}
+
+TEST(CampaignSpec, StepResponseDefaultsAreTheCapacityStepDurations) {
+  const Expansion quick = expand(step_spec(), ExpandOptions{});
+  EXPECT_EQ(quick.template_id, TemplateId::kStepResponse);
+  EXPECT_DOUBLE_EQ(quick.duration_s, 30.0);
+  EXPECT_DOUBLE_EQ(quick.stats_start_s, 3.0) << "stats window from T/10";
+  EXPECT_EQ(quick.link_mbps, 40.0);
+  EXPECT_EQ(quick.rtt_ms, 10.0);
+  ASSERT_EQ(quick.points.size(), 2u);
+  EXPECT_EQ(quick.text(quick.points[0], "aqm"), "coupled-pi2");
+  EXPECT_EQ(quick.points[1].seed, sim::Rng::derive_seed(1, 1));
+
+  ExpandOptions full;
+  full.full = true;
+  const Expansion paper = expand(step_spec(), full);
+  EXPECT_DOUBLE_EQ(paper.duration_s, 60.0);
+  EXPECT_DOUBLE_EQ(paper.stats_start_s, 6.0);
+
+  // --duration-s wins, and the T/10 window follows it; --stats-start-s wins
+  // over the window.
+  ExpandOptions smoke;
+  smoke.duration_s_override = 4;
+  EXPECT_DOUBLE_EQ(expand(step_spec(), smoke).stats_start_s, 0.4);
+  smoke.stats_start_s_override = 1;
+  const Expansion overridden = expand(step_spec(), smoke);
+  EXPECT_DOUBLE_EQ(overridden.duration_s, 4.0);
+  EXPECT_DOUBLE_EQ(overridden.stats_start_s, 1.0);
 }
 
 TEST(CampaignSpec, ResilienceExpandsRowMajorWithFluidFastest) {
@@ -261,7 +318,8 @@ TEST(CampaignValidate, UnknownTemplate) {
   spec.template_name = "trident";
   EXPECT_EQ(spec.validate(),
             "template 'trident' is not a recognized template "
-            "(dumbbell_sweep, overload, parking_lot, rtt_mix, resilience)");
+            "(dumbbell_sweep, overload, parking_lot, rtt_mix, resilience, "
+            "step_response)");
 }
 
 TEST(CampaignValidate, NegativeLinkOverride) {
@@ -417,6 +475,15 @@ TEST(CampaignValidate, UnknownAqmForResilienceTemplate) {
             "template 'resilience'");
 }
 
+TEST(CampaignValidate, UnknownAqmForStepResponseTemplate) {
+  // The step-response record labels "PIE" / "PI2(coupled)" only.
+  CampaignSpec spec = step_spec();
+  spec.axes[0].values[1] = axis_text("dualpi2");
+  EXPECT_EQ(spec.validate(),
+            "axes[0].values[1] 'dualpi2' is not a recognized aqm for "
+            "template 'step_response'");
+}
+
 TEST(CampaignValidate, FullValuesAreCheckedToo) {
   CampaignSpec spec = sweep_spec();
   spec.axes[3].full_values[2] = axis_number(-20);
@@ -556,7 +623,7 @@ TEST(CampaignProperties, GeneratedDigestsAreDistinct) {
 TEST(CampaignProperties, HoldForCommittedCampaignFiles) {
   const char* files[] = {
       "fig15.json",       "fig_overload.json",   "fig_parking_lot.json",
-      "fig_rtt_mix.json", "fig_resilience.json",
+      "fig_rtt_mix.json", "fig_resilience.json", "fig_response.json",
   };
   ExpandOptions smoke;
   smoke.grid_cap = 2;

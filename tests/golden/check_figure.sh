@@ -1,7 +1,7 @@
 #!/bin/sh
-# Golden-figure regression check: run a driver (pi2_campaign --spec S, or
-# fig_response) on the deterministic quick grid (--smoke --seed 1; --jobs
-# only changes wall-clock, never output) and compare its --json records
+# Golden-figure regression check: run a driver (pi2_campaign --spec S) on
+# the deterministic quick grid (--smoke --seed 1; --jobs only changes
+# wall-clock, never output) and compare its --json records
 # against the committed baseline with the per-metric tolerance bands of
 # check_golden. A non-zero driver exit (a failed point or health gate)
 # fails the check.

@@ -5,8 +5,8 @@
 #   tests/golden/regen.sh build
 #
 # Baselines use the same flags the golden_* ctests use, so a regenerated
-# baseline always starts green. Baseline writes are atomic (pi2_campaign and
-# fig_response publish --json via tmp + fsync + rename), so an interrupted
+# baseline always starts green. Baseline writes are atomic (pi2_campaign
+# publishes --json via tmp + fsync + rename), so an interrupted
 # regen leaves the previous baseline intact, never a torn file. The run
 # journal each sweep keeps for --resume is pointed at a scratch directory
 # so it never lands next to the committed baselines.
@@ -30,7 +30,11 @@ regen pi2_campaign fig_overload.json --spec "$specs/fig_overload.json"
 regen pi2_campaign fig_parking_lot.json --spec "$specs/fig_parking_lot.json"
 regen pi2_campaign fig_rtt_mix.json --spec "$specs/fig_rtt_mix.json"
 regen pi2_campaign fig_resilience.json --spec "$specs/fig_resilience.json"
-regen fig_response fig_response.json
+# The step-response baseline opens its stats window at T/10 of the 4 s smoke
+# run, the step_response default that --smoke overrides; flags match the
+# golden_fig_response registration.
+regen pi2_campaign fig_response.json --spec "$specs/fig_response.json" \
+  --stats-start-s 0.4
 # The fluid-agreement baseline is the *packet* rendering of the background
 # load; the golden_fluid_fig15 ctest runs its candidate with
 # --fluid-background 2 against it. Flags must match the ctest registration

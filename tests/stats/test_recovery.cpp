@@ -1,5 +1,5 @@
-// Recovery analyzer: the fig_response settle criterion generalized to a
-// list of fault windows, on hand-built series where every score is known.
+// Recovery analyzer: the settle criterion over a list of fault windows, on
+// hand-built series where every score is known.
 #include "stats/recovery.hpp"
 
 #include <gtest/gtest.h>
