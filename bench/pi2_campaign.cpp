@@ -2,8 +2,9 @@
 // swept figure grids (Figures 15-18, overload, parking lot, RTT mix,
 // resilience) and of the section 4.4 capacity step response. A committed
 // spec file (campaigns/*.json) names a scenario template and its axes,
-// expand() turns it into an ordered grid, and the per-point configs, table
-// rows, JSON records and health predicates come from campaign_templates.hpp.
+// expand() turns it into an ordered grid, and the template's TemplateDef row
+// below maps each point onto the config builder, table row, JSON record and
+// health predicates of campaign_templates.hpp.
 // The golden_* ctests pin each committed spec's --json output to its
 // baseline in tests/golden/.
 //
@@ -38,9 +39,11 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "campaign/merge.hpp"
@@ -122,37 +125,6 @@ std::string joined(const std::vector<std::string>& names) {
   return out;
 }
 
-/// The usage text enumerates the valid templates and axis names straight
-/// from the campaign registry, so a spec author never has to guess them.
-void print_usage(std::FILE* to) {
-  std::fprintf(to,
-               "usage: pi2_campaign --spec FILE [--list | --digest | "
-               "--shard i/N | --merge JOURNAL...]\n"
-               "                    [sweep flags: --smoke --full --seed N "
-               "--jobs N --json PATH --resume --journal PATH ...]\n"
-               "templates: %s\n"
-               "axes:      %s\n",
-               joined(campaign::template_names()).c_str(),
-               joined(campaign::axis_names()).c_str());
-  using campaign::TemplateId;
-  for (const TemplateId id :
-       {TemplateId::kDumbbellSweep, TemplateId::kOverload,
-        TemplateId::kParkingLot, TemplateId::kRttMix,
-        TemplateId::kResilience, TemplateId::kStepResponse}) {
-    std::fprintf(to, "  %-14s axes: %s\n", campaign::to_string(id),
-                 joined(campaign::axes_of_template(id)).c_str());
-  }
-  std::fprintf(to, "fault_schedule values: %s; or an inline literal like "
-                   "'rate_step@0.4:rate=0.25'\n",
-               joined(faults::preset_names()).c_str());
-}
-
-int usage_error(const std::string& message) {
-  std::fprintf(stderr, "pi2_campaign: %s\n", message.c_str());
-  print_usage(stderr);
-  return 17;
-}
-
 /// Maps the merge/journal failure taxonomy onto distinct exit codes (doc'd
 /// in the header comment) so shell tests can assert on the code alone.
 int status_exit(const durable::Status& status) {
@@ -175,179 +147,6 @@ std::string axis_value_str(const campaign::AxisValue& v) {
   char buf[32];
   std::snprintf(buf, sizeof buf, "%g", v.number);
   return buf;
-}
-
-// ---- per-template dispatch -------------------------------------------------
-//
-// Each template maps a point's axis values onto its config builder, table
-// row, JSON record and health predicate. The campaign layer is scenario-free, so this is where strings/numbers become
-// scenario types.
-
-struct TemplateView {
-  const campaign::Expansion& x;
-  // Axis indices resolved once; -1 when the template lacks the axis.
-  int aqm = -1, cc_mix = -1, rate = -1, rtt = -1, ecn = -1, udp = -1,
-      hops = -1, fault = -1, fluid = -1;
-  // fault_schedule axis values resolved once (presets/literals scaled to
-  // the expansion's link/RTT/duration). main() preflights every value, so
-  // lookups from run_point are total.
-  std::map<std::string, faults::FaultSchedule> schedules;
-
-  explicit TemplateView(const campaign::Expansion& expansion) : x(expansion) {
-    aqm = x.axis_of("aqm");
-    cc_mix = x.axis_of("cc_mix");
-    rate = x.axis_of("rate_mbps");
-    rtt = x.axis_of("rtt_ms");
-    ecn = x.axis_of("ecn");
-    udp = x.axis_of("udp_mult");
-    hops = x.axis_of("hops");
-    fault = x.axis_of("fault_schedule");
-    fluid = x.axis_of("fluid_flows");
-    if (fault >= 0) {
-      const faults::PresetContext ctx = resilience_fault_context(
-          x.link_mbps, x.rtt_ms, x.duration_s);
-      for (const auto& value :
-           x.axes[static_cast<std::size_t>(fault)].values) {
-        faults::FaultSchedule schedule;
-        if (faults::resolve_schedule(value.text, ctx, &schedule).empty()) {
-          schedules.emplace(value.text, std::move(schedule));
-        }
-      }
-    }
-  }
-
-  const std::string& text(const campaign::CampaignPoint& p, int axis) const {
-    return p.values[static_cast<std::size_t>(axis)].text;
-  }
-  double num(const campaign::CampaignPoint& p, int axis) const {
-    return p.values[static_cast<std::size_t>(axis)].number;
-  }
-};
-
-void print_table_header(const TemplateView& v) {
-  switch (v.x.template_id) {
-    case campaign::TemplateId::kDumbbellSweep:
-      // Figures 15-18 are four views of this one sweep: rate balance
-      // (cubic, other, ratio), queue delay, per-class mark/drop probability
-      // and utilization over the stats window, all in one row.
-      std::printf("%-14s %-16s %-10s %-8s %-9s %-9s %-8s %-8s %-8s | %-23s "
-                  "| %-23s | %s\n",
-                  "aqm", "mix", "link[Mbps]", "rtt[ms]", "qdelay", "p99",
-                  "cubic", "other", "ratio", "classic p25/mean/p99 %",
-                  "scalable p25/mean/p99 %", "util P1/mean/P99 %");
-      break;
-    case campaign::TemplateId::kOverload:
-      std::printf("# link %.0f Mb/s, RTT %.0f ms, %.0f s/run; flood = 1 UDP "
-                  "sender, mix = 1 Cubic + 1 DCTCP\n",
-                  v.x.link_mbps, v.x.rtt_ms, v.x.duration_s);
-      std::printf(
-          "%-9s %-9s %-7s %-7s %-7s %-9s %-9s %-11s %-11s %-9s %-7s\n", "ecn",
-          "udp_mult", "cubic", "dctcp", "udp", "qdelay", "p99", "L mark/drop",
-          "C mark/drop", "tail L/C", "guards");
-      break;
-    case campaign::TemplateId::kParkingLot:
-      std::printf("# chain of 10 Mb/s links, RTT %.0f ms, %.0f s/run; 1 long "
-                  "Cubic + 1 Cubic cross flow per hop\n",
-                  v.x.rtt_ms, v.x.duration_s);
-      std::printf("%-12s %-5s %-7s %-7s %-7s %-8s %-21s %-21s\n", "aqm",
-                  "hops", "long", "cross", "ratio", "util", "qdelay/hop (ms)",
-                  "signals/hop");
-      break;
-    case campaign::TemplateId::kRttMix:
-      std::printf("# bottleneck %.0f Mb/s; per branch: 1 Cubic + 1 DCTCP at "
-                  "10/50/100 ms base RTT, %.0f s/run\n",
-                  v.x.link_mbps, v.x.duration_s);
-      std::printf("%-12s %-8s %-8s %-8s %-9s %-6s %-8s %-8s\n", "aqm", "b10",
-                  "b50", "b100", "r10/100", "jain", "qdelay", "p99");
-      break;
-    case campaign::TemplateId::kResilience:
-      std::printf("# link %.0f Mb/s, RTT %.0f ms, %.0f s/run; mix = 1 Cubic "
-                  "+ 1 DCTCP, fluid Reno background; recovery band = 2x AQM "
-                  "target, hold 1 s (-1 = never reconverged)\n",
-                  v.x.link_mbps, v.x.rtt_ms, v.x.duration_s);
-      std::printf("%-12s %-16s %-8s %-8s %-8s %-8s %-8s %-8s %-7s %s\n",
-                  "aqm", "fault", "fluid", "recov", "mean_rec", "peak",
-                  "delta", "qdelay", "util", "viol i/o");
-      break;
-    case campaign::TemplateId::kStepResponse:
-      std::printf("# link %.0f -> %.0f -> %.0f Mb/s, RTT %.0f ms, %.0f s/run, "
-                  "4 Cubic flows\n",
-                  v.x.link_mbps, v.x.link_mbps / 4, v.x.link_mbps, v.x.rtt_ms,
-                  v.x.duration_s);
-      std::printf("# step down at %.1f s, step up at %.1f s; settle = qdelay "
-                  "held <= %.0f ms for %.1f s\n",
-                  v.x.duration_s / 3.0, 2.0 * v.x.duration_s / 3.0,
-                  kStepBandMs, step_hold_s(v.x.duration_s));
-      std::printf("%-14s %-16s %-16s %-12s %-12s %-8s\n", "aqm",
-                  "settle_drop[s]", "settle_rise[s]", "peak[ms]",
-                  "invariants", "guards");
-      break;
-  }
-}
-
-/// Builds and runs point `p` (on a worker thread). `recorder` may be null.
-scenario::RunResult run_point(const TemplateView& v, const Options& opts,
-                              const campaign::CampaignPoint& p,
-                              telemetry::Recorder* recorder) {
-  using campaign::TemplateId;
-  switch (v.x.template_id) {
-    case TemplateId::kDumbbellSweep: {
-      // mix_config + opts sets the durations, ecn_drop_threshold and
-      // background tiers; only the seed is the campaign's own.
-      auto cfg = mix_config(aqm_from_name(v.text(p, v.aqm)),
-                            mix_from_name(v.text(p, v.cc_mix)),
-                            v.num(p, v.rate), v.num(p, v.rtt), opts);
-      cfg.seed = p.seed;
-      cfg.stop = durable::ShutdownController::flag();
-      if (recorder != nullptr) cfg.recorder = recorder;
-      return scenario::run_dumbbell(cfg);
-    }
-    case TemplateId::kOverload: {
-      auto cfg = overload_config(ecn_from_name(v.text(p, v.ecn)),
-                                 v.num(p, v.udp), v.x.link_mbps, v.x.rtt_ms,
-                                 v.x.duration_s, v.x.stats_start_s, p.seed);
-      cfg.stop = durable::ShutdownController::flag();
-      if (recorder != nullptr) cfg.recorder = recorder;
-      return scenario::run_dumbbell(cfg);
-    }
-    case TemplateId::kParkingLot: {
-      auto cfg = parking_lot_config(
-          aqm_from_name(v.text(p, v.aqm)), static_cast<int>(v.num(p, v.hops)),
-          v.x.link_mbps, v.x.rtt_ms, v.x.duration_s, v.x.stats_start_s,
-          p.seed);
-      cfg.stop = durable::ShutdownController::flag();
-      if (recorder != nullptr) cfg.recorder = recorder;
-      return topology::to_run_result(topology::run_topology(cfg));
-    }
-    case TemplateId::kRttMix: {
-      auto cfg = rtt_mix_config(aqm_from_name(v.text(p, v.aqm)),
-                                v.x.link_mbps, v.x.duration_s,
-                                v.x.stats_start_s, p.seed);
-      cfg.stop = durable::ShutdownController::flag();
-      if (recorder != nullptr) cfg.recorder = recorder;
-      return topology::to_run_result(topology::run_topology(cfg));
-    }
-    case TemplateId::kResilience: {
-      auto cfg = resilience_config(
-          aqm_from_name(v.text(p, v.aqm)),
-          v.schedules.at(v.text(p, v.fault)), v.num(p, v.fluid),
-          v.x.link_mbps, v.x.rtt_ms, v.x.duration_s, v.x.stats_start_s,
-          p.seed);
-      cfg.stop = durable::ShutdownController::flag();
-      if (recorder != nullptr) cfg.recorder = recorder;
-      return scenario::run_dumbbell(cfg);
-    }
-    case TemplateId::kStepResponse: {
-      auto cfg = step_response_config(aqm_from_name(v.text(p, v.aqm)),
-                                      v.x.link_mbps, v.x.rtt_ms,
-                                      v.x.duration_s, v.x.stats_start_s,
-                                      p.seed);
-      cfg.stop = durable::ShutdownController::flag();
-      if (recorder != nullptr) cfg.recorder = recorder;
-      return scenario::run_dumbbell(cfg);
-    }
-  }
-  return scenario::RunResult();
 }
 
 /// Figure 15's headline over the dumbbell grid: the coupled PI2's worst
@@ -374,259 +173,419 @@ struct RateBalanceHeadline {
   }
 };
 
-/// The per-template output sinks. The dumbbell template streams through
-/// SweepJsonWriter (the figs 15-18 record schema); the other templates write
-/// through the AtomicFile emitters of campaign_templates.hpp.
+/// The output sinks of one run: the --json array (figs 15-18 records via
+/// add()/add_failed(), the other templates' through add_record()), the
+/// health verdict and the cross-point summaries a TemplateDef's finish hook
+/// reports after the consume loop: Figure 15's headline (dumbbell) and the
+/// PI2-vs-PIE recovery comparison (resilience per fault preset, step
+/// response after the drop).
 struct OutputSinks {
-  std::unique_ptr<SweepJsonWriter> sweep_json;
-  std::unique_ptr<durable::AtomicFile> json;
-  bool json_first = true;
+  SweepJsonWriter json;
   bool healthy = true;
-  // Cross-point summaries, reported by finish_grid() after the consume
-  // loop: Figure 15's headline (dumbbell) and the PI2-vs-PIE recovery
-  // comparison (resilience per fault preset, step response after the drop).
   RateBalanceHeadline rate_balance;
   ResilienceGate resilience_gate;
-  // Start of the dumbbell stats window, for the utilization percentiles.
-  sim::Time window_start;
 
-  OutputSinks(const campaign::Expansion& x, const Options& opts)
-      : window_start(stats_start(opts)) {
-    if (x.template_id == campaign::TemplateId::kDumbbellSweep) {
-      sweep_json = std::make_unique<SweepJsonWriter>(
-          opts.json_path,
-          opts.packet_background > 0 || opts.fluid_background > 0);
-      return;
-    }
-    if (opts.json_path.empty()) return;
-    json = std::make_unique<durable::AtomicFile>(opts.json_path);
-    if (!json->healthy()) {
-      std::fprintf(stderr, "warning: %s; no JSON written\n",
-                   json->status().message().c_str());
-      json.reset();
-      return;
-    }
-    json->write("[");
-  }
-
-  void abort() {
-    if (sweep_json != nullptr) sweep_json->abort();
-    if (json != nullptr) json->abort();
-  }
-
-  bool commit() {
-    bool ok = true;
-    if (sweep_json != nullptr) ok = sweep_json->commit();
-    if (json != nullptr) {
-      json->write("\n]\n");
-      const durable::Status status = json->commit();
-      if (!status.ok()) {
-        std::fprintf(stderr, "error: JSON not written: %s\n",
-                     status.message().c_str());
-        ok = false;
-      }
-    }
-    return ok;
-  }
+  explicit OutputSinks(const Options& opts)
+      : json(opts.json_path,
+             opts.packet_background > 0 || opts.fluid_background > 0) {}
 };
 
-/// Consumes one completed point: its table row, JSON record and health
-/// predicate. Runs on the calling thread in global index order — the
-/// same consume path for live, resumed and merged points.
-void consume_point(const TemplateView& v, OutputSinks& out,
-                   const campaign::CampaignPoint& p,
-                   const scenario::RunResult& result,
-                   const std::string& manifest_path) {
-  using campaign::TemplateId;
-  switch (v.x.template_id) {
-    case TemplateId::kDumbbellSweep: {
-      const auto aqm = aqm_from_name(v.text(p, v.aqm));
-      const MixKind mix = mix_from_name(v.text(p, v.cc_mix));
-      const double cubic = result.mean_goodput_mbps(tcp::CcType::kCubic);
-      const double other = result.mean_goodput_mbps(other_cc(mix));
-      const double ratio = other > 0 ? cubic / other : 0.0;
-      const auto& classic = result.classic_prob_samples;
-      const auto& scalable = result.scalable_prob_samples;
-      stats::PercentileSampler util;  // the 1 s samples in the stats window
-      for (const auto& sample : result.utilization_series.points()) {
-        if (sample.t >= out.window_start) util.add(sample.value);
-      }
-      std::printf("%-14s %-16s %-10g %-8g %-9.2f %-9.2f %-8.2f %-8.2f %-8.3f "
-                  "| %7.3f %7.3f %7.3f | %7.3f %7.3f %7.3f | %5.1f %5.1f "
-                  "%5.1f\n",
-                  aqm_label(aqm), v.text(p, v.cc_mix).c_str(),
-                  v.num(p, v.rate), v.num(p, v.rtt), result.mean_qdelay_ms,
-                  result.p99_qdelay_ms, cubic, other, ratio,
-                  classic.p25() * 100.0, classic.mean() * 100.0,
-                  classic.p99() * 100.0, scalable.p25() * 100.0,
-                  scalable.mean() * 100.0, scalable.p99() * 100.0,
-                  util.p01() * 100.0, result.utilization * 100.0,
-                  util.p99() * 100.0);
-      out.rate_balance.record(aqm, mix, ratio);
-      if (out.sweep_json != nullptr) {
-        SweepPoint point{aqm,
-                         mix,
-                         v.num(p, v.rate),
-                         v.num(p, v.rtt),
-                         result,
-                         p.index,
-                         p.seed,
-                         manifest_path};
-        out.sweep_json->add(point);
-      }
-      return;  // no machinery gate: only failed points fail the run
-    }
-    case TemplateId::kOverload: {
-      const std::string& ecn = v.text(p, v.ecn);
-      overload_print_row(ecn.c_str(), v.num(p, v.udp), result);
-      if (out.json != nullptr) {
-        overload_json_record(*out.json, out.json_first, p.index, ecn.c_str(),
-                             p.seed, v.x.link_mbps, v.x.rtt_ms,
-                             v.num(p, v.udp), result);
-      }
-      if (!machinery_healthy(result)) out.healthy = false;
-      return;
-    }
-    case TemplateId::kParkingLot: {
-      const std::string& aqm = v.text(p, v.aqm);
-      const int hops = static_cast<int>(v.num(p, v.hops));
-      const ParkingSummary summary = parking_summary(result, hops);
-      parking_print_row(aqm.c_str(), hops, summary, result);
-      if (out.json != nullptr) {
-        parking_json_record(*out.json, out.json_first, p.index, aqm.c_str(),
-                            hops, p.seed, v.x.link_mbps, v.x.rtt_ms, summary,
-                            result);
-      }
-      if (!machinery_healthy(result)) out.healthy = false;
-      if (!parking_check_headline(hops, summary)) out.healthy = false;
-      return;
-    }
-    case TemplateId::kRttMix: {
-      const std::string& aqm = v.text(p, v.aqm);
-      const RttMixSummary summary = rtt_mix_summary(result);
-      rtt_mix_print_row(aqm.c_str(), summary, result);
-      if (out.json != nullptr) {
-        rtt_mix_json_record(*out.json, out.json_first, p.index, aqm.c_str(),
-                            p.seed, v.x.link_mbps, summary, result);
-      }
-      if (!machinery_healthy(result)) out.healthy = false;
-      if (!rtt_mix_check_branches(summary)) out.healthy = false;
-      return;
-    }
-    case TemplateId::kResilience: {
-      const std::string& aqm = v.text(p, v.aqm);
-      const std::string& fault = v.text(p, v.fault);
-      resilience_print_row(aqm.c_str(), fault.c_str(), v.num(p, v.fluid),
-                           result);
-      if (out.json != nullptr) {
-        resilience_json_record(*out.json, out.json_first, p.index,
-                               aqm.c_str(), fault.c_str(), v.num(p, v.fluid),
-                               p.seed, v.x.link_mbps, v.x.rtt_ms, result);
-      }
-      if (!resilience_machinery_healthy(result)) out.healthy = false;
-      out.resilience_gate.record(fault, aqm,
-                                 result.resilience.worst_recovery_s);
-      return;
-    }
-    case TemplateId::kStepResponse: {
-      const std::string& aqm = v.text(p, v.aqm);
-      const char* label = aqm_label(aqm_from_name(aqm));
-      const StepSummary summary = step_summary(result, v.x.duration_s);
-      step_print_row(label, summary, result);
-      if (out.json != nullptr) {
-        step_json_record(*out.json, out.json_first, p.index, label, p.seed,
-                         summary, result);
-      }
-      if (!step_machinery_healthy(label, result)) out.healthy = false;
-      out.resilience_gate.record(kStepGateKey, aqm, summary.settle_drop_s);
-      return;
-    }
-  }
+// ---- the template registry -------------------------------------------------
+//
+// One TemplateDef per campaign template: the scenario side of the registry
+// (spec.cpp's TemplateRule rows hold the scenario-free side). Its hooks read
+// a point's axis values by name and hand them to the config builders, table
+// rows, JSON records and health predicates of campaign_templates.hpp.
+
+/// What the per-point hooks see: the expansion, the run's flags, and each
+/// fault_schedule value resolved once (resolve_fault_schedules).
+struct Grid {
+  const campaign::Expansion& x;
+  const Options& opts;
+  const std::map<std::string, faults::FaultSchedule>& schedules;
+};
+
+using campaign::CampaignPoint;
+using scenario::RunResult;
+using PointConfig =
+    std::variant<scenario::DumbbellConfig, topology::TopologyConfig>;
+
+struct TemplateDef {
+  campaign::TemplateId id;
+  /// Prints the table header (after the run banner).
+  void (*header)(const campaign::Expansion& x);
+  /// The point's config; run_point sets its stop flag and recorder.
+  PointConfig (*build)(const Grid& g, const CampaignPoint& p);
+  /// Writes a completed point's row and JSON record; false when the point
+  /// fails its health check. Runs in global index order on the calling
+  /// thread — the same path for live, resumed and merged points.
+  bool (*consume)(const Grid& g, OutputSinks& out, const CampaignPoint& p,
+                  const RunResult& result, const std::string& manifest_path);
+  /// Writes a failed point's row and JSON record.
+  void (*failed)(const Grid& g, OutputSinks& out, const CampaignPoint& p,
+                 runner::TaskStatus status, const std::string& message);
+  /// Prints the headline and applies the cross-point gate once every point
+  /// is consumed; false fails the run. Null when there is none.
+  bool (*finish)(OutputSinks& out) = nullptr;
+};
+
+const TemplateDef kTemplateDefs[] = {
+    // Figures 15-18 are four views of this one sweep: rate balance (cubic,
+    // other, ratio), queue delay, per-class mark/drop probability and
+    // utilization over the stats window, all in one row.
+    {.id = campaign::TemplateId::kDumbbellSweep,
+     .header = [](const campaign::Expansion&) {
+       std::printf("%-14s %-16s %-10s %-8s %-9s %-9s %-8s %-8s %-8s | %-23s "
+                   "| %-23s | %s\n",
+                   "aqm", "mix", "link[Mbps]", "rtt[ms]", "qdelay", "p99",
+                   "cubic", "other", "ratio", "classic p25/mean/p99 %",
+                   "scalable p25/mean/p99 %", "util P1/mean/P99 %");
+     },
+     .build = [](const Grid& g, const CampaignPoint& p) -> PointConfig {
+       // mix_config + opts sets ecn_drop_threshold and the background
+       // tiers; the durations and the seed are the campaign's own.
+       auto cfg = mix_config(aqm_from_name(g.x.text(p, "aqm")),
+                             mix_from_name(g.x.text(p, "cc_mix")),
+                             g.x.number(p, "rate_mbps"),
+                             g.x.number(p, "rtt_ms"), g.opts);
+       cfg.duration = sim::from_seconds(g.x.duration_s);
+       cfg.stats_start = sim::from_seconds(g.x.stats_start_s);
+       cfg.seed = p.seed;
+       return cfg;
+     },
+     .consume = [](const Grid& g, OutputSinks& out, const CampaignPoint& p,
+                   const RunResult& result, const std::string& manifest_path) {
+       const SweepPoint point{aqm_from_name(g.x.text(p, "aqm")),
+                              mix_from_name(g.x.text(p, "cc_mix")),
+                              g.x.number(p, "rate_mbps"),
+                              g.x.number(p, "rtt_ms"), result, p.index, p.seed,
+                              manifest_path};
+       const double cubic = result.mean_goodput_mbps(tcp::CcType::kCubic);
+       const double other = result.mean_goodput_mbps(other_cc(point.mix));
+       const double ratio = other > 0 ? cubic / other : 0.0;
+       const auto& classic = result.classic_prob_samples;
+       const auto& scalable = result.scalable_prob_samples;
+       const sim::Time window_start = sim::from_seconds(g.x.stats_start_s);
+       stats::PercentileSampler util;  // the 1 s samples in the stats window
+       for (const auto& sample : result.utilization_series.points()) {
+         if (sample.t >= window_start) util.add(sample.value);
+       }
+       std::printf("%-14s %-16s %-10g %-8g %-9.2f %-9.2f %-8.2f %-8.2f %-8.3f "
+                   "| %7.3f %7.3f %7.3f | %7.3f %7.3f %7.3f | %5.1f %5.1f "
+                   "%5.1f\n",
+                   aqm_label(point.aqm), g.x.text(p, "cc_mix").c_str(),
+                   point.link_mbps, point.rtt_ms, result.mean_qdelay_ms,
+                   result.p99_qdelay_ms, cubic, other, ratio,
+                   classic.p25() * 100.0, classic.mean() * 100.0,
+                   classic.p99() * 100.0, scalable.p25() * 100.0,
+                   scalable.mean() * 100.0, scalable.p99() * 100.0,
+                   util.p01() * 100.0, result.utilization * 100.0,
+                   util.p99() * 100.0);
+       out.rate_balance.record(point.aqm, point.mix, ratio);
+       out.json.add(point);
+       return true;  // no machinery gate: only failed points fail the run
+     },
+     .failed = [](const Grid& g, OutputSinks& out, const CampaignPoint& p,
+                  runner::TaskStatus status, const std::string& message) {
+       const auto aqm = aqm_from_name(g.x.text(p, "aqm"));
+       const std::string& mix = g.x.text(p, "cc_mix");
+       const double rate = g.x.number(p, "rate_mbps");
+       const double rtt = g.x.number(p, "rtt_ms");
+       std::printf("!! point %zu (%s, %s, %g Mb/s, %g ms) %s: %s\n", p.index,
+                   aqm_label(aqm), mix.c_str(), rate, rtt,
+                   runner::to_string(status), message.c_str());
+       out.json.add_failed(p.index, aqm, mix_from_name(mix), rate, rtt, status,
+                           message);
+     },
+     .finish = [](OutputSinks& out) {
+       out.rate_balance.print();
+       return true;
+     }},
+
+    {.id = campaign::TemplateId::kOverload,
+     .header = [](const campaign::Expansion& x) {
+       std::printf("# link %.0f Mb/s, RTT %.0f ms, %.0f s/run; flood = 1 UDP "
+                   "sender, mix = 1 Cubic + 1 DCTCP\n",
+                   x.link_mbps, x.rtt_ms, x.duration_s);
+       std::printf(
+           "%-9s %-9s %-7s %-7s %-7s %-9s %-9s %-11s %-11s %-9s %-7s\n", "ecn",
+           "udp_mult", "cubic", "dctcp", "udp", "qdelay", "p99", "L mark/drop",
+           "C mark/drop", "tail L/C", "guards");
+     },
+     .build = [](const Grid& g, const CampaignPoint& p) -> PointConfig {
+       return overload_config(ecn_from_name(g.x.text(p, "ecn")),
+                              g.x.number(p, "udp_mult"), g.x.link_mbps,
+                              g.x.rtt_ms, g.x.duration_s, g.x.stats_start_s,
+                              p.seed);
+     },
+     .consume = [](const Grid& g, OutputSinks& out, const CampaignPoint& p,
+                   const RunResult& result, const std::string&) {
+       const std::string& ecn = g.x.text(p, "ecn");
+       overload_print_row(ecn.c_str(), g.x.number(p, "udp_mult"), result);
+       out.json.add_record([&](durable::AtomicFile& json, bool& first) {
+         overload_json_record(json, first, p.index, ecn.c_str(), p.seed,
+                              g.x.link_mbps, g.x.rtt_ms,
+                              g.x.number(p, "udp_mult"), result);
+       });
+       return machinery_healthy(result);
+     },
+     .failed = [](const Grid& g, OutputSinks& out, const CampaignPoint& p,
+                  runner::TaskStatus status, const std::string&) {
+       const std::string& ecn = g.x.text(p, "ecn");
+       std::printf("%-9s %-9.2f point %s\n", ecn.c_str(),
+                   g.x.number(p, "udp_mult"), runner::to_string(status));
+       out.json.add_record([&](durable::AtomicFile& json, bool& first) {
+         overload_json_failed(json, first, p.index, status, ecn.c_str(),
+                              g.x.number(p, "udp_mult"));
+       });
+     }},
+
+    {.id = campaign::TemplateId::kParkingLot,
+     .header = [](const campaign::Expansion& x) {
+       std::printf("# chain of %.0f Mb/s links, RTT %.0f ms, %.0f s/run; 1 "
+                   "long Cubic + 1 Cubic cross flow per hop\n",
+                   x.link_mbps, x.rtt_ms, x.duration_s);
+       std::printf("%-12s %-5s %-7s %-7s %-7s %-8s %-21s %-21s\n", "aqm",
+                   "hops", "long", "cross", "ratio", "util", "qdelay/hop (ms)",
+                   "signals/hop");
+     },
+     .build = [](const Grid& g, const CampaignPoint& p) -> PointConfig {
+       return parking_lot_config(
+           aqm_from_name(g.x.text(p, "aqm")),
+           static_cast<int>(g.x.number(p, "hops")), g.x.link_mbps, g.x.rtt_ms,
+           g.x.duration_s, g.x.stats_start_s, p.seed);
+     },
+     .consume = [](const Grid& g, OutputSinks& out, const CampaignPoint& p,
+                   const RunResult& result, const std::string&) {
+       const std::string& aqm = g.x.text(p, "aqm");
+       const int hops = static_cast<int>(g.x.number(p, "hops"));
+       const ParkingSummary summary = parking_summary(result, hops);
+       parking_print_row(aqm.c_str(), hops, summary, result);
+       out.json.add_record([&](durable::AtomicFile& json, bool& first) {
+         parking_json_record(json, first, p.index, aqm.c_str(), hops, p.seed,
+                             g.x.link_mbps, g.x.rtt_ms, summary, result);
+       });
+       const bool machinery = machinery_healthy(result);
+       return parking_check_headline(hops, summary) && machinery;
+     },
+     .failed = [](const Grid& g, OutputSinks& out, const CampaignPoint& p,
+                  runner::TaskStatus status, const std::string&) {
+       const std::string& aqm = g.x.text(p, "aqm");
+       const int hops = static_cast<int>(g.x.number(p, "hops"));
+       std::printf("%-12s %-5d point %s\n", aqm.c_str(), hops,
+                   runner::to_string(status));
+       out.json.add_record([&](durable::AtomicFile& json, bool& first) {
+         parking_json_failed(json, first, p.index, status, aqm.c_str(), hops);
+       });
+     }},
+
+    {.id = campaign::TemplateId::kRttMix,
+     .header = [](const campaign::Expansion& x) {
+       std::printf("# bottleneck %.0f Mb/s; per branch: 1 Cubic + 1 DCTCP at "
+                   "10/50/100 ms base RTT, %.0f s/run\n",
+                   x.link_mbps, x.duration_s);
+       std::printf("%-12s %-8s %-8s %-8s %-9s %-6s %-8s %-8s\n", "aqm", "b10",
+                   "b50", "b100", "r10/100", "jain", "qdelay", "p99");
+     },
+     .build = [](const Grid& g, const CampaignPoint& p) -> PointConfig {
+       return rtt_mix_config(aqm_from_name(g.x.text(p, "aqm")), g.x.link_mbps,
+                             g.x.duration_s, g.x.stats_start_s, p.seed);
+     },
+     .consume = [](const Grid& g, OutputSinks& out, const CampaignPoint& p,
+                   const RunResult& result, const std::string&) {
+       const std::string& aqm = g.x.text(p, "aqm");
+       const RttMixSummary summary = rtt_mix_summary(result);
+       rtt_mix_print_row(aqm.c_str(), summary, result);
+       out.json.add_record([&](durable::AtomicFile& json, bool& first) {
+         rtt_mix_json_record(json, first, p.index, aqm.c_str(), p.seed,
+                             g.x.link_mbps, summary, result);
+       });
+       const bool machinery = machinery_healthy(result);
+       return rtt_mix_check_branches(summary) && machinery;
+     },
+     .failed = [](const Grid& g, OutputSinks& out, const CampaignPoint& p,
+                  runner::TaskStatus status, const std::string&) {
+       const std::string& aqm = g.x.text(p, "aqm");
+       std::printf("%-12s point %s\n", aqm.c_str(), runner::to_string(status));
+       out.json.add_record([&](durable::AtomicFile& json, bool& first) {
+         aqm_json_failed(json, first, p.index, status, aqm.c_str());
+       });
+     }},
+
+    {.id = campaign::TemplateId::kResilience,
+     .header = [](const campaign::Expansion& x) {
+       std::printf("# link %.0f Mb/s, RTT %.0f ms, %.0f s/run; mix = 1 Cubic "
+                   "+ 1 DCTCP, fluid Reno background; recovery band = 2x AQM "
+                   "target, hold 1 s (-1 = never reconverged)\n",
+                   x.link_mbps, x.rtt_ms, x.duration_s);
+       std::printf("%-12s %-16s %-8s %-8s %-8s %-8s %-8s %-8s %-7s %s\n",
+                   "aqm", "fault", "fluid", "recov", "mean_rec", "peak",
+                   "delta", "qdelay", "util", "viol i/o");
+     },
+     .build = [](const Grid& g, const CampaignPoint& p) -> PointConfig {
+       return resilience_config(
+           aqm_from_name(g.x.text(p, "aqm")),
+           g.schedules.at(g.x.text(p, "fault_schedule")),
+           g.x.number(p, "fluid_flows"), g.x.link_mbps, g.x.rtt_ms,
+           g.x.duration_s, g.x.stats_start_s, p.seed);
+     },
+     .consume = [](const Grid& g, OutputSinks& out, const CampaignPoint& p,
+                   const RunResult& result, const std::string&) {
+       const std::string& aqm = g.x.text(p, "aqm");
+       const std::string& fault = g.x.text(p, "fault_schedule");
+       const double fluid = g.x.number(p, "fluid_flows");
+       resilience_print_row(aqm.c_str(), fault.c_str(), fluid, result);
+       out.json.add_record([&](durable::AtomicFile& json, bool& first) {
+         resilience_json_record(json, first, p.index, aqm.c_str(),
+                                fault.c_str(), fluid, p.seed, g.x.link_mbps,
+                                g.x.rtt_ms, result);
+       });
+       out.resilience_gate.record(fault, aqm,
+                                  result.resilience.worst_recovery_s);
+       return resilience_machinery_healthy(result);
+     },
+     .failed = [](const Grid& g, OutputSinks& out, const CampaignPoint& p,
+                  runner::TaskStatus status, const std::string&) {
+       const std::string& aqm = g.x.text(p, "aqm");
+       const std::string& fault = g.x.text(p, "fault_schedule");
+       std::printf("%-12s %-16s point %s\n", aqm.c_str(), fault.c_str(),
+                   runner::to_string(status));
+       out.json.add_record([&](durable::AtomicFile& json, bool& first) {
+         resilience_json_failed(json, first, p.index, status, aqm.c_str(),
+                                fault.c_str(), g.x.number(p, "fluid_flows"));
+       });
+     },
+     // The paper's robustness claim as a semantic gate: PI2 must reconverge
+     // at least as fast as PIE on every fault preset.
+     .finish = [](OutputSinks& out) { return out.resilience_gate.check(); }},
+
+    {.id = campaign::TemplateId::kStepResponse,
+     .header = [](const campaign::Expansion& x) {
+       std::printf("# link %.0f -> %.0f -> %.0f Mb/s, RTT %.0f ms, %.0f s/run, "
+                   "4 Cubic flows\n",
+                   x.link_mbps, x.link_mbps / 4, x.link_mbps, x.rtt_ms,
+                   x.duration_s);
+       std::printf("# step down at %.1f s, step up at %.1f s; settle = qdelay "
+                   "held <= %.0f ms for %.1f s\n",
+                   x.duration_s / 3.0, 2.0 * x.duration_s / 3.0, kStepBandMs,
+                   step_hold_s(x.duration_s));
+       std::printf("%-14s %-16s %-16s %-12s %-12s %-8s\n", "aqm",
+                   "settle_drop[s]", "settle_rise[s]", "peak[ms]",
+                   "invariants", "guards");
+     },
+     .build = [](const Grid& g, const CampaignPoint& p) -> PointConfig {
+       return step_response_config(aqm_from_name(g.x.text(p, "aqm")),
+                                   g.x.link_mbps, g.x.rtt_ms, g.x.duration_s,
+                                   g.x.stats_start_s, p.seed);
+     },
+     .consume = [](const Grid& g, OutputSinks& out, const CampaignPoint& p,
+                   const RunResult& result, const std::string&) {
+       const std::string& aqm = g.x.text(p, "aqm");
+       const char* label = aqm_label(aqm_from_name(aqm));
+       const StepSummary summary = step_summary(result, g.x.duration_s);
+       step_print_row(label, summary, result);
+       out.json.add_record([&](durable::AtomicFile& json, bool& first) {
+         step_json_record(json, first, p.index, label, p.seed, summary,
+                          result);
+       });
+       out.resilience_gate.record(kStepGateKey, aqm, summary.settle_drop_s);
+       return step_machinery_healthy(label, result);
+     },
+     .failed = [](const Grid& g, OutputSinks& out, const CampaignPoint& p,
+                  runner::TaskStatus status, const std::string&) {
+       const char* label = aqm_label(aqm_from_name(g.x.text(p, "aqm")));
+       std::printf("%-14s point %s\n", label, runner::to_string(status));
+       out.json.add_record([&](durable::AtomicFile& json, bool& first) {
+         aqm_json_failed(json, first, p.index, status, label);
+       });
+     },
+     // The headline when the grid ran clean, then the gate: PI2 settles at
+     // least as fast as PIE after the capacity drop.
+     .finish = [](OutputSinks& out) {
+       if (out.healthy) step_print_headline(out.resilience_gate);
+       return out.resilience_gate.check();
+     }},
+};
+
+/// Total over validated specs: every TemplateRule has a TemplateDef (the
+/// campaign_help ctest pins one usage line per template).
+const TemplateDef& def_of(campaign::TemplateId id) {
+  return *std::find_if(std::begin(kTemplateDefs), std::end(kTemplateDefs),
+                       [&](const TemplateDef& def) { return def.id == id; });
 }
 
-/// The cross-point summaries, once every point is consumed. A shard sees
-/// only a slice of the grid, so its callers leave them to --merge.
-void finish_grid(const campaign::Expansion& x, OutputSinks& out) {
-  using campaign::TemplateId;
-  if (x.template_id == TemplateId::kDumbbellSweep) {
-    out.rate_balance.print();
+/// The usage text enumerates the valid templates and axis names straight
+/// from the registry, so a spec author never has to guess them.
+void print_usage(std::FILE* to) {
+  std::fprintf(to,
+               "usage: pi2_campaign --spec FILE [--list | --digest | "
+               "--shard i/N | --merge JOURNAL...]\n"
+               "                    [sweep flags: --smoke --full --seed N "
+               "--jobs N --json PATH --resume --journal PATH ...]\n"
+               "templates: %s\n"
+               "axes:      %s\n",
+               joined(campaign::template_names()).c_str(),
+               joined(campaign::axis_names()).c_str());
+  for (const TemplateDef& def : kTemplateDefs) {
+    std::fprintf(to, "  %-14s axes: %s\n", campaign::to_string(def.id),
+                 joined(campaign::axes_of_template(def.id)).c_str());
   }
-  if (x.template_id == TemplateId::kStepResponse && out.healthy) {
-    step_print_headline(out.resilience_gate);
-  }
-  // The paper's robustness claim as a semantic gate: PI2 must reconverge at
-  // least as fast as PIE on every fault preset, and after the capacity drop.
-  if ((x.template_id == TemplateId::kResilience ||
-       x.template_id == TemplateId::kStepResponse) &&
-      !out.resilience_gate.check()) {
-    out.healthy = false;
-  }
+  std::fprintf(to, "fault_schedule values: %s; or an inline literal like "
+                   "'rate_step@0.4:rate=0.25'\n",
+               joined(faults::preset_names()).c_str());
 }
 
-void consume_failed(const TemplateView& v, OutputSinks& out,
-                    const campaign::CampaignPoint& p,
-                    runner::TaskStatus status, const std::string& message) {
-  using campaign::TemplateId;
-  out.healthy = false;
-  switch (v.x.template_id) {
-    case TemplateId::kDumbbellSweep:
-      std::printf("!! point %zu (%s, %s, %g Mb/s, %g ms) %s: %s\n", p.index,
-                  aqm_label(aqm_from_name(v.text(p, v.aqm))),
-                  v.text(p, v.cc_mix).c_str(), v.num(p, v.rate),
-                  v.num(p, v.rtt), runner::to_string(status),
-                  message.c_str());
-      if (out.sweep_json != nullptr) {
-        out.sweep_json->add_failed(p.index, aqm_from_name(v.text(p, v.aqm)),
-                                   mix_from_name(v.text(p, v.cc_mix)),
-                                   v.num(p, v.rate), v.num(p, v.rtt), status,
-                                   message);
+int usage_error(const std::string& message) {
+  std::fprintf(stderr, "pi2_campaign: %s\n", message.c_str());
+  print_usage(stderr);
+  return 17;
+}
+
+/// Resolves every fault_schedule value once, scaled to the expansion's
+/// link/RTT/duration: an unknown preset or a malformed literal is a spec
+/// authoring error, not a mid-run surprise, and the defs' schedule lookups
+/// become total. Returns "" or the first error.
+std::string resolve_fault_schedules(
+    const campaign::Expansion& x,
+    std::map<std::string, faults::FaultSchedule>& schedules) {
+  const faults::PresetContext ctx =
+      resilience_fault_context(x.link_mbps, x.rtt_ms, x.duration_s);
+  for (std::size_t a = 0; a < x.axes.size(); ++a) {
+    if (x.axes[a].name != "fault_schedule") continue;
+    for (std::size_t j = 0; j < x.axes[a].values.size(); ++j) {
+      const std::string& text = x.axes[a].values[j].text;
+      faults::FaultSchedule schedule;
+      const std::string err = faults::resolve_schedule(text, ctx, &schedule);
+      if (!err.empty()) {
+        return "axes[" + std::to_string(a) + "].values[" + std::to_string(j) +
+               "]: " + err;
       }
-      return;
-    case TemplateId::kOverload:
-      std::printf("%-9s %-9.2f point %s\n", v.text(p, v.ecn).c_str(),
-                  v.num(p, v.udp), runner::to_string(status));
-      if (out.json != nullptr) {
-        overload_json_failed(*out.json, out.json_first, p.index, status,
-                             v.text(p, v.ecn).c_str(), v.num(p, v.udp));
-      }
-      return;
-    case TemplateId::kParkingLot:
-      std::printf("%-12s %-5d point %s\n", v.text(p, v.aqm).c_str(),
-                  static_cast<int>(v.num(p, v.hops)),
-                  runner::to_string(status));
-      if (out.json != nullptr) {
-        parking_json_failed(*out.json, out.json_first, p.index, status,
-                            v.text(p, v.aqm).c_str(),
-                            static_cast<int>(v.num(p, v.hops)));
-      }
-      return;
-    case TemplateId::kRttMix:
-      std::printf("%-12s point %s\n", v.text(p, v.aqm).c_str(),
-                  runner::to_string(status));
-      if (out.json != nullptr) {
-        aqm_json_failed(*out.json, out.json_first, p.index, status,
-                        v.text(p, v.aqm).c_str());
-      }
-      return;
-    case TemplateId::kResilience:
-      std::printf("%-12s %-16s point %s\n", v.text(p, v.aqm).c_str(),
-                  v.text(p, v.fault).c_str(), runner::to_string(status));
-      if (out.json != nullptr) {
-        resilience_json_failed(*out.json, out.json_first, p.index, status,
-                               v.text(p, v.aqm).c_str(),
-                               v.text(p, v.fault).c_str(),
-                               v.num(p, v.fluid));
-      }
-      return;
-    case TemplateId::kStepResponse: {
-      const char* label = aqm_label(aqm_from_name(v.text(p, v.aqm)));
-      std::printf("%-14s point %s\n", label, runner::to_string(status));
-      if (out.json != nullptr) {
-        aqm_json_failed(*out.json, out.json_first, p.index, status, label);
-      }
-      return;
+      schedules.emplace(text, std::move(schedule));
     }
   }
+  return "";
+}
+
+scenario::RunResult run_config(const scenario::DumbbellConfig& cfg) {
+  return scenario::run_dumbbell(cfg);
+}
+
+scenario::RunResult run_config(const topology::TopologyConfig& cfg) {
+  return topology::to_run_result(topology::run_topology(cfg));
+}
+
+/// Builds and runs point `p` (on a worker thread). `recorder` may be null.
+scenario::RunResult run_point(const TemplateDef& def, const Grid& g,
+                              const CampaignPoint& p,
+                              telemetry::Recorder* recorder) {
+  PointConfig config = def.build(g, p);
+  return std::visit(
+      [&](auto& cfg) {
+        cfg.stop = durable::ShutdownController::flag();
+        if (recorder != nullptr) cfg.recorder = recorder;
+        return run_config(cfg);
+      },
+      config);
 }
 
 /// Journal location: --journal wins, then <json>.journal, then a name
@@ -662,9 +621,10 @@ int run_list(const campaign::Expansion& x) {
   return 0;
 }
 
-int run_campaign(const campaign::Expansion& x, const CampaignCli& cli,
-                 const Options& opts) {
-  const TemplateView v{x};
+int run_campaign(const Grid& g, const CampaignCli& cli) {
+  const campaign::Expansion& x = g.x;
+  const Options& opts = g.opts;
+  const TemplateDef& def = def_of(x.template_id);
   const campaign::ShardRange range =
       cli.has_shard
           ? campaign::shard_range(x.points.size(), cli.shard_index,
@@ -730,18 +690,13 @@ int run_campaign(const campaign::Expansion& x, const CampaignCli& cli,
                  "not be resumable or mergeable\n",
                  journal.status().message().c_str());
   } else {
-    durable::ShardInfo shard;
-    shard.present = true;
-    shard.campaign = x.name;
-    shard.digest = x.digest;
-    shard.index = cli.shard_index;
-    shard.count = cli.shard_count;
-    shard.lo = range.lo;
-    shard.hi = range.hi;
-    (void)journal.append_shard(shard);
+    (void)journal.append_shard({.present = true, .campaign = x.name,
+                                .digest = x.digest, .index = cli.shard_index,
+                                .count = cli.shard_count, .lo = range.lo,
+                                .hi = range.hi});
   }
 
-  OutputSinks out{x, opts};
+  OutputSinks out{opts};
   const runner::ParallelRunner pool{opts.jobs};
   const bool telemetry_on = !opts.telemetry_dir.empty();
   telemetry::MetricsRegistry aggregate_registry;
@@ -775,7 +730,7 @@ int run_campaign(const campaign::Expansion& x, const CampaignCli& cli,
             outcome.recorder = std::make_shared<telemetry::Recorder>(
                 detail::point_recorder_config(opts, range.lo + j));
           }
-          outcome.result = run_point(v, opts, x.points[range.lo + j],
+          outcome.result = run_point(def, g, x.points[range.lo + j],
                                      outcome.recorder.get());
           return outcome;
         } catch (const std::exception& ex) {
@@ -799,7 +754,8 @@ int run_campaign(const campaign::Expansion& x, const CampaignCli& cli,
             const std::lock_guard<std::mutex> lock{error_mutex};
             message = last_error[j].empty() ? "unknown error" : last_error[j];
           }
-          consume_failed(v, out, p, status, message);
+          out.healthy = false;
+          def.failed(g, out, p, status, message);
           return;
         }
         // Journal before consume; replayed points re-append their original
@@ -822,7 +778,9 @@ int run_campaign(const campaign::Expansion& x, const CampaignCli& cli,
                           detail::point_run_id(range.lo + j) +
                           ".manifest.json";
         }
-        consume_point(v, out, p, outcome->result, manifest_path);
+        if (!def.consume(g, out, p, outcome->result, manifest_path)) {
+          out.healthy = false;
+        }
       },
       detail::guard_options(opts));
 
@@ -832,14 +790,14 @@ int run_campaign(const campaign::Expansion& x, const CampaignCli& cli,
           "signal " +
           std::to_string(durable::ShutdownController::signal_number()));
     }
-    out.abort();
+    out.json.abort();
     std::fprintf(stderr,
                  "campaign: interrupted — %zu point(s) unfinished; re-run "
                  "with --resume to finish (journal: %s)\n",
                  interrupted_points, journal_file.c_str());
     return durable::ShutdownController::kExitInterrupted;
   }
-  out.commit();
+  out.json.commit();
 
   if (telemetry_on) {
     if (replayed_count > 0) {
@@ -858,12 +816,17 @@ int run_campaign(const campaign::Expansion& x, const CampaignCli& cli,
 
   std::printf("# points ok: %zu/%zu\n", report.ok_count(),
               report.status.size());
-  if (!cli.has_shard) finish_grid(x, out);
+  // The cross-point summaries need the whole grid; a shard leaves them to
+  // --merge.
+  if (!cli.has_shard && def.finish != nullptr && !def.finish(out)) {
+    out.healthy = false;
+  }
   return report.all_ok() && out.healthy ? 0 : 1;
 }
 
-int run_merge(const campaign::Expansion& x, const CampaignCli& cli,
-              const Options& opts) {
+int run_merge(const Grid& g, const CampaignCli& cli) {
+  const campaign::Expansion& x = g.x;
+  const Options& opts = g.opts;
   campaign::MergeResult merged;
   const durable::Status status =
       campaign::merge_shards(x, cli.merge_paths, merged);
@@ -889,15 +852,9 @@ int run_merge(const campaign::Expansion& x, const CampaignCli& cli,
                  journal_file.c_str(), journal.status().message().c_str());
     return status_exit(journal.status());
   }
-  durable::ShardInfo shard;
-  shard.present = true;
-  shard.campaign = x.name;
-  shard.digest = x.digest;
-  shard.index = 1;
-  shard.count = 1;
-  shard.lo = 0;
-  shard.hi = x.points.size();
-  durable::Status write = journal.append_shard(shard);
+  durable::Status write = journal.append_shard(
+      {.present = true, .campaign = x.name, .digest = x.digest,
+       .hi = x.points.size()});
   for (std::size_t i = 0; i < x.points.size() && write.ok(); ++i) {
     write = journal.append_point(x.points[i].key, merged.payloads[i]);
   }
@@ -911,15 +868,15 @@ int run_merge(const campaign::Expansion& x, const CampaignCli& cli,
   // table and --json match a serial run of the same spec. Manifest paths are
   // reconstructed from the point index exactly as --resume does: the shards
   // wrote their telemetry under the same deterministic per-point run ids.
-  const TemplateView v{x};
-  OutputSinks out{x, opts};
+  const TemplateDef& def = def_of(x.template_id);
+  OutputSinks out{opts};
   const bool telemetry_on = !opts.telemetry_dir.empty();
   for (std::size_t i = 0; i < x.points.size(); ++i) {
     scenario::RunResult result;
     const durable::Status decode =
         durable::decode_result(merged.payloads[i], result);
     if (!decode.ok()) {
-      out.abort();
+      out.json.abort();
       std::fprintf(stderr,
                    "pi2_campaign: merge: point %zu payload undecodable: %s\n",
                    i, decode.message().c_str());
@@ -930,10 +887,12 @@ int run_merge(const campaign::Expansion& x, const CampaignCli& cli,
       manifest_path = opts.telemetry_dir + "/" + detail::point_run_id(i) +
                       ".manifest.json";
     }
-    consume_point(v, out, x.points[i], result, manifest_path);
+    if (!def.consume(g, out, x.points[i], result, manifest_path)) {
+      out.healthy = false;
+    }
   }
-  out.commit();
-  finish_grid(x, out);
+  out.json.commit();
+  if (def.finish != nullptr && !def.finish(out)) out.healthy = false;
   std::printf("# merged %zu shard journal(s), %zu point(s) -> %s\n",
               merged.shards, x.points.size(), journal_file.c_str());
   return out.healthy ? 0 : 1;
@@ -962,15 +921,14 @@ int main(int argc, char** argv) {
     return 17;
   }
 
-  campaign::ExpandOptions eo;
-  eo.full = opts.full;
-  eo.grid_cap = opts.grid_cap;
-  eo.min_link_mbps = opts.min_link_mbps;
-  eo.duration_s_override = opts.duration_s_override;
-  eo.stats_start_s_override = opts.stats_start_s_override;
-  eo.use_seed = cli.use_seed;
-  eo.seed = opts.seed;
-  const campaign::Expansion x = campaign::expand(spec, eo);
+  const campaign::Expansion x = campaign::expand(
+      spec, {.full = opts.full,
+             .grid_cap = opts.grid_cap,
+             .min_link_mbps = opts.min_link_mbps,
+             .duration_s_override = opts.duration_s_override,
+             .stats_start_s_override = opts.stats_start_s_override,
+             .use_seed = cli.use_seed,
+             .seed = opts.seed});
   if (x.points.empty()) {
     std::fprintf(stderr, "pi2_campaign: campaign '%s' expands to 0 points "
                  "(grid cap or --min-link-mbps removed everything)\n",
@@ -978,31 +936,20 @@ int main(int argc, char** argv) {
     return 17;
   }
 
-  // Resolve every fault_schedule value up front: an unknown preset or a
-  // malformed literal is a spec authoring error, not a mid-run surprise —
-  // and TemplateView's schedule-map lookups become total.
-  for (std::size_t a = 0; a < x.axes.size(); ++a) {
-    if (x.axes[a].name != "fault_schedule") continue;
-    const faults::PresetContext ctx =
-        resilience_fault_context(x.link_mbps, x.rtt_ms, x.duration_s);
-    for (std::size_t j = 0; j < x.axes[a].values.size(); ++j) {
-      faults::FaultSchedule schedule;
-      const std::string fault_err = faults::resolve_schedule(
-          x.axes[a].values[j].text, ctx, &schedule);
-      if (!fault_err.empty()) {
-        std::fprintf(stderr, "pi2_campaign: axes[%zu].values[%zu]: %s\n", a, j,
-                     fault_err.c_str());
-        return 17;
-      }
-    }
+  std::map<std::string, faults::FaultSchedule> schedules;
+  err = resolve_fault_schedules(x, schedules);
+  if (!err.empty()) {
+    std::fprintf(stderr, "pi2_campaign: %s\n", err.c_str());
+    return 17;
   }
+  const Grid g{x, opts, schedules};
 
   if (cli.digest_only) {
     std::printf("%016llx\n", static_cast<unsigned long long>(x.digest));
     return 0;
   }
   if (cli.list) return run_list(x);
-  if (cli.merge) return run_merge(x, cli, opts);
+  if (cli.merge) return run_merge(g, cli);
 
   print_header(("Campaign " + x.name).c_str(),
                campaign::to_string(x.template_id), opts);
@@ -1013,7 +960,6 @@ int main(int argc, char** argv) {
                 cli.shard_index, cli.shard_count, range.lo, range.hi,
                 x.points.size());
   }
-  const TemplateView view{x};
-  print_table_header(view);
-  return run_campaign(x, cli, opts);
+  def_of(x.template_id).header(x);
+  return run_campaign(g, cli);
 }

@@ -74,7 +74,8 @@ inline std::string json_escape(const std::string& s) {
 }
 
 /// Streams one machine-readable record per sweep point as a JSON array.
-/// Used by --json to make runs comparable across PRs (BENCH_sweep.json).
+/// Used by --json to make runs comparable across PRs (BENCH_sweep.json);
+/// pi2_campaign writes every template's records through it.
 /// Every record carries a "status" field ("ok" / "failed" / "timeout");
 /// failed and timed-out points get a reduced record with the error message
 /// instead of measurements, so downstream tooling can tell a missing point
@@ -166,6 +167,13 @@ class SweepJsonWriter {
         first_ ? "" : ",", index, runner::to_string(status), aqm_label(aqm),
         to_string(mix), link_mbps, rtt_ms, json_escape(message).c_str());
     first_ = false;
+  }
+
+  /// Appends a record another schema writes: `emit(file, first)` is one of
+  /// the campaign_templates.hpp emitters. A no-op when no JSON is written.
+  template <class Emit>
+  void add_record(const Emit& emit) {
+    if (file_ != nullptr) emit(*file_, first_);
   }
 
   /// Seals the array and atomically publishes the destination file.

@@ -301,53 +301,20 @@ const AxisRule* axis_rule(const std::string& name) {
   return nullptr;
 }
 
-/// Axes each template accepts — all of them required, matching the fixed
-/// loop nests of the fig binaries the templates reproduce.
-const std::vector<std::string>& template_axes(TemplateId id) {
-  static const std::vector<std::string> dumbbell{"aqm", "cc_mix", "rate_mbps",
-                                                 "rtt_ms"};
-  static const std::vector<std::string> overload{"ecn", "udp_mult"};
-  static const std::vector<std::string> parking{"aqm", "hops"};
-  static const std::vector<std::string> rtt_mix{"aqm"};
-  static const std::vector<std::string> resilience{"aqm", "fault_schedule",
-                                                   "fluid_flows"};
-  static const std::vector<std::string> step_response{"aqm"};
-  switch (id) {
-    case TemplateId::kDumbbellSweep: return dumbbell;
-    case TemplateId::kOverload: return overload;
-    case TemplateId::kParkingLot: return parking;
-    case TemplateId::kRttMix: return rtt_mix;
-    case TemplateId::kResilience: return resilience;
-    case TemplateId::kStepResponse: return step_response;
+const TemplateRule* find_template(const std::string& name) {
+  for (const TemplateRule& rule : template_rules()) {
+    if (name == rule.name) return &rule;
   }
-  return dumbbell;
+  return nullptr;
 }
 
-bool known_template(const std::string& name, TemplateId& id) {
-  if (name == "dumbbell_sweep") { id = TemplateId::kDumbbellSweep; return true; }
-  if (name == "overload") { id = TemplateId::kOverload; return true; }
-  if (name == "parking_lot") { id = TemplateId::kParkingLot; return true; }
-  if (name == "rtt_mix") { id = TemplateId::kRttMix; return true; }
-  if (name == "resilience") { id = TemplateId::kResilience; return true; }
-  if (name == "step_response") { id = TemplateId::kStepResponse; return true; }
-  return false;
-}
-
-bool known_aqm(TemplateId id, const std::string& name) {
-  if (id == TemplateId::kDumbbellSweep || id == TemplateId::kStepResponse) {
-    // The 15-18 sweep and step-response records label "PIE" /
-    // "PI2(coupled)" only.
-    return name == "pie" || name == "coupled-pi2";
+std::string joined(const std::vector<std::string>& names) {
+  std::string out;
+  for (const std::string& name : names) {
+    if (!out.empty()) out += ", ";
+    out += name;
   }
-  if (id == TemplateId::kResilience) {
-    // The resilience grid compares recovery across the paper's contenders.
-    return name == "coupled-pi2" || name == "dualpi2" || name == "pie";
-  }
-  static const char* kNames[] = {"fifo",       "pie",   "bare-pie", "pi",
-                                 "pi2",        "coupled-pi2", "red", "codel",
-                                 "curvy-red",  "step",  "dualpi2"};
-  return std::any_of(std::begin(kNames), std::end(kNames),
-                     [&](const char* n) { return name == n; });
+  return out;
 }
 
 bool known_cc_mix(const std::string& name) {
@@ -359,7 +326,7 @@ bool known_ecn(const std::string& name) {
 }
 
 /// One axis value against its rule; `label` is e.g. "axes[0].values[2]".
-std::string validate_value(TemplateId id, const AxisRule& rule,
+std::string validate_value(const TemplateRule& tmpl, const AxisRule& rule,
                            const AxisValue& value, const std::string& label) {
   if (rule.numeric) {
     if (!value.is_number) {
@@ -397,9 +364,10 @@ std::string validate_value(TemplateId id, const AxisRule& rule,
     }
     return "";
   }
-  if (std::string("aqm") == rule.name && !known_aqm(id, value.text)) {
+  if (std::string("aqm") == rule.name &&
+      std::ranges::find(tmpl.aqms, value.text) == tmpl.aqms.end()) {
     return label + " '" + value.text + "' is not a recognized aqm for template '" +
-           to_string(id) + "'";
+           tmpl.name + "'";
   }
   if (std::string("cc_mix") == rule.name && !known_cc_mix(value.text)) {
     return label + " '" + value.text +
@@ -429,17 +397,43 @@ std::string values_to_json(const std::vector<AxisValue>& values) {
 
 }  // namespace
 
-const char* to_string(TemplateId id) {
-  switch (id) {
-    case TemplateId::kDumbbellSweep: return "dumbbell_sweep";
-    case TemplateId::kOverload: return "overload";
-    case TemplateId::kParkingLot: return "parking_lot";
-    case TemplateId::kRttMix: return "rtt_mix";
-    case TemplateId::kResilience: return "resilience";
-    case TemplateId::kStepResponse: return "step_response";
-  }
-  return "?";
+const std::vector<TemplateRule>& template_rules() {
+  // Every scenario::AqmType, by its to_string() name.
+  static const std::vector<std::string> any_aqm{
+      "fifo", "pie",   "bare-pie",  "pi",   "pi2",    "coupled-pi2",
+      "red",  "codel", "curvy-red", "step", "dualpi2"};
+  static const std::vector<TemplateRule> rules{
+      // Figures 15-18: the rate_mbps/rtt_ms axes set the link, and the
+      // records label "PIE" / "PI2(coupled)" only.
+      {.id = TemplateId::kDumbbellSweep, .name = "dumbbell_sweep",
+       .axes = {"aqm", "cc_mix", "rate_mbps", "rtt_ms"},
+       .aqms = {"pie", "coupled-pi2"}, .quick_s = 40.0, .full_s = 100.0,
+       .stats_quick_s = 15.0, .stats_full_s = 30.0, .link_mbps = 0,
+       .rtt_ms = 0, .reads_link_mbps = false, .reads_rtt_ms = false},
+      {.id = TemplateId::kOverload, .name = "overload",
+       .axes = {"ecn", "udp_mult"}},
+      {.id = TemplateId::kParkingLot, .name = "parking_lot",
+       .axes = {"aqm", "hops"}, .aqms = any_aqm},
+      // The branch RTTs are fixed at 10/50/100 ms.
+      {.id = TemplateId::kRttMix, .name = "rtt_mix", .axes = {"aqm"},
+       .aqms = any_aqm, .reads_rtt_ms = false},
+      // Recovery compared across the paper's contenders.
+      {.id = TemplateId::kResilience, .name = "resilience",
+       .axes = {"aqm", "fault_schedule", "fluid_flows"},
+       .aqms = {"coupled-pi2", "dualpi2", "pie"}},
+      // The section 4.4 capacity step, stats from T/10; labels as above.
+      {.id = TemplateId::kStepResponse, .name = "step_response",
+       .axes = {"aqm"}, .aqms = {"pie", "coupled-pi2"}, .quick_s = 30.0,
+       .stats_divisor = 10.0},
+  };
+  return rules;
 }
+
+const TemplateRule& template_rule(TemplateId id) {
+  return template_rules()[static_cast<std::size_t>(id)];
+}
+
+const char* to_string(TemplateId id) { return template_rule(id).name; }
 
 const std::vector<std::string>& axis_names() {
   static const std::vector<std::string> names = [] {
@@ -451,14 +445,18 @@ const std::vector<std::string>& axis_names() {
 }
 
 const std::vector<std::string>& template_names() {
-  static const std::vector<std::string> names{
-      "dumbbell_sweep", "overload",   "parking_lot",
-      "rtt_mix",        "resilience", "step_response"};
+  static const std::vector<std::string> names = [] {
+    std::vector<std::string> out;
+    for (const TemplateRule& rule : template_rules()) {
+      out.emplace_back(rule.name);
+    }
+    return out;
+  }();
   return names;
 }
 
 const std::vector<std::string>& axes_of_template(TemplateId id) {
-  return template_axes(id);
+  return template_rule(id).axes;
 }
 
 AxisValue axis_number(double v) {
@@ -475,18 +473,22 @@ AxisValue axis_text(std::string v) {
 }
 
 TemplateId CampaignSpec::template_id() const {
-  TemplateId id = TemplateId::kDumbbellSweep;
-  known_template(template_name, id);
-  return id;
+  const TemplateRule* rule = find_template(template_name);
+  return rule != nullptr ? rule->id : template_rules().front().id;
 }
 
 std::string CampaignSpec::validate() const {
   if (name.empty()) return "name must be a non-empty string";
-  TemplateId id = TemplateId::kDumbbellSweep;
-  if (!known_template(template_name, id)) {
-    return "template '" + template_name +
-           "' is not a recognized template (dumbbell_sweep, overload, "
-           "parking_lot, rtt_mix, resilience, step_response)";
+  const TemplateRule* tmpl = find_template(template_name);
+  if (tmpl == nullptr) {
+    return "template '" + template_name + "' is not a recognized template (" +
+           joined(template_names()) + ")";
+  }
+  if (link_mbps != 0 && !tmpl->reads_link_mbps) {
+    return "link_mbps is not read by template '" + template_name + "'";
+  }
+  if (rtt_ms != 0 && !tmpl->reads_rtt_ms) {
+    return "rtt_ms is not read by template '" + template_name + "'";
   }
   if (link_mbps < 0 || (link_mbps != 0 && !std::isfinite(link_mbps))) {
     return "link_mbps must be a finite rate > 0 (got " +
@@ -497,16 +499,15 @@ std::string CampaignSpec::validate() const {
            ")";
   }
   if (axes.empty()) return "axes must list at least one axis";
-  const std::vector<std::string>& allowed = template_axes(id);
+  const std::vector<std::string>& allowed = tmpl->axes;
   for (std::size_t i = 0; i < axes.size(); ++i) {
     const Axis& axis = axes[i];
     const std::string label = "axes[" + std::to_string(i) + "]";
     if (axis.name.empty()) return label + ".name must be a non-empty name";
     const AxisRule* rule = axis_rule(axis.name);
     if (rule == nullptr) {
-      return label + ".name '" + axis.name +
-             "' is not a recognized axis (aqm, cc_mix, ecn, fault_schedule, "
-             "fluid_flows, hops, rate_mbps, rtt_ms, udp_mult)";
+      return label + ".name '" + axis.name + "' is not a recognized axis (" +
+             joined(axis_names()) + ")";
     }
     if (std::find(allowed.begin(), allowed.end(), axis.name) == allowed.end()) {
       return label + ".name '" + axis.name + "' is not an axis of template '" +
@@ -523,13 +524,13 @@ std::string CampaignSpec::validate() const {
     }
     for (std::size_t j = 0; j < axis.values.size(); ++j) {
       const std::string err =
-          validate_value(id, *rule, axis.values[j],
+          validate_value(*tmpl, *rule, axis.values[j],
                          label + ".values[" + std::to_string(j) + "]");
       if (!err.empty()) return err;
     }
     for (std::size_t j = 0; j < axis.full_values.size(); ++j) {
       const std::string err =
-          validate_value(id, *rule, axis.full_values[j],
+          validate_value(*tmpl, *rule, axis.full_values[j],
                          label + ".full[" + std::to_string(j) + "]");
       if (!err.empty()) return err;
     }
@@ -664,28 +665,25 @@ Expansion expand(const CampaignSpec& spec, const ExpandOptions& opts) {
   out.template_id = spec.template_id();
   out.base_seed = opts.use_seed ? opts.seed : spec.seed;
 
-  // Durations mirror the fig binaries: the 15-18 sweep runs 40 s quick /
-  // 100 s full with a fixed stats window, the step response 30 s quick /
-  // 60 s full with stats from T/10, the other campaign-style figures 20 s
-  // quick / 60 s full with stats from the final three quarters.
-  const bool dumbbell = out.template_id == TemplateId::kDumbbellSweep;
-  const bool step = out.template_id == TemplateId::kStepResponse;
+  // Durations and fixed parameters: the template's defaults unless the CLI
+  // overrides or the spec sets them.
+  const TemplateRule& rule = template_rule(out.template_id);
   if (opts.duration_s_override > 0) {
     out.duration_s = opts.duration_s_override;
-  } else if (dumbbell) {
-    out.duration_s = opts.full ? 100.0 : 40.0;
   } else {
-    out.duration_s = opts.full ? 60.0 : (step ? 30.0 : 20.0);
+    out.duration_s = opts.full ? rule.full_s : rule.quick_s;
   }
+  const double stats_fixed_s =
+      opts.full ? rule.stats_full_s : rule.stats_quick_s;
   if (opts.stats_start_s_override > 0) {
     out.stats_start_s = opts.stats_start_s_override;
-  } else if (dumbbell) {
-    out.stats_start_s = opts.full ? 30.0 : 15.0;
+  } else if (stats_fixed_s > 0) {
+    out.stats_start_s = stats_fixed_s;
   } else {
-    out.stats_start_s = out.duration_s / (step ? 10.0 : 4.0);
+    out.stats_start_s = out.duration_s / rule.stats_divisor;
   }
-  out.link_mbps = spec.link_mbps != 0 ? spec.link_mbps : (dumbbell ? 0 : 10.0);
-  out.rtt_ms = spec.rtt_ms != 0 ? spec.rtt_ms : (dumbbell ? 0 : 10.0);
+  out.link_mbps = spec.link_mbps != 0 ? spec.link_mbps : rule.link_mbps;
+  out.rtt_ms = spec.rtt_ms != 0 ? spec.rtt_ms : rule.rtt_ms;
 
   // Resolve each axis: mode selection, rate filter, smoke cap — the same
   // order bench_common applies to the hand-rolled grids.

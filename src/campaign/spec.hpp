@@ -14,9 +14,7 @@
 //
 //   {
 //     "name": "fig15",                 // campaign identity (journal checks)
-//     "template": "dumbbell_sweep",    // | "overload" | "parking_lot"
-//                                      // | "rtt_mix" | "resilience"
-//                                      // | "step_response"
+//     "template": "dumbbell_sweep",    // one of template_names()
 //     "seed": 1,                       // base RNG seed (CLI --seed overrides)
 //     "link_mbps": 10,                 // optional fixed-parameter overrides
 //     "rtt_ms": 10,
@@ -32,7 +30,13 @@
 // matching the fig binaries, where --smoke caps the numeric grids but never
 // the AQM/mix enumerations of the 15-18 sweep.
 //
-// The campaign layer is deliberately scenario-free: axis values are strings
+// `link_mbps`/`rtt_ms` are refused on a template that never reads them
+// (dumbbell_sweep's axes set both; rtt_mix fixes its branch RTTs).
+//
+// Each template is one TemplateRule row in spec.cpp (name, axes, accepted
+// aqm values, default durations, link and RTT) plus one TemplateDef row in
+// bench/pi2_campaign.cpp (config builder, table row, JSON record, gates).
+// The split keeps the campaign layer scenario-free: axis values are strings
 // and numbers, and bench/pi2_campaign maps them onto scenario types. That
 // keeps pi2_campaign (the library) linkable from tests and check oracles
 // without dragging in the simulator. `fault_schedule` axis values follow the
@@ -47,8 +51,8 @@
 
 namespace pi2::campaign {
 
-/// Scenario families a spec can instantiate; each maps to one fig binary's
-/// grid loop and per-point config builder.
+/// Scenario families a spec can instantiate; each is one TemplateRule row in
+/// spec.cpp and one TemplateDef row in bench/pi2_campaign.cpp.
 enum class TemplateId {
   kDumbbellSweep,
   kOverload,
@@ -69,6 +73,31 @@ enum class TemplateId {
 
 /// The axes a template requires (all of them mandatory in a spec).
 [[nodiscard]] const std::vector<std::string>& axes_of_template(TemplateId id);
+
+/// Everything the campaign layer knows about one template. The driver's
+/// TemplateDef (bench/pi2_campaign.cpp) holds the scenario side.
+struct TemplateRule {
+  TemplateId id;
+  const char* name;
+  /// Required axes — all of them, matching the fixed loop nests of the fig
+  /// binaries the templates reproduce.
+  std::vector<std::string> axes;
+  std::vector<std::string> aqms{};  ///< accepted values of the `aqm` axis
+  double quick_s = 20.0;            ///< default run duration, quick / --full
+  double full_s = 60.0;
+  /// Stats-window start, quick / --full; 0 = duration / stats_divisor.
+  double stats_quick_s = 0;
+  double stats_full_s = 0;
+  double stats_divisor = 4.0;
+  double link_mbps = 10.0;  ///< defaults when the spec leaves them 0
+  double rtt_ms = 10.0;
+  bool reads_link_mbps = true;  ///< false: validate() refuses the key
+  bool reads_rtt_ms = true;
+};
+
+/// The registry: one row per template, in TemplateId order.
+[[nodiscard]] const std::vector<TemplateRule>& template_rules();
+[[nodiscard]] const TemplateRule& template_rule(TemplateId id);
 
 /// One swept value: a finite double or a non-empty string, never both.
 struct AxisValue {

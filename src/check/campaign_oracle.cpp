@@ -210,6 +210,32 @@ std::vector<AxisValue> texts(std::initializer_list<const char*> vs) {
   return out;
 }
 
+/// The generator's value pool for `axis` of template `rule`.
+std::vector<AxisValue> axis_pool(const campaign::TemplateRule& rule,
+                                 const std::string& axis) {
+  if (axis == "aqm") {
+    std::vector<AxisValue> out;
+    for (const std::string& aqm : rule.aqms) {
+      out.push_back(campaign::axis_text(aqm));
+    }
+    return out;
+  }
+  if (axis == "cc_mix") return texts({"cubic/ecn-cubic", "cubic/dctcp"});
+  if (axis == "rate_mbps") return numbers({4, 12, 40, 120, 200});
+  if (axis == "rtt_ms") return numbers({5, 10, 20, 50, 100});
+  if (axis == "ecn") return texts({"not-ect", "ect1", "ect0"});
+  if (axis == "udp_mult") return numbers({0.5, 1, 1.5, 2, 3});
+  if (axis == "hops") return numbers({1, 2, 3, 4, 5, 6, 7, 8});
+  if (axis == "fault_schedule") {
+    // The campaign layer treats fault_schedule values as opaque text (the
+    // driver resolves presets/literals), so the pool mixes both forms.
+    return texts({"none", "rate_step_4x", "rtt_flap", "burst_loss_2pct",
+                  "ecn_bleach", "reorder", "rate_step@0.4:rate=0.25",
+                  "random_loss@0.3..0.5:p=0.01;rtt_step@0.7:rtt=2"});
+  }
+  return numbers({0, 10, 100, 1000, 100000});  // fluid_flows
+}
+
 }  // namespace
 
 CampaignSpec random_campaign_spec(std::uint64_t seed) {
@@ -218,53 +244,13 @@ CampaignSpec random_campaign_spec(std::uint64_t seed) {
   spec.name = "prop-" + std::to_string(seed);
   spec.seed = rng.next_u64() >> 1;
 
-  const std::vector<AxisValue> all_aqms = texts(
-      {"fifo", "pie", "bare-pie", "pi", "pi2", "coupled-pi2", "red", "codel",
-       "curvy-red", "step", "dualpi2"});
+  // Any registered template, with a draw from each of its required axes.
+  const auto& rules = campaign::template_rules();
+  const campaign::TemplateRule& rule = rules[rng.uniform_below(rules.size())];
+  spec.template_name = rule.name;
   std::vector<Axis> axes;
-  switch (rng.uniform_below(6)) {
-    case 0:
-      spec.template_name = "dumbbell_sweep";
-      axes.push_back(make_axis(rng, "aqm", texts({"pie", "coupled-pi2"})));
-      axes.push_back(make_axis(
-          rng, "cc_mix", texts({"cubic/ecn-cubic", "cubic/dctcp"})));
-      axes.push_back(
-          make_axis(rng, "rate_mbps", numbers({4, 12, 40, 120, 200})));
-      axes.push_back(make_axis(rng, "rtt_ms", numbers({5, 10, 20, 50, 100})));
-      break;
-    case 1:
-      spec.template_name = "overload";
-      axes.push_back(make_axis(rng, "ecn", texts({"not-ect", "ect1", "ect0"})));
-      axes.push_back(
-          make_axis(rng, "udp_mult", numbers({0.5, 1, 1.5, 2, 3})));
-      break;
-    case 2:
-      spec.template_name = "parking_lot";
-      axes.push_back(make_axis(rng, "aqm", all_aqms));
-      axes.push_back(make_axis(rng, "hops", numbers({1, 2, 3, 4, 5, 6, 7, 8})));
-      break;
-    case 3:
-      spec.template_name = "rtt_mix";
-      axes.push_back(make_axis(rng, "aqm", all_aqms));
-      break;
-    case 4:
-      spec.template_name = "step_response";
-      axes.push_back(make_axis(rng, "aqm", texts({"pie", "coupled-pi2"})));
-      break;
-    default:
-      // The campaign layer treats fault_schedule values as opaque text (the
-      // driver resolves presets/literals), so the pool mixes both forms.
-      spec.template_name = "resilience";
-      axes.push_back(make_axis(rng, "aqm", texts({"coupled-pi2", "dualpi2",
-                                                  "pie"})));
-      axes.push_back(make_axis(
-          rng, "fault_schedule",
-          texts({"none", "rate_step_4x", "rtt_flap", "burst_loss_2pct",
-                 "ecn_bleach", "reorder", "rate_step@0.4:rate=0.25",
-                 "random_loss@0.3..0.5:p=0.01;rtt_step@0.7:rtt=2"})));
-      axes.push_back(make_axis(
-          rng, "fluid_flows", numbers({0, 10, 100, 1000, 100000})));
-      break;
+  for (const std::string& axis : rule.axes) {
+    axes.push_back(make_axis(rng, axis, axis_pool(rule, axis)));
   }
   // Axis listing order is free (validate() only demands coverage), so the
   // generator exercises every permutation the odometer can see.
@@ -274,6 +260,9 @@ CampaignSpec random_campaign_spec(std::uint64_t seed) {
   spec.axes = std::move(axes);
   if (rng.uniform_below(2) == 0) spec.link_mbps = rng.uniform(5.0, 50.0);
   if (rng.uniform_below(2) == 0) spec.rtt_ms = rng.uniform(2.0, 80.0);
+  // validate() refuses a fixed key the template never reads.
+  if (!rule.reads_link_mbps) spec.link_mbps = 0;
+  if (!rule.reads_rtt_ms) spec.rtt_ms = 0;
   return spec;
 }
 

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <string>
 #include <vector>
@@ -495,6 +496,98 @@ TEST(CampaignValidate, MissingRequiredAxis) {
   CampaignSpec spec = sweep_spec();
   spec.axes.pop_back();  // drop rtt_ms
   EXPECT_EQ(spec.validate(), "template 'dumbbell_sweep' requires axis 'rtt_ms'");
+}
+
+TEST(CampaignValidate, LinkRateUnreadByDumbbellSweep) {
+  // The rate_mbps axis sets the link; a fixed link_mbps would be digested
+  // and then ignored.
+  CampaignSpec spec = sweep_spec();
+  spec.link_mbps = 40;
+  EXPECT_EQ(spec.validate(),
+            "link_mbps is not read by template 'dumbbell_sweep'");
+}
+
+TEST(CampaignValidate, RttUnreadByDumbbellSweep) {
+  CampaignSpec spec = sweep_spec();
+  spec.rtt_ms = 20;
+  EXPECT_EQ(spec.validate(), "rtt_ms is not read by template 'dumbbell_sweep'");
+}
+
+TEST(CampaignValidate, RttUnreadByRttMix) {
+  // The branch RTTs are fixed at 10/50/100 ms; the bottleneck rate is read.
+  EXPECT_EQ(validate_parsed(
+                R"({"name": "x", "template": "rtt_mix", "rtt_ms": 20,
+                    "axes": [{"name": "aqm", "values": ["pie"]}]})"),
+            "rtt_ms is not read by template 'rtt_mix'");
+  EXPECT_EQ(validate_parsed(
+                R"({"name": "x", "template": "rtt_mix", "link_mbps": 20,
+                    "axes": [{"name": "aqm", "values": ["pie"]}]})"),
+            "");
+}
+
+TEST(CampaignValidate, FixedKeysReadByTheirTemplates) {
+  for (const TemplateRule& rule : template_rules()) {
+    const bool dumbbell = rule.id == TemplateId::kDumbbellSweep;
+    EXPECT_EQ(rule.reads_link_mbps, !dumbbell) << rule.name;
+    EXPECT_EQ(rule.reads_rtt_ms, !dumbbell && rule.id != TemplateId::kRttMix)
+        << rule.name;
+  }
+}
+
+// --- the template registry ---------------------------------------------------
+
+std::string joined(const std::vector<std::string>& names) {
+  std::string out;
+  for (const std::string& name : names) {
+    if (!out.empty()) out += ", ";
+    out += name;
+  }
+  return out;
+}
+
+TEST(TemplateRegistry, EveryNameMapsToAnIdThatNamesItBack) {
+  ASSERT_FALSE(template_names().empty());
+  std::set<TemplateId> ids;
+  for (const std::string& name : template_names()) {
+    CampaignSpec spec;
+    spec.template_name = name;
+    const TemplateId id = spec.template_id();
+    EXPECT_EQ(to_string(id), name);
+    EXPECT_TRUE(ids.insert(id).second) << name << " shares an id";
+  }
+}
+
+TEST(TemplateRegistry, RowsAreInTemplateIdOrder) {
+  const std::vector<TemplateRule>& rules = template_rules();
+  ASSERT_EQ(rules.size(), template_names().size());
+  for (std::size_t i = 0; i < rules.size(); ++i) {
+    EXPECT_EQ(static_cast<std::size_t>(rules[i].id), i) << rules[i].name;
+    EXPECT_EQ(&template_rule(rules[i].id), &rules[i]);
+    EXPECT_EQ(template_names()[i], rules[i].name);
+  }
+}
+
+TEST(TemplateRegistry, TemplateAxesAreRecognizedAxes) {
+  const std::vector<std::string>& all = axis_names();
+  for (const std::string& name : template_names()) {
+    CampaignSpec spec;
+    spec.template_name = name;
+    const std::vector<std::string>& axes =
+        axes_of_template(spec.template_id());
+    EXPECT_FALSE(axes.empty()) << name;
+    for (const std::string& axis : axes) {
+      EXPECT_NE(std::find(all.begin(), all.end(), axis), all.end())
+          << name << " requires unknown axis " << axis;
+    }
+  }
+}
+
+TEST(TemplateRegistry, UnknownTemplateMessageListsEveryTemplate) {
+  CampaignSpec spec = sweep_spec();
+  spec.template_name = "trident";
+  EXPECT_EQ(spec.validate(),
+            "template 'trident' is not a recognized template (" +
+                joined(template_names()) + ")");
 }
 
 // --- parse_spec(): strict grammar, parse-level messages -------------------
