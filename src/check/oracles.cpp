@@ -7,7 +7,11 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <memory>
+#include <span>
+#include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "check/golden.hpp"
 #include "core/dualpi2.hpp"
@@ -19,6 +23,7 @@
 #include "sim/simulator.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/recorder.hpp"
+#include "topology/dumbbell_adapter.hpp"
 #include "topology/topology.hpp"
 
 namespace pi2::check {
@@ -108,6 +113,221 @@ void mix_bytes(std::uint64_t& h, const std::string& s) {
   for (const char c : s) {
     h ^= static_cast<unsigned char>(c);
     h *= 0x100000001b3ULL;
+  }
+}
+
+void mix_routes(std::uint64_t& h, const std::vector<std::int32_t>& routes) {
+  // The flattening keeps every per-link slice but drops the flow->route
+  // assignment; fold it back in so re-routed flows change the fingerprint.
+  for (const std::int32_t route : routes) {
+    mix_u64(h, static_cast<std::uint64_t>(route));
+  }
+}
+
+using Counters = net::BottleneckLink::Counters;
+using BandCounters = net::BottleneckLink::BandCounters;
+
+struct CounterField {
+  const char* name;
+  std::int64_t Counters::*field;
+};
+
+/// Every per-link counter, as the failure details name it.
+constexpr CounterField kCounterFields[] = {
+    {"enqueued", &Counters::enqueued},
+    {"forwarded", &Counters::forwarded},
+    {"aqm_dropped", &Counters::aqm_dropped},
+    {"tail_dropped", &Counters::tail_dropped},
+    {"marked", &Counters::marked},
+    {"fault_dropped", &Counters::fault_dropped},
+    {"dequeue_dropped", &Counters::dequeue_dropped},
+};
+
+/// Counters links[0] mirrors as unprefixed "link.<name>" gauges.
+constexpr CounterField kPrimaryGauges[] = {
+    {"enqueued", &Counters::enqueued},
+    {"forwarded", &Counters::forwarded},
+    {"aqm_dropped", &Counters::aqm_dropped},
+    {"tail_dropped", &Counters::tail_dropped},
+    {"marked", &Counters::marked},
+    {"fault_dropped", &Counters::fault_dropped},
+};
+
+/// Counters every later link mirrors as "topo.<link>.<name>" gauges.
+constexpr CounterField kTopoGauges[] = {
+    {"forwarded", &Counters::forwarded},
+    {"marked", &Counters::marked},
+    {"aqm_dropped", &Counters::aqm_dropped},
+};
+
+/// Every per-band counter, with the aggregate counter its L + C slices sum
+/// to.
+struct BandField {
+  const char* name;
+  std::int64_t BandCounters::*band;
+  std::int64_t Counters::*whole;
+};
+constexpr BandField kBandFields[] = {
+    {"enqueued", &BandCounters::enqueued, &Counters::enqueued},
+    {"forwarded", &BandCounters::forwarded, &Counters::forwarded},
+    {"marked", &BandCounters::marked, &Counters::marked},
+    {"aqm_dropped", &BandCounters::aqm_dropped, &Counters::aqm_dropped},
+    {"tail_dropped", &BandCounters::tail_dropped, &Counters::tail_dropped},
+    {"dequeue_dropped", &BandCounters::dequeue_dropped,
+     &Counters::dequeue_dropped},
+};
+
+/// True when the node path `path` traverses config.links[li].
+bool crosses(const topology::TopologyConfig& config,
+             const std::vector<std::string>& path, std::size_t li) {
+  for (std::size_t i = 1; i < path.size(); ++i) {
+    if (config.link_between(path[i - 1], path[i]) == static_cast<int>(li)) {
+      return true;
+    }
+  }
+  return false;
+}
+
+/// Two-queue accounting of one link: DualPI2 links split every counter into
+/// L + C exactly (whole run and stats window) and keep each band's window
+/// within its whole-run slice; single-queue links keep every band at zero.
+void check_link_bands(const topology::LinkSpec& spec,
+                      const topology::LinkResult& link,
+                      std::vector<OracleFailure>& failures) {
+  const char* name = link.name.c_str();
+  if (spec.aqm.type != scenario::AqmType::kDualPi2) {
+    for (const BandCounters* b : {&link.band_l, &link.band_c,
+                                  &link.window_band_l, &link.window_band_c}) {
+      for (const BandField& f : kBandFields) {
+        if (b->*f.band != 0) {
+          fail(failures, "dualq",
+               fmt("link %s: single-queue link reports band %s = %lld", name,
+                   f.name, static_cast<long long>(b->*f.band)));
+        }
+      }
+    }
+    return;
+  }
+
+  const struct {
+    const char* scope;
+    const BandCounters* l;
+    const BandCounters* c;
+    const Counters* whole;
+  } scopes[] = {
+      {"whole-run", &link.band_l, &link.band_c, &link.counters},
+      {"window", &link.window_band_l, &link.window_band_c,
+       &link.window_counters},
+  };
+  for (const auto& scope : scopes) {
+    for (const BandField& f : kBandFields) {
+      const std::int64_t sum = scope.l->*f.band + scope.c->*f.band;
+      const std::int64_t want = scope.whole->*f.whole;
+      if (sum != want) {
+        fail(failures, "dualq",
+             fmt("link %s: %s L+C %s sums to %lld but aggregate says %lld",
+                 name, scope.scope, f.name, static_cast<long long>(sum),
+                 static_cast<long long>(want)));
+      }
+    }
+  }
+
+  const struct {
+    const char* band;
+    const BandCounters* window;
+    const BandCounters* whole;
+  } bands[] = {
+      {"L", &link.window_band_l, &link.band_l},
+      {"C", &link.window_band_c, &link.band_c},
+  };
+  for (const auto& band : bands) {
+    for (const BandField& f : kBandFields) {
+      const std::int64_t window = band.window->*f.band;
+      const std::int64_t whole = band.whole->*f.band;
+      if (window < 0 || window > whole) {
+        fail(failures, "dualq",
+             fmt("link %s: band %s window %s %lld exceeds whole-run %lld",
+                 name, band.band, f.name, static_cast<long long>(window),
+                 static_cast<long long>(whole)));
+      }
+    }
+  }
+}
+
+/// Fluid-tier accounting of one link: bytes conserved (arrival == served +
+/// dropped + final backlog), all quantities finite and non-negative, served
+/// never above what the link could carry, and the ensemble ticked iff a
+/// fluid route crosses the link.
+void check_link_fluid(const topology::TopologyConfig& config, std::size_t li,
+                      const topology::LinkResult& link,
+                      std::vector<OracleFailure>& failures) {
+  const char* name = link.name.c_str();
+  const scenario::FluidStats& f = link.fluid;
+  const bool carries_fluid =
+      std::any_of(config.fluid_flows.begin(), config.fluid_flows.end(),
+                  [&](const topology::FluidRoute& route) {
+                    return crosses(config, route.path, li);
+                  });
+  if (!carries_fluid) {
+    if (f.ticks != 0 || f.arrival_bytes != 0.0 || f.served_bytes != 0.0 ||
+        f.dropped_bytes != 0.0 || f.final_backlog_bytes != 0.0) {
+      fail(failures, "fluid",
+           fmt("link %s: fluid stats nonzero without fluid routes "
+               "(arrival=%g served=%g dropped=%g backlog=%g ticks=%llu)",
+               name, f.arrival_bytes, f.served_bytes, f.dropped_bytes,
+               f.final_backlog_bytes,
+               static_cast<unsigned long long>(f.ticks)));
+    }
+    return;
+  }
+  if (f.ticks == 0) {
+    fail(failures, "fluid",
+         fmt("link %s: fluid routes configured but the ensemble never ticked",
+             name));
+  }
+  if (!std::isfinite(f.arrival_bytes) || f.arrival_bytes < 0.0 ||
+      !std::isfinite(f.served_bytes) || f.served_bytes < 0.0 ||
+      !std::isfinite(f.dropped_bytes) || f.dropped_bytes < 0.0 ||
+      !std::isfinite(f.final_backlog_bytes) || f.final_backlog_bytes < 0.0) {
+    fail(failures, "fluid",
+         fmt("link %s: fluid accounting not finite/non-negative "
+             "(arrival=%g served=%g dropped=%g backlog=%g)",
+             name, f.arrival_bytes, f.served_bytes, f.dropped_bytes,
+             f.final_backlog_bytes));
+    return;
+  }
+  // Every offered byte was carried, tail-dropped at the shared buffer, or is
+  // still queued.
+  const double residual = f.arrival_bytes - f.served_bytes - f.dropped_bytes -
+                          f.final_backlog_bytes;
+  const double scale = std::max(1.0, f.arrival_bytes);
+  if (std::abs(residual) / scale > 1e-6) {
+    fail(failures, "fluid",
+         fmt("link %s: fluid bytes not conserved: arrival %g != served %g "
+             "+ dropped %g + backlog %g (residual %g)",
+             name, f.arrival_bytes, f.served_bytes, f.dropped_bytes,
+             f.final_backlog_bytes, residual));
+  }
+  // The link cannot have carried more fluid than its fastest configured rate
+  // sustained for the whole run. Fault-injected rate steps and flaps retune
+  // the link too, so they widen the bound alongside its rate_changes.
+  const topology::LinkSpec& spec = config.links[li];
+  double max_rate_bps = spec.rate_bps;
+  for (const scenario::RateChange& change : spec.rate_changes) {
+    max_rate_bps = std::max(max_rate_bps, change.rate_bps);
+  }
+  for (const faults::FaultEvent& event : spec.faults.events) {
+    if (event.kind == faults::FaultKind::kRateStep ||
+        event.kind == faults::FaultKind::kRateFlap) {
+      max_rate_bps = std::max({max_rate_bps, event.rate_bps, event.rate2_bps});
+    }
+  }
+  const double cap_bytes =
+      max_rate_bps * pi2::sim::to_seconds(config.duration) / 8.0;
+  if (f.served_bytes > cap_bytes * (1.0 + 1e-6)) {
+    fail(failures, "fluid",
+         fmt("link %s: fluid served %g bytes exceeds whole-run link "
+             "capacity %g", name, f.served_bytes, cap_bytes));
   }
 }
 
@@ -202,217 +422,14 @@ std::uint64_t result_digest(const scenario::RunResult& result) {
 std::uint64_t topology_result_digest(const topology::TopologyResult& result) {
   std::uint64_t h =
       result_digest(topology::to_run_result(topology::TopologyResult{result}));
-  // The flattening keeps every per-link slice but drops the flow->route
-  // assignment; fold it back in so re-routed flows change the fingerprint.
-  for (const std::int32_t route : result.flow_route) {
-    mix_u64(h, static_cast<std::uint64_t>(route));
-  }
+  mix_routes(h, result.flow_route);
   return h;
-}
-
-void check_conservation(const scenario::DumbbellConfig& config,
-                        const scenario::RunResult& result,
-                        const MetricsRegistry& registry,
-                        std::vector<OracleFailure>& failures) {
-  const auto& c = result.counters;
-
-  // Bus vs incremental counters: the departure probe fired exactly once per
-  // forwarded packet.
-  const auto hist = registry.histograms().find("link.sojourn_ms");
-  if (hist == registry.histograms().end()) {
-    fail(failures, "conservation", "histogram link.sojourn_ms missing");
-  } else if (hist->second.count() != static_cast<std::uint64_t>(c.forwarded)) {
-    fail(failures, "conservation",
-         fmt("departure-probe count %llu != forwarded %lld",
-             static_cast<unsigned long long>(hist->second.count()),
-             static_cast<long long>(c.forwarded)));
-  }
-
-  // Packet conservation: every accepted packet is forwarded, dropped at
-  // dequeue, still queued, or (at most one) mid-transmission at cutoff.
-  const double backlog = gauge_value(registry, "queue.backlog_packets");
-  if (std::isnan(backlog)) {
-    fail(failures, "conservation", "gauge queue.backlog_packets missing");
-  } else {
-    const std::int64_t slack = c.enqueued - c.forwarded - c.dequeue_dropped -
-                               static_cast<std::int64_t>(backlog);
-    if (slack < 0 || slack > 1) {
-      fail(failures, "conservation",
-           fmt("enqueued %lld != forwarded %lld + dequeue_dropped %lld + "
-               "backlog %.0f (+ 0/1 transmitting); slack %lld",
-               static_cast<long long>(c.enqueued),
-               static_cast<long long>(c.forwarded),
-               static_cast<long long>(c.dequeue_dropped), backlog,
-               static_cast<long long>(slack)));
-    }
-  }
-
-  // The frozen counter gauges and the RunResult were captured from the same
-  // object at the same instant — any drift means a probe lied.
-  const struct {
-    const char* name;
-    std::int64_t want;
-  } mirrored[] = {
-      {"link.enqueued", c.enqueued},         {"link.forwarded", c.forwarded},
-      {"link.aqm_dropped", c.aqm_dropped},   {"link.tail_dropped", c.tail_dropped},
-      {"link.marked", c.marked},             {"link.fault_dropped", c.fault_dropped},
-  };
-  for (const auto& m : mirrored) {
-    const double got = gauge_value(registry, m.name);
-    if (std::isnan(got) || static_cast<std::int64_t>(got) != m.want) {
-      fail(failures, "conservation",
-           fmt("gauge %s = %.0f != RunResult counter %lld", m.name, got,
-               static_cast<long long>(m.want)));
-    }
-  }
-
-  // Byte accounting: transmitted bytes bounded by the packet-size envelope
-  // of the configured flows (ACKs return over the reverse path and never
-  // cross the bottleneck).
-  const auto tx = registry.counters().find("link.tx_bytes");
-  if (tx == registry.counters().end()) {
-    fail(failures, "conservation", "counter link.tx_bytes missing");
-  } else {
-    std::int64_t min_size = 0;
-    std::int64_t max_size = 0;
-    if (!config.tcp_flows.empty()) {
-      min_size = max_size = net::kDefaultMss;
-    }
-    for (const auto& udp : config.udp_flows) {
-      const std::int64_t size = udp.packet_bytes;
-      min_size = min_size == 0 ? size : std::min(min_size, size);
-      max_size = std::max(max_size, size);
-    }
-    const auto bytes = static_cast<std::int64_t>(tx->second.value());
-    if (c.forwarded == 0) {
-      if (bytes != 0) {
-        fail(failures, "conservation",
-             fmt("tx_bytes %lld with zero forwarded packets",
-                 static_cast<long long>(bytes)));
-      }
-    } else if (bytes < c.forwarded * min_size || bytes > c.forwarded * max_size) {
-      fail(failures, "conservation",
-           fmt("tx_bytes %lld outside [%lld, %lld] for %lld forwarded packets",
-               static_cast<long long>(bytes),
-               static_cast<long long>(c.forwarded * min_size),
-               static_cast<long long>(c.forwarded * max_size),
-               static_cast<long long>(c.forwarded)));
-    }
-  }
-
-  // The stats window is a sub-interval of the run.
-  const struct {
-    const char* name;
-    std::int64_t window, whole;
-  } windows[] = {
-      {"enqueued", result.window_counters.enqueued, c.enqueued},
-      {"forwarded", result.window_counters.forwarded, c.forwarded},
-      {"aqm_dropped", result.window_counters.aqm_dropped, c.aqm_dropped},
-      {"tail_dropped", result.window_counters.tail_dropped, c.tail_dropped},
-      {"marked", result.window_counters.marked, c.marked},
-      {"fault_dropped", result.window_counters.fault_dropped, c.fault_dropped},
-  };
-  for (const auto& w : windows) {
-    if (w.window < 0 || w.window > w.whole) {
-      fail(failures, "conservation",
-           fmt("window %s %lld exceeds whole-run %lld", w.name,
-               static_cast<long long>(w.window), static_cast<long long>(w.whole)));
-    }
-  }
-}
-
-void check_invariants_clean(const scenario::DumbbellConfig& config,
-                            const scenario::RunResult& result,
-                            std::vector<OracleFailure>& failures) {
-  for (const auto& violation : result.violations) {
-    fail(failures, "invariants",
-         fmt("monitor violation [%s] at t=%.3fs: %s", violation.check.c_str(),
-             pi2::sim::to_seconds(violation.at), violation.detail.c_str()));
-  }
-  if (result.clamped_events != 0) {
-    fail(failures, "invariants",
-         fmt("%llu events scheduled in the past and clamped",
-             static_cast<unsigned long long>(result.clamped_events)));
-  }
-  if (result.guard_events != 0) {
-    fail(failures, "invariants",
-         fmt("AQM rejected %llu non-finite controller updates",
-             static_cast<unsigned long long>(result.guard_events)));
-  }
-  if (config.check_invariants && result.invariant_checks == 0) {
-    fail(failures, "invariants", "invariant monitor never ran a check");
-  }
-}
-
-void check_fluid(const scenario::DumbbellConfig& config,
-                 const scenario::RunResult& result,
-                 std::vector<OracleFailure>& failures) {
-  const scenario::FluidStats& f = result.fluid;
-  if (config.fluid_flows.empty()) {
-    if (f.ticks != 0 || f.arrival_bytes != 0.0 || f.served_bytes != 0.0 ||
-        f.dropped_bytes != 0.0 || f.final_backlog_bytes != 0.0) {
-      fail(failures, "fluid",
-           fmt("fluid stats nonzero without fluid specs "
-               "(arrival=%g served=%g dropped=%g backlog=%g ticks=%llu)",
-               f.arrival_bytes, f.served_bytes, f.dropped_bytes,
-               f.final_backlog_bytes, static_cast<unsigned long long>(f.ticks)));
-    }
-    return;
-  }
-  if (f.ticks == 0) {
-    fail(failures, "fluid", "fluid specs configured but the ensemble never ticked");
-  }
-  if (!std::isfinite(f.arrival_bytes) || f.arrival_bytes < 0.0 ||
-      !std::isfinite(f.served_bytes) || f.served_bytes < 0.0 ||
-      !std::isfinite(f.dropped_bytes) || f.dropped_bytes < 0.0 ||
-      !std::isfinite(f.final_backlog_bytes) || f.final_backlog_bytes < 0.0) {
-    fail(failures, "fluid",
-         fmt("fluid accounting not finite/non-negative "
-             "(arrival=%g served=%g dropped=%g backlog=%g)",
-             f.arrival_bytes, f.served_bytes, f.dropped_bytes,
-             f.final_backlog_bytes));
-    return;
-  }
-  // Conservation: every offered byte was carried, tail-dropped at the shared
-  // buffer, or is still queued.
-  const double residual = f.arrival_bytes - f.served_bytes - f.dropped_bytes -
-                          f.final_backlog_bytes;
-  const double scale = std::max(1.0, f.arrival_bytes);
-  if (std::abs(residual) / scale > 1e-6) {
-    fail(failures, "fluid",
-         fmt("fluid bytes not conserved: arrival %g != served %g + dropped %g "
-             "+ backlog %g (residual %g)",
-             f.arrival_bytes, f.served_bytes, f.dropped_bytes,
-             f.final_backlog_bytes, residual));
-  }
-  // The link cannot have carried more fluid than its fastest configured
-  // rate sustained for the whole run. Fault-injected rate steps and flaps
-  // retune the bottleneck too, so they widen the bound alongside the
-  // scenario's own rate_changes.
-  double max_rate_bps = config.link_rate_bps;
-  for (const scenario::RateChange& change : config.rate_changes) {
-    max_rate_bps = std::max(max_rate_bps, change.rate_bps);
-  }
-  for (const faults::FaultEvent& event : config.faults.events) {
-    if (event.kind == faults::FaultKind::kRateStep ||
-        event.kind == faults::FaultKind::kRateFlap) {
-      max_rate_bps = std::max({max_rate_bps, event.rate_bps, event.rate2_bps});
-    }
-  }
-  const double cap_bytes =
-      max_rate_bps * pi2::sim::to_seconds(config.duration) / 8.0;
-  if (f.served_bytes > cap_bytes * (1.0 + 1e-6)) {
-    fail(failures, "fluid",
-         fmt("fluid served %g bytes exceeds whole-run link capacity %g",
-             f.served_bytes, cap_bytes));
-  }
 }
 
 void check_coupling_law(const scenario::AqmConfig& aqm, std::uint64_t seed,
                         const std::string& where,
                         std::vector<OracleFailure>& failures) {
-  // Failure details carry the caller's scope (the link name in topologies);
-  // the single-bottleneck path passes "" and keeps the legacy message text.
+  // Failure details carry the caller's scope (the link name); "" omits it.
   const std::string at = where.empty() ? std::string() : where + ": ";
 
   // DualPI2 publishes a different pair: classic = (p')^2, scalable = the
@@ -488,15 +505,10 @@ void check_coupling_law(const scenario::AqmConfig& aqm, std::uint64_t seed,
   }
 }
 
-void check_coupling_law(const scenario::DumbbellConfig& config,
-                        std::vector<OracleFailure>& failures) {
-  check_coupling_law(config.aqm, config.seed, "", failures);
-}
-
-void check_coupling_snapshot(const scenario::DumbbellConfig& config,
+void check_coupling_snapshot(const scenario::AqmConfig& aqm,
                              const MetricsRegistry& registry,
                              std::vector<OracleFailure>& failures) {
-  if (config.aqm.type == scenario::AqmType::kDualPi2) {
+  if (aqm.type == scenario::AqmType::kDualPi2) {
     const double p = gauge_value(registry, "aqm.p");
     const double p_prime = gauge_value(registry, "aqm.p_prime");
     if (std::isnan(p) || std::isnan(p_prime)) {
@@ -504,16 +516,16 @@ void check_coupling_snapshot(const scenario::DumbbellConfig& config,
       return;
     }
     const double expected =
-        std::min(config.aqm.coupling_k * std::sqrt(std::max(p, 0.0)), 1.0);
+        std::min(aqm.coupling_k * std::sqrt(std::max(p, 0.0)), 1.0);
     if (std::abs(p_prime - expected) > 1e-12) {
       fail(failures, "coupling-law",
            fmt("final snapshot: aqm.p_prime = %.12g but min(k*sqrt(p), 1) = "
                "%.12g (p = %.12g, k = %.3g)",
-               p_prime, expected, p, config.aqm.coupling_k));
+               p_prime, expected, p, aqm.coupling_k));
     }
     return;
   }
-  const double k = coupling_k_of(config.aqm);
+  const double k = coupling_k_of(aqm);
   if (k <= 0.0) return;
   const double p = gauge_value(registry, "aqm.p");
   const double p_prime = gauge_value(registry, "aqm.p_prime");
@@ -531,99 +543,160 @@ void check_coupling_snapshot(const scenario::DumbbellConfig& config,
   }
 }
 
-void check_dualq(const scenario::DumbbellConfig& config,
-                 const scenario::RunResult& result,
-                 std::vector<OracleFailure>& failures) {
-  using BandCounters = net::BottleneckLink::BandCounters;
-  struct Field {
-    const char* name;
-    std::int64_t BandCounters::*band;
-  };
-  static constexpr Field kFields[] = {
-      {"enqueued", &BandCounters::enqueued},
-      {"forwarded", &BandCounters::forwarded},
-      {"marked", &BandCounters::marked},
-      {"aqm_dropped", &BandCounters::aqm_dropped},
-      {"tail_dropped", &BandCounters::tail_dropped},
-      {"dequeue_dropped", &BandCounters::dequeue_dropped},
-  };
-
-  if (config.aqm.type != scenario::AqmType::kDualPi2) {
-    // Single-queue runs must not invent per-band traffic.
-    for (const auto* b : {&result.band_l, &result.band_c,
-                          &result.window_band_l, &result.window_band_c}) {
-      for (const Field& f : kFields) {
-        if (b->*f.band != 0) {
-          fail(failures, "dualq",
-               fmt("single-queue run reports band %s = %lld", f.name,
-                   static_cast<long long>(b->*f.band)));
-          return;
-        }
-      }
-    }
+void check_topology_links(const topology::TopologyConfig& config,
+                          const topology::TopologyResult& result,
+                          std::vector<OracleFailure>& failures) {
+  if (result.links.size() != config.links.size()) {
+    fail(failures, "conservation",
+         fmt("result has %zu link slices for %zu configured links",
+             result.links.size(), config.links.size()));
     return;
   }
+  for (std::size_t li = 0; li < result.links.size(); ++li) {
+    const topology::LinkResult& link = result.links[li];
+    const Counters& c = link.counters;
+    const char* name = link.name.c_str();
 
-  // L + C slices must reproduce the aggregate counters exactly — every
-  // packet the link counted went through exactly one band.
-  const struct {
-    const char* scope;
-    const BandCounters* l;
-    const BandCounters* c;
-    const net::BottleneckLink::Counters* whole;
-  } scopes[] = {
-      {"whole-run", &result.band_l, &result.band_c, &result.counters},
-      {"window", &result.window_band_l, &result.window_band_c,
-       &result.window_counters},
-  };
-  for (const auto& scope : scopes) {
-    const struct {
-      const char* name;
-      std::int64_t sum;
-      std::int64_t want;
-    } checks[] = {
-        {"enqueued", scope.l->enqueued + scope.c->enqueued,
-         scope.whole->enqueued},
-        {"forwarded", scope.l->forwarded + scope.c->forwarded,
-         scope.whole->forwarded},
-        {"marked", scope.l->marked + scope.c->marked, scope.whole->marked},
-        {"aqm_dropped", scope.l->aqm_dropped + scope.c->aqm_dropped,
-         scope.whole->aqm_dropped},
-        {"tail_dropped", scope.l->tail_dropped + scope.c->tail_dropped,
-         scope.whole->tail_dropped},
-        {"dequeue_dropped", scope.l->dequeue_dropped + scope.c->dequeue_dropped,
-         scope.whole->dequeue_dropped},
-    };
-    for (const auto& check : checks) {
-      if (check.sum != check.want) {
-        fail(failures, "dualq",
-             fmt("%s L+C %s sums to %lld but aggregate counter says %lld",
-                 scope.scope, check.name, static_cast<long long>(check.sum),
-                 static_cast<long long>(check.want)));
-      }
+    // Exact conservation: the slice records the end-of-run queue occupancy
+    // and whether a packet was mid-transmission, so the books balance to
+    // zero.
+    const std::int64_t residual = c.enqueued - c.forwarded -
+                                  c.dequeue_dropped - link.final_backlog_packets -
+                                  (link.final_transmitting ? 1 : 0);
+    if (residual != 0) {
+      fail(failures, "conservation",
+           fmt("link %s: enqueued %lld != forwarded %lld + dequeue_dropped "
+               "%lld + backlog %lld + transmitting %d (residual %lld)",
+               name, static_cast<long long>(c.enqueued),
+               static_cast<long long>(c.forwarded),
+               static_cast<long long>(c.dequeue_dropped),
+               static_cast<long long>(link.final_backlog_packets),
+               link.final_transmitting ? 1 : 0,
+               static_cast<long long>(residual)));
     }
-  }
 
-  // The stats window is a sub-interval of the run, per band too.
-  const struct {
-    const char* name;
-    const BandCounters* window;
-    const BandCounters* whole;
-  } bands[] = {
-      {"L", &result.window_band_l, &result.band_l},
-      {"C", &result.window_band_c, &result.band_c},
-  };
-  for (const auto& band : bands) {
-    for (const Field& f : kFields) {
-      const std::int64_t window = band.window->*f.band;
-      const std::int64_t whole = band.whole->*f.band;
+    // The stats window is a sub-interval of the run.
+    for (const CounterField& f : kCounterFields) {
+      const std::int64_t window = link.window_counters.*f.field;
+      const std::int64_t whole = c.*f.field;
       if (window < 0 || window > whole) {
-        fail(failures, "dualq",
-             fmt("band %s window %s %lld exceeds whole-run %lld", band.name,
+        fail(failures, "conservation",
+             fmt("link %s: window %s %lld exceeds whole-run %lld", name,
                  f.name, static_cast<long long>(window),
                  static_cast<long long>(whole)));
       }
     }
+
+    check_link_bands(config.links[li], link, failures);
+    check_link_fluid(config, li, link, failures);
+  }
+}
+
+void check_link_gauges(const topology::TopologyConfig& config,
+                       const topology::TopologyResult& result,
+                       const MetricsRegistry& registry,
+                       std::vector<OracleFailure>& failures) {
+  if (result.links.empty()) return;
+  const topology::LinkResult& primary = result.links.front();
+  const Counters& c = primary.counters;
+
+  // The departure probe fired exactly once per forwarded packet.
+  const auto hist = registry.histograms().find("link.sojourn_ms");
+  if (hist == registry.histograms().end()) {
+    fail(failures, "conservation", "histogram link.sojourn_ms missing");
+  } else if (hist->second.count() != static_cast<std::uint64_t>(c.forwarded)) {
+    fail(failures, "conservation",
+         fmt("departure-probe count %llu != forwarded %lld",
+             static_cast<unsigned long long>(hist->second.count()),
+             static_cast<long long>(c.forwarded)));
+  }
+
+  // The frozen gauges and the slices were read from the same objects at the
+  // same instant, so any drift means a probe lied.
+  const double backlog = gauge_value(registry, "queue.backlog_packets");
+  if (std::isnan(backlog) ||
+      static_cast<std::int64_t>(backlog) != primary.final_backlog_packets) {
+    fail(failures, "conservation",
+         fmt("gauge queue.backlog_packets = %.0f != final backlog %lld",
+             backlog, static_cast<long long>(primary.final_backlog_packets)));
+  }
+  for (std::size_t li = 0; li < result.links.size(); ++li) {
+    const topology::LinkResult& link = result.links[li];
+    const std::string prefix =
+        li == 0 ? std::string("link.") : "topo." + link.name + ".";
+    const std::span<const CounterField> mirrored =
+        li == 0 ? std::span<const CounterField>(kPrimaryGauges)
+                : std::span<const CounterField>(kTopoGauges);
+    for (const CounterField& f : mirrored) {
+      const double got = gauge_value(registry, (prefix + f.name).c_str());
+      const std::int64_t want = link.counters.*f.field;
+      if (std::isnan(got) || static_cast<std::int64_t>(got) != want) {
+        fail(failures, "conservation",
+             fmt("gauge %s%s = %.0f != link slice counter %lld",
+                 prefix.c_str(), f.name, got, static_cast<long long>(want)));
+      }
+    }
+  }
+
+  // Byte accounting: links[0]'s transmitted bytes stay within the
+  // packet-size envelope of the routes that cross it (ACKs return over
+  // delay pipes and never cross a link).
+  const auto tx = registry.counters().find("link.tx_bytes");
+  if (tx == registry.counters().end()) {
+    fail(failures, "conservation", "counter link.tx_bytes missing");
+    return;
+  }
+  std::int64_t min_size = 0;
+  std::int64_t max_size = 0;
+  for (const topology::TcpRoute& route : config.tcp_flows) {
+    if (crosses(config, route.path, 0)) min_size = max_size = net::kDefaultMss;
+  }
+  for (const topology::UdpRoute& route : config.udp_flows) {
+    if (!crosses(config, route.path, 0)) continue;
+    const std::int64_t size = route.spec.packet_bytes;
+    min_size = min_size == 0 ? size : std::min(min_size, size);
+    max_size = std::max(max_size, size);
+  }
+  const auto bytes = static_cast<std::int64_t>(tx->second.value());
+  if (c.forwarded == 0) {
+    if (bytes != 0) {
+      fail(failures, "conservation",
+           fmt("tx_bytes %lld with zero forwarded packets",
+               static_cast<long long>(bytes)));
+    }
+  } else if (bytes < c.forwarded * min_size || bytes > c.forwarded * max_size) {
+    fail(failures, "conservation",
+         fmt("tx_bytes %lld outside [%lld, %lld] for %lld forwarded packets",
+             static_cast<long long>(bytes),
+             static_cast<long long>(c.forwarded * min_size),
+             static_cast<long long>(c.forwarded * max_size),
+             static_cast<long long>(c.forwarded)));
+  }
+}
+
+void check_topology_invariants(const topology::TopologyConfig& config,
+                               const topology::TopologyResult& result,
+                               std::vector<OracleFailure>& failures) {
+  for (const auto& violation : result.violations) {
+    fail(failures, "invariants",
+         fmt("monitor violation [%s] at t=%.3fs: %s", violation.check.c_str(),
+             pi2::sim::to_seconds(violation.at), violation.detail.c_str()));
+  }
+  if (result.clamped_events != 0) {
+    fail(failures, "invariants",
+         fmt("%llu events scheduled in the past and clamped",
+             static_cast<unsigned long long>(result.clamped_events)));
+  }
+  for (const auto& link : result.links) {
+    if (link.guard_events != 0) {
+      fail(failures, "invariants",
+           fmt("link %s: AQM rejected %llu non-finite controller updates",
+               link.name.c_str(),
+               static_cast<unsigned long long>(link.guard_events)));
+    }
+  }
+  if (config.check_invariants && result.invariant_checks == 0) {
+    fail(failures, "invariants", "invariant monitor never ran a check");
   }
 }
 
@@ -719,251 +792,15 @@ void check_journal_roundtrip(const scenario::RunResult& result,
   }
 }
 
-CaseOutcome run_case_oracles(const scenario::DumbbellConfig& config,
-                             std::uint64_t index, const OracleOptions& options) {
-  CaseOutcome outcome;
-  outcome.index = index;
-  outcome.seed = config.seed;
+namespace {
 
-  scenario::DumbbellConfig cfg = config;
-  std::unique_ptr<telemetry::Recorder> recorder;
-  telemetry::MetricsRegistry bare_registry;
-  if (!options.scratch_dir.empty()) {
-    telemetry::RecorderConfig rc;
-    rc.dir = options.scratch_dir;
-    rc.run_id = options.run_id.empty() ? "case_" + std::to_string(index)
-                                       : options.run_id;
-    rc.interval = cfg.sample_interval;
-    recorder = std::make_unique<telemetry::Recorder>(rc);
-    cfg.recorder = recorder.get();
-  } else {
-    cfg.registry = &bare_registry;
-  }
-
-  const scenario::RunResult result = scenario::run_dumbbell(cfg);
-  outcome.digest = result_digest(result);
-
-  const telemetry::MetricsRegistry& registry =
-      recorder ? recorder->registry() : bare_registry;
-  check_conservation(cfg, result, registry, outcome.failures);
-  check_invariants_clean(cfg, result, outcome.failures);
-  check_fluid(cfg, result, outcome.failures);
-  check_coupling_law(cfg, outcome.failures);
-  check_coupling_snapshot(cfg, registry, outcome.failures);
-  check_dualq(cfg, result, outcome.failures);
-  check_journal_roundtrip(result, outcome.failures);
-  if (recorder) {
-    if (!recorder->ok()) {
-      fail(outcome.failures, "telemetry", "recorder reported an I/O failure");
-    } else {
-      check_telemetry_roundtrip(recorder->jsonl_path(), registry,
-                                outcome.failures);
-    }
-  }
-
-  if (!options.inject_failure.empty()) {
-    fail(outcome.failures, options.inject_failure,
-         "synthetic failure injected for self-test");
-  }
-  return outcome;
-}
-
-void check_topology_links(const topology::TopologyConfig& config,
-                          const topology::TopologyResult& result,
-                          std::vector<OracleFailure>& failures) {
-  using BandCounters = net::BottleneckLink::BandCounters;
-  if (result.links.size() != config.links.size()) {
-    fail(failures, "conservation",
-         fmt("result has %zu link slices for %zu configured links",
-             result.links.size(), config.links.size()));
-    return;
-  }
-
-  // Which links carry fluid routes (a fluid path crosses exactly one link).
-  std::vector<bool> carries_fluid(config.links.size(), false);
-  for (const auto& route : config.fluid_flows) {
-    if (route.path.size() == 2) {
-      const int li = config.link_between(route.path[0], route.path[1]);
-      if (li >= 0) carries_fluid[static_cast<std::size_t>(li)] = true;
-    }
-  }
-
-  for (std::size_t li = 0; li < result.links.size(); ++li) {
-    const topology::LinkResult& link = result.links[li];
-    const auto& c = link.counters;
-    const char* name = link.name.c_str();
-
-    // Exact per-link conservation: the slice records the end-of-run queue
-    // occupancy, so unlike the gauge-based dumbbell oracle there is no
-    // one-packet slack — the books must balance to zero.
-    const std::int64_t residual = c.enqueued - c.forwarded -
-                                  c.dequeue_dropped - link.final_backlog_packets -
-                                  (link.final_transmitting ? 1 : 0);
-    if (residual != 0) {
-      fail(failures, "conservation",
-           fmt("link %s: enqueued %lld != forwarded %lld + dequeue_dropped "
-               "%lld + backlog %lld + transmitting %d (residual %lld)",
-               name, static_cast<long long>(c.enqueued),
-               static_cast<long long>(c.forwarded),
-               static_cast<long long>(c.dequeue_dropped),
-               static_cast<long long>(link.final_backlog_packets),
-               link.final_transmitting ? 1 : 0,
-               static_cast<long long>(residual)));
-    }
-
-    // The stats window is a sub-interval of the run, per link.
-    const struct {
-      const char* field;
-      std::int64_t window, whole;
-    } windows[] = {
-        {"enqueued", link.window_counters.enqueued, c.enqueued},
-        {"forwarded", link.window_counters.forwarded, c.forwarded},
-        {"aqm_dropped", link.window_counters.aqm_dropped, c.aqm_dropped},
-        {"tail_dropped", link.window_counters.tail_dropped, c.tail_dropped},
-        {"marked", link.window_counters.marked, c.marked},
-        {"fault_dropped", link.window_counters.fault_dropped, c.fault_dropped},
-        {"dequeue_dropped", link.window_counters.dequeue_dropped,
-         c.dequeue_dropped},
-    };
-    for (const auto& w : windows) {
-      if (w.window < 0 || w.window > w.whole) {
-        fail(failures, "conservation",
-             fmt("link %s: window %s %lld exceeds whole-run %lld", name,
-                 w.field, static_cast<long long>(w.window),
-                 static_cast<long long>(w.whole)));
-      }
-    }
-
-    // Per-band slicing, per link: DualPI2 links split every counter into
-    // L + C exactly; single-queue links must keep the bands all zero.
-    struct Field {
-      const char* field;
-      std::int64_t BandCounters::*band;
-    };
-    static constexpr Field kFields[] = {
-        {"enqueued", &BandCounters::enqueued},
-        {"forwarded", &BandCounters::forwarded},
-        {"marked", &BandCounters::marked},
-        {"aqm_dropped", &BandCounters::aqm_dropped},
-        {"tail_dropped", &BandCounters::tail_dropped},
-        {"dequeue_dropped", &BandCounters::dequeue_dropped},
-    };
-    if (config.links[li].aqm.type == scenario::AqmType::kDualPi2) {
-      const struct {
-        const char* scope;
-        const BandCounters* l;
-        const BandCounters* c;
-        const net::BottleneckLink::Counters* whole;
-      } scopes[] = {
-          {"whole-run", &link.band_l, &link.band_c, &c},
-          {"window", &link.window_band_l, &link.window_band_c,
-           &link.window_counters},
-      };
-      for (const auto& scope : scopes) {
-        const struct {
-          const char* field;
-          std::int64_t sum, want;
-        } checks[] = {
-            {"enqueued", scope.l->enqueued + scope.c->enqueued,
-             scope.whole->enqueued},
-            {"forwarded", scope.l->forwarded + scope.c->forwarded,
-             scope.whole->forwarded},
-            {"marked", scope.l->marked + scope.c->marked, scope.whole->marked},
-            {"aqm_dropped", scope.l->aqm_dropped + scope.c->aqm_dropped,
-             scope.whole->aqm_dropped},
-            {"tail_dropped", scope.l->tail_dropped + scope.c->tail_dropped,
-             scope.whole->tail_dropped},
-            {"dequeue_dropped",
-             scope.l->dequeue_dropped + scope.c->dequeue_dropped,
-             scope.whole->dequeue_dropped},
-        };
-        for (const auto& check : checks) {
-          if (check.sum != check.want) {
-            fail(failures, "dualq",
-                 fmt("link %s: %s L+C %s sums to %lld but aggregate says %lld",
-                     name, scope.scope, check.field,
-                     static_cast<long long>(check.sum),
-                     static_cast<long long>(check.want)));
-          }
-        }
-      }
-    } else {
-      for (const auto* b : {&link.band_l, &link.band_c, &link.window_band_l,
-                            &link.window_band_c}) {
-        for (const Field& f : kFields) {
-          if (b->*f.band != 0) {
-            fail(failures, "dualq",
-                 fmt("link %s: single-queue link reports band %s = %lld", name,
-                     f.field, static_cast<long long>(b->*f.band)));
-          }
-        }
-      }
-    }
-
-    // Per-link fluid accounting mirrors check_fluid, scoped to the links
-    // that actually carry fluid routes.
-    const scenario::FluidStats& f = link.fluid;
-    if (!carries_fluid[li]) {
-      if (f.ticks != 0 || f.arrival_bytes != 0.0 || f.served_bytes != 0.0 ||
-          f.dropped_bytes != 0.0 || f.final_backlog_bytes != 0.0) {
-        fail(failures, "fluid",
-             fmt("link %s: fluid stats nonzero without fluid routes "
-                 "(arrival=%g served=%g dropped=%g backlog=%g ticks=%llu)",
-                 name, f.arrival_bytes, f.served_bytes, f.dropped_bytes,
-                 f.final_backlog_bytes,
-                 static_cast<unsigned long long>(f.ticks)));
-      }
-      continue;
-    }
-    if (f.ticks == 0) {
-      fail(failures, "fluid",
-           fmt("link %s: fluid routes configured but the ensemble never "
-               "ticked", name));
-    }
-    if (!std::isfinite(f.arrival_bytes) || f.arrival_bytes < 0.0 ||
-        !std::isfinite(f.served_bytes) || f.served_bytes < 0.0 ||
-        !std::isfinite(f.dropped_bytes) || f.dropped_bytes < 0.0 ||
-        !std::isfinite(f.final_backlog_bytes) || f.final_backlog_bytes < 0.0) {
-      fail(failures, "fluid",
-           fmt("link %s: fluid accounting not finite/non-negative "
-               "(arrival=%g served=%g dropped=%g backlog=%g)",
-               name, f.arrival_bytes, f.served_bytes, f.dropped_bytes,
-               f.final_backlog_bytes));
-      continue;
-    }
-    const double residual_bytes = f.arrival_bytes - f.served_bytes -
-                                  f.dropped_bytes - f.final_backlog_bytes;
-    const double scale = std::max(1.0, f.arrival_bytes);
-    if (std::abs(residual_bytes) / scale > 1e-6) {
-      fail(failures, "fluid",
-           fmt("link %s: fluid bytes not conserved: arrival %g != served %g "
-               "+ dropped %g + backlog %g (residual %g)",
-               name, f.arrival_bytes, f.served_bytes, f.dropped_bytes,
-               f.final_backlog_bytes, residual_bytes));
-    }
-    double max_rate_bps = config.links[li].rate_bps;
-    for (const scenario::RateChange& change : config.links[li].rate_changes) {
-      max_rate_bps = std::max(max_rate_bps, change.rate_bps);
-    }
-    for (const faults::FaultEvent& event : config.links[li].faults.events) {
-      if (event.kind == faults::FaultKind::kRateStep ||
-          event.kind == faults::FaultKind::kRateFlap) {
-        max_rate_bps = std::max({max_rate_bps, event.rate_bps, event.rate2_bps});
-      }
-    }
-    const double cap_bytes =
-        max_rate_bps * pi2::sim::to_seconds(config.duration) / 8.0;
-    if (f.served_bytes > cap_bytes * (1.0 + 1e-6)) {
-      fail(failures, "fluid",
-           fmt("link %s: fluid served %g bytes exceeds whole-run link "
-               "capacity %g", name, f.served_bytes, cap_bytes));
-    }
-  }
-}
-
-CaseOutcome run_topology_case_oracles(const topology::TopologyConfig& config,
-                                      std::uint64_t index,
-                                      const OracleOptions& options) {
+/// The one oracle driver: runs `config` through run_topology() and applies
+/// every per-link, invariant, coupling, journal and telemetry oracle. The
+/// digest is the flattened RunResult fingerprint, with the flow->route
+/// assignment folded in when `route_digest` is set.
+CaseOutcome run_oracles(const topology::TopologyConfig& config,
+                        std::uint64_t index, const OracleOptions& options,
+                        bool route_digest) {
   CaseOutcome outcome;
   outcome.index = index;
   outcome.seed = config.seed;
@@ -984,71 +821,27 @@ CaseOutcome run_topology_case_oracles(const topology::TopologyConfig& config,
   }
 
   topology::TopologyResult result = topology::run_topology(cfg);
-  outcome.digest = topology_result_digest(result);
+  const telemetry::MetricsRegistry& registry =
+      recorder ? recorder->registry() : bare_registry;
 
   check_topology_links(cfg, result, outcome.failures);
-
-  // Invariants, across every link's monitor.
-  for (const auto& violation : result.violations) {
-    fail(outcome.failures, "invariants",
-         fmt("monitor violation [%s] at t=%.3fs: %s", violation.check.c_str(),
-             pi2::sim::to_seconds(violation.at), violation.detail.c_str()));
-  }
-  if (result.clamped_events != 0) {
-    fail(outcome.failures, "invariants",
-         fmt("%llu events scheduled in the past and clamped",
-             static_cast<unsigned long long>(result.clamped_events)));
-  }
-  if (cfg.check_invariants && result.invariant_checks == 0) {
-    fail(outcome.failures, "invariants", "invariant monitor never ran a check");
-  }
-  for (const auto& link : result.links) {
-    if (link.guard_events != 0) {
-      fail(outcome.failures, "invariants",
-           fmt("link %s: AQM rejected %llu non-finite controller updates",
-               link.name.c_str(),
-               static_cast<unsigned long long>(link.guard_events)));
-    }
-  }
-
-  // The coupled output law must hold for every link's discipline.
+  check_link_gauges(cfg, result, registry, outcome.failures);
+  check_topology_invariants(cfg, result, outcome.failures);
+  // The coupled output law must hold for every link's discipline; links[0]
+  // also publishes its final p / p' through the unprefixed aqm.* gauges.
   for (const auto& link : cfg.links) {
     check_coupling_law(link.aqm, cfg.seed, "link " + link.display_name(),
                        outcome.failures);
   }
+  check_coupling_snapshot(cfg.links.front().aqm, registry, outcome.failures);
 
-  // Probe-bus cross-check: links[0] owns the legacy unprefixed gauges,
-  // later links the "topo.<name>."-prefixed ones; each mirrored gauge must
-  // agree with the slice's counter.
-  const telemetry::MetricsRegistry& registry =
-      recorder ? recorder->registry() : bare_registry;
-  for (std::size_t li = 0; li < result.links.size(); ++li) {
-    const topology::LinkResult& link = result.links[li];
-    const std::string prefix =
-        li == 0 ? std::string("link.") : "topo." + link.name + ".";
-    const struct {
-      const char* field;
-      std::int64_t want;
-    } mirrored[] = {
-        {"forwarded", link.counters.forwarded},
-        {"marked", link.counters.marked},
-        {"aqm_dropped", link.counters.aqm_dropped},
-    };
-    for (const auto& m : mirrored) {
-      const double got = gauge_value(registry, (prefix + m.field).c_str());
-      if (std::isnan(got) || static_cast<std::int64_t>(got) != m.want) {
-        fail(outcome.failures, "conservation",
-             fmt("gauge %s%s = %.0f != link slice counter %lld",
-                 prefix.c_str(), m.field, got,
-                 static_cast<long long>(m.want)));
-      }
-    }
-  }
-
-  // Durable round-trip: the flattened result must survive the v4 codec with
+  // Durable round-trip: the flattened result must survive the codec with
   // every per-link slice intact (the digest folds them).
-  check_journal_roundtrip(topology::to_run_result(std::move(result)),
-                          outcome.failures);
+  const std::vector<std::int32_t> routes = std::move(result.flow_route);
+  const scenario::RunResult flat = topology::to_run_result(std::move(result));
+  outcome.digest = result_digest(flat);
+  if (route_digest) mix_routes(outcome.digest, routes);
+  check_journal_roundtrip(flat, outcome.failures);
   if (recorder) {
     if (!recorder->ok()) {
       fail(outcome.failures, "telemetry", "recorder reported an I/O failure");
@@ -1063,6 +856,25 @@ CaseOutcome run_topology_case_oracles(const topology::TopologyConfig& config,
          "synthetic failure injected for self-test");
   }
   return outcome;
+}
+
+}  // namespace
+
+CaseOutcome run_case_oracles(const scenario::DumbbellConfig& config,
+                             std::uint64_t index, const OracleOptions& options) {
+  if (std::string error = config.validate(); !error.empty()) {
+    throw std::invalid_argument("DumbbellConfig: " + error);
+  }
+  // The dumbbell is the one-link topology. Its digest leaves the route
+  // assignment out, so it equals result_digest(run_dumbbell(config)).
+  return run_oracles(topology::from_dumbbell(config), index, options,
+                     /*route_digest=*/false);
+}
+
+CaseOutcome run_topology_case_oracles(const topology::TopologyConfig& config,
+                                      std::uint64_t index,
+                                      const OracleOptions& options) {
+  return run_oracles(config, index, options, /*route_digest=*/true);
 }
 
 }  // namespace pi2::check

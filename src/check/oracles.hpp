@@ -2,32 +2,39 @@
 //
 // None of these oracles knows the *right* queue delay or goodput for a
 // random config — instead each checks a relation that must hold for every
-// valid scenario:
+// valid scenario. One driver applies them all: a dumbbell case runs as the
+// one-link topology, so every check below is made per link.
 //
-//   conservation   — the probe bus and the link's incremental counters must
-//                    tell the same story: bus-counted departures equal the
-//                    forwarded counter, transmitted bytes stay within the
-//                    packet-size envelope, and every accepted packet is
-//                    accounted for (forwarded + dequeue-dropped + final
-//                    backlog + at most one in flight).
+//   conservation   — every link's books balance exactly: enqueued ==
+//                    forwarded + dequeue-dropped + final backlog + the
+//                    packet (0 or 1) mid-transmission at cutoff, with no
+//                    slack. Stats-window counters never exceed whole-run
+//                    ones. The probe bus tells the same story as the
+//                    counters: links[0]'s departure probe fired once per
+//                    forwarded packet, its transmitted bytes stay within
+//                    the packet-size envelope of the routes crossing it, and
+//                    its frozen backlog and counter gauges (later links:
+//                    their "topo.<name>." gauges) equal the slice.
 //   invariants     — the InvariantMonitor stayed clean, no event was
-//                    clamped into the past, no non-finite controller update
-//                    was rejected, and the monitor actually ran.
-//   fluid          — hybrid fluid/packet runs conserve fluid bytes
-//                    (arrival == served + final backlog), never serve more
-//                    than the link could carry, and tick iff configured.
+//                    clamped into the past, no link's AQM rejected a
+//                    non-finite controller update, and the monitor ran.
+//   fluid          — every link a fluid route crosses conserves fluid bytes
+//                    (arrival == served + dropped + final backlog), never
+//                    serves more than the link could carry, and ticks; other
+//                    links report no fluid at all.
 //   coupling-law   — disciplines implementing the paper's coupled output
 //                    (PI2, coupled PI2, Curvy RED) satisfy p = (p'/k)^2 at
 //                    every sampled operating point, both driven directly
-//                    across queue states and in the run's final snapshot.
+//                    across queue states (every link's AQM) and in the run's
+//                    final snapshot (links[0]'s aqm.* gauges).
 //                    DualPI2 publishes the overload-clamped coupled law
 //                    instead: p_CL = min(k * p', 1) with p_C = (p')^2, so
 //                    scalable == min(k * sqrt(classic), 1) everywhere.
-//   dualq          — two-queue (DualPI2) runs slice every counter per band;
+//   dualq          — two-queue (DualPI2) links slice every counter per band;
 //                    the L + C slices must sum exactly to the aggregate
-//                    counters (whole run and stats window), and windows
-//                    never exceed whole-run totals. Single-queue runs must
-//                    report all-zero band slices.
+//                    counters (whole run and stats window), and band windows
+//                    never exceed whole-run band totals. Single-queue links
+//                    must report all-zero band slices.
 //   telemetry      — the JSONL stream parses back, and its final row equals
 //                    the registry's final (frozen) snapshot value for value.
 //   journal        — the durable run-journal codec round-trips the result:
@@ -82,18 +89,17 @@ struct OracleOptions {
   std::string inject_failure;
 };
 
-/// Runs `config` once and applies every oracle. The run itself uses a
-/// telemetry recorder (when scratch_dir is set) or a bare registry, so the
-/// probe-bus cross-checks always have data.
+/// Runs `config` once as the one-link topology (from_dumbbell) and applies
+/// every oracle. The run itself uses a telemetry recorder (when scratch_dir
+/// is set) or a bare registry, so the probe-bus cross-checks always have
+/// data. The digest is result_digest() of the flattened RunResult, so it
+/// equals result_digest(run_dumbbell(config)). Throws
+/// std::invalid_argument on an invalid config, like run_dumbbell().
 CaseOutcome run_case_oracles(const scenario::DumbbellConfig& config,
                              std::uint64_t index, const OracleOptions& options = {});
 
-/// Topology analogue of run_case_oracles: runs `config` through
-/// run_topology() and applies the per-link oracles (exact conservation per
-/// link, window bounds, per-band slicing, per-link fluid accounting), the
-/// coupling law for every distinct link AQM, the invariant checks, the
-/// telemetry cross-checks (unprefixed gauges for links[0], "topo.<name>."
-/// gauges beyond) and the v4 journal round-trip.
+/// The same oracles for an arbitrary topology; the digest is
+/// topology_result_digest() (it also folds the flow->route assignment).
 CaseOutcome run_topology_case_oracles(const topology::TopologyConfig& config,
                                       std::uint64_t index,
                                       const OracleOptions& options = {});
@@ -110,53 +116,45 @@ CaseOutcome run_topology_case_oracles(const topology::TopologyConfig& config,
 // Granular checks, exposed so the unit suite can exercise each oracle's
 // failure detection directly. Each appends to `failures` on violation.
 
-void check_conservation(const scenario::DumbbellConfig& config,
-                        const scenario::RunResult& result,
-                        const telemetry::MetricsRegistry& registry,
-                        std::vector<OracleFailure>& failures);
-
-void check_invariants_clean(const scenario::DumbbellConfig& config,
-                            const scenario::RunResult& result,
-                            std::vector<OracleFailure>& failures);
-
-/// Fluid-tier accounting: bytes conserved (arrival == served + final
-/// backlog), all quantities finite and non-negative, served never exceeds
-/// what the link could have carried, and the ensemble actually ticked iff
-/// fluid specs were configured.
-void check_fluid(const scenario::DumbbellConfig& config,
-                 const scenario::RunResult& result,
-                 std::vector<OracleFailure>& failures);
-
-/// Direct-drive sampling: instantiates config.aqm's discipline, walks the
-/// queue through a deterministic ladder of delays and asserts the coupled
-/// output law at every update. No-op for disciplines without the law.
-void check_coupling_law(const scenario::DumbbellConfig& config,
-                        std::vector<OracleFailure>& failures);
-
-/// Same direct-drive check for a bare AQM config (per-link in topologies).
-/// `where` prefixes the failure detail (e.g. the link name).
-void check_coupling_law(const scenario::AqmConfig& aqm, std::uint64_t seed,
-                        const std::string& where,
-                        std::vector<OracleFailure>& failures);
-
-/// Per-link topology accounting: exact conservation (enqueued == forwarded +
-/// dequeue_dropped + final backlog + final in-flight), stats-window bounds,
-/// DualPI2 band slicing and fluid byte conservation, each applied to every
-/// link's slice of `result`.
+/// Per-link accounting of every link's slice of `result`: exact
+/// conservation (enqueued == forwarded + dequeue_dropped + final backlog +
+/// final in-flight), stats-window bounds, DualPI2 band slicing (L + C sums
+/// and per-band window bounds; all-zero bands on single-queue links) and
+/// fluid byte accounting.
 void check_topology_links(const topology::TopologyConfig& config,
                           const topology::TopologyResult& result,
                           std::vector<OracleFailure>& failures);
 
-/// End-of-run coupling check on the frozen aqm.p / aqm.p_prime gauges.
-void check_coupling_snapshot(const scenario::DumbbellConfig& config,
+/// Probe-bus cross-check against the frozen `registry`. links[0] owns the
+/// unprefixed names: the link.sojourn_ms count equals forwarded,
+/// queue.backlog_packets equals the final backlog, the six link.* counter
+/// gauges match, and link.tx_bytes stays within the packet-size envelope of
+/// the routes crossing it. Later links must match their
+/// topo.<name>.{forwarded,marked,aqm_dropped} gauges.
+void check_link_gauges(const topology::TopologyConfig& config,
+                       const topology::TopologyResult& result,
+                       const telemetry::MetricsRegistry& registry,
+                       std::vector<OracleFailure>& failures);
+
+/// Monitor violations, clamped events and per-link AQM guard trips must all
+/// be absent, and the monitor must have run when config.check_invariants.
+void check_topology_invariants(const topology::TopologyConfig& config,
+                               const topology::TopologyResult& result,
+                               std::vector<OracleFailure>& failures);
+
+/// Direct-drive sampling: instantiates `aqm`'s discipline, walks the queue
+/// through a deterministic ladder of delays and asserts the coupled output
+/// law at every update. No-op for disciplines without the law. `where`
+/// prefixes the failure detail (e.g. the link name); "" omits it.
+void check_coupling_law(const scenario::AqmConfig& aqm, std::uint64_t seed,
+                        const std::string& where,
+                        std::vector<OracleFailure>& failures);
+
+/// End-of-run coupling check of `aqm` on the frozen aqm.p / aqm.p_prime
+/// gauges.
+void check_coupling_snapshot(const scenario::AqmConfig& aqm,
                              const telemetry::MetricsRegistry& registry,
                              std::vector<OracleFailure>& failures);
-
-/// Two-queue accounting: DualPI2 band slices sum to the aggregate counters
-/// (whole run and stats window); single-queue runs keep them all zero.
-void check_dualq(const scenario::DumbbellConfig& config,
-                 const scenario::RunResult& result,
-                 std::vector<OracleFailure>& failures);
 
 /// Parses the JSONL stream at `jsonl_path` and compares its final row
 /// against `registry`'s (frozen) snapshot.

@@ -113,9 +113,9 @@ void BottleneckLink::accept(Packet packet) {
   ++band_counters_[band].enqueued;
   packet_backlog_bytes_ += packet.size;
   band_backlog_bytes_[band] += packet.size;
-  audit_backlog();
   probes_.emit_enqueue(packet);
   bands_[band].push_back(packet);
+  audit_backlog();
   try_start_transmission();
 }
 

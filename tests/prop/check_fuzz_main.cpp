@@ -303,16 +303,28 @@ check::OracleOptions oracle_options(const Args& args, std::uint64_t index,
   return options;
 }
 
-void print_failures(const check::ScenarioFuzzer& fuzzer,
-                    const check::CaseOutcome& outcome,
-                    const scenario::DumbbellConfig& config) {
-  std::printf("case %llu FAILED (%s)\n",
-              static_cast<unsigned long long>(outcome.index),
-              check::ScenarioFuzzer::describe(config).c_str());
+/// Prints a failing case: "<kind> I FAILED (<what>)", one line per oracle
+/// failure, then the repro command when the case has one.
+void print_failures(const char* kind, const check::CaseOutcome& outcome,
+                    const std::string& what, const std::string& repro) {
+  std::printf("%s %llu FAILED (%s)\n", kind,
+              static_cast<unsigned long long>(outcome.index), what.c_str());
   for (const auto& failure : outcome.failures) {
     std::printf("  [%s] %s\n", failure.oracle.c_str(), failure.detail.c_str());
   }
-  std::printf("repro: %s\n", fuzzer.repro_command(outcome.index).c_str());
+  if (!repro.empty()) std::printf("repro: %s\n", repro.c_str());
+}
+
+/// Writes `repro` (and, when given, the minimal scenario as a comment line)
+/// to --repro-out for CI artifacts.
+void write_repro(const Args& args, const std::string& repro,
+                 const std::string& minimal = "") {
+  if (args.repro_out.empty()) return;
+  if (std::FILE* out = std::fopen(args.repro_out.c_str(), "w")) {
+    std::fprintf(out, "%s\n", repro.c_str());
+    if (!minimal.empty()) std::fprintf(out, "# minimal: %s\n", minimal.c_str());
+    std::fclose(out);
+  }
 }
 
 /// Shrinks the failing case and prints the minimal scenario. The predicate
@@ -340,29 +352,29 @@ void shrink_and_report(const Args& args, const check::ScenarioFuzzer& fuzzer,
               result.accepted_steps,
               check::ScenarioFuzzer::describe(result.config).c_str());
   std::printf("repro: %s\n", fuzzer.repro_command(index).c_str());
-
-  if (!args.repro_out.empty()) {
-    if (std::FILE* out = std::fopen(args.repro_out.c_str(), "w")) {
-      std::fprintf(out, "%s\n", fuzzer.repro_command(index).c_str());
-      std::fprintf(out, "# minimal: %s\n",
-                   check::ScenarioFuzzer::describe(result.config).c_str());
-      std::fclose(out);
-    }
-  }
+  write_repro(args, fuzzer.repro_command(index),
+              check::ScenarioFuzzer::describe(result.config));
 }
 
-void print_topo_failures(const check::ScenarioFuzzer& fuzzer,
+/// A failing dumbbell case: print it, shrink it, write the repro.
+void report_case_failure(const Args& args, const check::ScenarioFuzzer& fuzzer,
+                         const check::CaseOutcome& outcome,
+                         const scenario::DumbbellConfig& config) {
+  print_failures("case", outcome, check::ScenarioFuzzer::describe(config),
+                 fuzzer.repro_command(outcome.index));
+  shrink_and_report(args, fuzzer, config, outcome.index);
+}
+
+/// A failing topology case. There is no shrinker for graph-shaped cases:
+/// the repro plus the one-line topology summary (per-link AQM/rate, flow
+/// counts) is the debugging handle.
+void report_topo_failure(const Args& args, const check::ScenarioFuzzer& fuzzer,
                          const check::CaseOutcome& outcome,
                          const topology::TopologyConfig& config) {
-  std::printf("topology case %llu FAILED (%s)\n",
-              static_cast<unsigned long long>(outcome.index),
-              check::ScenarioFuzzer::describe(config).c_str());
-  for (const auto& failure : outcome.failures) {
-    std::printf("  [%s] %s\n", failure.oracle.c_str(), failure.detail.c_str());
-  }
-  // No shrinker for graph-shaped cases: the repro plus the one-line topology
-  // summary (per-link AQM/rate, flow counts) is the debugging handle.
-  std::printf("repro: %s\n", fuzzer.topology_repro_command(outcome.index).c_str());
+  const std::string repro = fuzzer.topology_repro_command(outcome.index);
+  print_failures("topology case", outcome,
+                 check::ScenarioFuzzer::describe(config), repro);
+  write_repro(args, repro);
 }
 
 int run_single_topo_case(const Args& args, const check::ScenarioFuzzer& fuzzer) {
@@ -384,13 +396,7 @@ int run_single_topo_case(const Args& args, const check::ScenarioFuzzer& fuzzer) 
   }
 
   if (!outcome.ok()) {
-    print_topo_failures(fuzzer, outcome, config);
-    if (!args.repro_out.empty()) {
-      if (std::FILE* out = std::fopen(args.repro_out.c_str(), "w")) {
-        std::fprintf(out, "%s\n", fuzzer.topology_repro_command(index).c_str());
-        std::fclose(out);
-      }
-    }
+    report_topo_failure(args, fuzzer, outcome, config);
     return 1;
   }
   std::printf("topology case %llu ok (digest %016llx)\n",
@@ -418,8 +424,7 @@ int run_single_case(const Args& args, const check::ScenarioFuzzer& fuzzer) {
   }
 
   if (!outcome.ok()) {
-    print_failures(fuzzer, outcome, config);
-    shrink_and_report(args, fuzzer, config, index);
+    report_case_failure(args, fuzzer, outcome, config);
     return 1;
   }
   std::printf("case %llu ok (digest %016llx)\n",
@@ -635,31 +640,19 @@ int main(int argc, char** argv) {
     ++failed;
     if (failed != 1) continue;
     if (i < args.cases) {
-      const auto config = fuzzer.make_config(outcome.index);
-      print_failures(fuzzer, outcome, config);
-      shrink_and_report(args, fuzzer, config, outcome.index);
+      report_case_failure(args, fuzzer, outcome,
+                          fuzzer.make_config(outcome.index));
     } else if (i < args.cases + topo_cases) {
-      const auto config = fuzzer.make_topology_config(outcome.index);
-      print_topo_failures(fuzzer, outcome, config);
-      if (!args.repro_out.empty()) {
-        if (std::FILE* out = std::fopen(args.repro_out.c_str(), "w")) {
-          std::fprintf(out, "%s\n",
-                       fuzzer.topology_repro_command(outcome.index).c_str());
-          std::fclose(out);
-        }
-      }
+      report_topo_failure(args, fuzzer, outcome,
+                          fuzzer.make_topology_config(outcome.index));
     } else {
       // Campaign cases regenerate deterministically from (seed, index); no
       // shrinker — the failure detail plus the derived spec seed is the
       // debugging handle.
-      std::printf("campaign case %llu FAILED (spec seed %llu)\n",
-                  static_cast<unsigned long long>(outcome.index),
-                  static_cast<unsigned long long>(
-                      campaign_case_seed(args, outcome.index)));
-      for (const auto& failure : outcome.failures) {
-        std::printf("  [%s] %s\n", failure.oracle.c_str(),
-                    failure.detail.c_str());
-      }
+      print_failures("campaign case", outcome,
+                     "spec seed " + std::to_string(campaign_case_seed(
+                                        args, outcome.index)),
+                     "");
     }
   }
   std::printf("# %llu/%llu cases clean (%llu topology, %llu campaign), "

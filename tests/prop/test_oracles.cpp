@@ -9,8 +9,11 @@
 #include <gtest/gtest.h>
 
 #include "check/fuzzer.hpp"
+#include "net/packet.hpp"
 #include "sim/time.hpp"
 #include "telemetry/metrics.hpp"
+#include "topology/dumbbell_adapter.hpp"
+#include "topology/topology.hpp"
 
 namespace pi2::check {
 namespace {
@@ -27,6 +30,96 @@ scenario::DumbbellConfig small_config(scenario::AqmType aqm) {
   flow.base_rtt = sim::from_millis(20);
   cfg.tcp_flows.push_back(flow);
   return cfg;
+}
+
+/// A zero-count result with one slice per configured link.
+topology::TopologyResult empty_result(const topology::TopologyConfig& cfg) {
+  topology::TopologyResult result;
+  for (const auto& link : cfg.links) {
+    result.links.emplace_back().name = link.display_name();
+  }
+  return result;
+}
+
+bool has_detail(const std::vector<OracleFailure>& failures,
+                const std::string& needle) {
+  for (const auto& f : failures) {
+    if (f.detail.find(needle) != std::string::npos) return true;
+  }
+  return false;
+}
+
+/// a -> b (PI2) -> c (DualPI2), one TCP route across both links.
+topology::TopologyConfig two_link_config() {
+  topology::TopologyConfig cfg;
+  cfg.nodes = {"a", "b", "c"};
+  topology::LinkSpec ab;
+  ab.from = "a";
+  ab.to = "b";
+  ab.aqm.type = scenario::AqmType::kPi2;
+  topology::LinkSpec bc = ab;
+  bc.from = "b";
+  bc.to = "c";
+  bc.aqm.type = scenario::AqmType::kDualPi2;
+  cfg.links = {ab, bc};
+  topology::TcpRoute route;
+  route.spec.cc = tcp::CcType::kCubic;
+  route.path = {"a", "b", "c"};
+  cfg.tcp_flows.push_back(route);
+  return cfg;
+}
+
+/// Books that balance on both links of two_link_config().
+topology::TopologyResult healthy_two_link_result(
+    const topology::TopologyConfig& cfg) {
+  topology::TopologyResult result = empty_result(cfg);
+  for (auto& link : result.links) {
+    link.counters = {.enqueued = 100, .forwarded = 90, .aqm_dropped = 4,
+                     .tail_dropped = 2, .marked = 6, .fault_dropped = 1,
+                     .dequeue_dropped = 3};
+    link.window_counters = {.enqueued = 50, .forwarded = 45, .aqm_dropped = 2,
+                            .tail_dropped = 1, .marked = 3, .fault_dropped = 0,
+                            .dequeue_dropped = 1};
+    link.final_backlog_packets = 6;
+    link.final_transmitting = true;
+  }
+  auto& dualq = result.links[1];
+  dualq.band_l = {.enqueued = 60, .forwarded = 55, .marked = 5,
+                  .aqm_dropped = 1, .tail_dropped = 1, .dequeue_dropped = 0};
+  dualq.band_c = {.enqueued = 40, .forwarded = 35, .marked = 1,
+                  .aqm_dropped = 3, .tail_dropped = 1, .dequeue_dropped = 3};
+  dualq.window_band_l = {.enqueued = 30, .forwarded = 27, .marked = 2,
+                         .aqm_dropped = 1, .tail_dropped = 0,
+                         .dequeue_dropped = 0};
+  dualq.window_band_c = {.enqueued = 20, .forwarded = 18, .marked = 1,
+                         .aqm_dropped = 1, .tail_dropped = 1,
+                         .dequeue_dropped = 1};
+  return result;
+}
+
+/// A frozen registry whose probe-bus metrics agree with `result`.
+telemetry::MetricsRegistry mirrored_registry(
+    const topology::TopologyResult& result) {
+  telemetry::MetricsRegistry registry;
+  const auto& c = result.links[0].counters;
+  auto& sojourn = registry.histogram("link.sojourn_ms");
+  for (std::int64_t i = 0; i < c.forwarded; ++i) sojourn.record(1.0);
+  registry.counter("link.tx_bytes")
+      .inc(static_cast<std::uint64_t>(c.forwarded * net::kDefaultMss));
+  registry.gauge("queue.backlog_packets")
+      .set(static_cast<double>(result.links[0].final_backlog_packets));
+  registry.gauge("link.enqueued").set(static_cast<double>(c.enqueued));
+  registry.gauge("link.forwarded").set(static_cast<double>(c.forwarded));
+  registry.gauge("link.aqm_dropped").set(static_cast<double>(c.aqm_dropped));
+  registry.gauge("link.tail_dropped").set(static_cast<double>(c.tail_dropped));
+  registry.gauge("link.marked").set(static_cast<double>(c.marked));
+  registry.gauge("link.fault_dropped").set(static_cast<double>(c.fault_dropped));
+  const auto& c1 = result.links[1].counters;
+  const std::string prefix = "topo." + result.links[1].name + ".";
+  registry.gauge(prefix + "forwarded").set(static_cast<double>(c1.forwarded));
+  registry.gauge(prefix + "marked").set(static_cast<double>(c1.marked));
+  registry.gauge(prefix + "aqm_dropped").set(static_cast<double>(c1.aqm_dropped));
+  return registry;
 }
 
 TEST(Oracles, CleanRunPassesAllOracles) {
@@ -67,70 +160,63 @@ TEST(Oracles, InjectedFailureSurfaces) {
 TEST(Oracles, ConservationDetectsMissingMetrics) {
   // An empty registry means the probe wiring never happened: the oracle must
   // say so rather than silently pass.
-  const auto cfg = small_config(scenario::AqmType::kPi2);
-  scenario::RunResult result;
-  result.counters.forwarded = 10;
+  const auto cfg = topology::from_dumbbell(small_config(scenario::AqmType::kPi2));
+  auto result = empty_result(cfg);
+  result.links[0].counters.forwarded = 10;
   telemetry::MetricsRegistry empty;
   std::vector<OracleFailure> failures;
-  check_conservation(cfg, result, empty, failures);
+  check_link_gauges(cfg, result, empty, failures);
   EXPECT_FALSE(failures.empty());
 }
 
 TEST(Oracles, ConservationDetectsCounterDrift) {
-  const auto cfg = small_config(scenario::AqmType::kPi2);
-  scenario::RunResult result;
-  result.counters.enqueued = 50;
-  result.counters.forwarded = 10;  // 40 packets unaccounted for
+  const auto cfg = topology::from_dumbbell(small_config(scenario::AqmType::kPi2));
+  auto result = empty_result(cfg);
+  result.links[0].counters.enqueued = 50;
+  result.links[0].counters.forwarded = 10;  // 40 packets unaccounted for
   telemetry::MetricsRegistry registry;
   registry.histogram("link.sojourn_ms");  // count 0 != forwarded 10
   registry.gauge("queue.backlog_packets").set(0.0);
   std::vector<OracleFailure> failures;
-  check_conservation(cfg, result, registry, failures);
-  bool saw_probe_drift = false;
-  bool saw_conservation = false;
-  for (const auto& f : failures) {
-    if (f.detail.find("departure-probe") != std::string::npos) {
-      saw_probe_drift = true;
-    }
-    if (f.detail.find("slack") != std::string::npos) saw_conservation = true;
-  }
-  EXPECT_TRUE(saw_probe_drift);
-  EXPECT_TRUE(saw_conservation);
+  check_link_gauges(cfg, result, registry, failures);
+  check_topology_links(cfg, result, failures);
+  EXPECT_TRUE(has_detail(failures, "departure-probe"));
+  EXPECT_TRUE(has_detail(failures, "residual 40"));
 }
 
 TEST(Oracles, InvariantsCleanDetectsClampsGuardsAndViolations) {
-  const auto cfg = small_config(scenario::AqmType::kPi2);
+  const auto cfg = topology::from_dumbbell(small_config(scenario::AqmType::kPi2));
   {
-    scenario::RunResult result;
+    auto result = empty_result(cfg);
     result.invariant_checks = 5;
     result.clamped_events = 1;
     std::vector<OracleFailure> failures;
-    check_invariants_clean(cfg, result, failures);
+    check_topology_invariants(cfg, result, failures);
     ASSERT_EQ(failures.size(), 1u);
     EXPECT_EQ(failures[0].oracle, "invariants");
   }
   {
-    scenario::RunResult result;
+    auto result = empty_result(cfg);
     result.invariant_checks = 5;
-    result.guard_events = 2;
+    result.links[0].guard_events = 2;
     std::vector<OracleFailure> failures;
-    check_invariants_clean(cfg, result, failures);
+    check_topology_invariants(cfg, result, failures);
     EXPECT_EQ(failures.size(), 1u);
   }
   {
-    scenario::RunResult result;
+    auto result = empty_result(cfg);
     result.invariant_checks = 5;
     result.violations.push_back({sim::from_seconds(1.0), "prob-finite", "p=nan"});
     std::vector<OracleFailure> failures;
-    check_invariants_clean(cfg, result, failures);
+    check_topology_invariants(cfg, result, failures);
     ASSERT_EQ(failures.size(), 1u);
     EXPECT_NE(failures[0].detail.find("prob-finite"), std::string::npos);
   }
   {
     // check_invariants enabled but the monitor never ran: suspicious.
-    scenario::RunResult result;
+    const auto result = empty_result(cfg);
     std::vector<OracleFailure> failures;
-    check_invariants_clean(cfg, result, failures);
+    check_topology_invariants(cfg, result, failures);
     EXPECT_EQ(failures.size(), 1u);
   }
 }
@@ -141,7 +227,7 @@ TEST(Oracles, CouplingLawHoldsForCoupledDisciplines) {
     auto cfg = small_config(type);
     cfg.aqm.coupling_k = 2.0;
     std::vector<OracleFailure> failures;
-    check_coupling_law(cfg, failures);
+    check_coupling_law(cfg.aqm, cfg.seed, "", failures);
     for (const auto& f : failures) {
       ADD_FAILURE() << scenario::to_string(type) << ": " << f.detail;
     }
@@ -151,9 +237,9 @@ TEST(Oracles, CouplingLawHoldsForCoupledDisciplines) {
 TEST(Oracles, CouplingLawSkipsUncoupledDisciplines) {
   for (const auto type : {scenario::AqmType::kPie, scenario::AqmType::kFifo,
                           scenario::AqmType::kCodel}) {
-    auto cfg = small_config(type);
+    const auto cfg = small_config(type);
     std::vector<OracleFailure> failures;
-    check_coupling_law(cfg, failures);
+    check_coupling_law(cfg.aqm, cfg.seed, "", failures);
     EXPECT_TRUE(failures.empty());
   }
 }
@@ -165,13 +251,70 @@ TEST(Oracles, CouplingSnapshotDetectsDecoupledGauges) {
   registry.gauge("aqm.p_prime").set(0.4);
   registry.gauge("aqm.p").set(0.04);  // (0.4/2)^2 = 0.04: consistent
   std::vector<OracleFailure> failures;
-  check_coupling_snapshot(cfg, registry, failures);
+  check_coupling_snapshot(cfg.aqm, registry, failures);
   EXPECT_TRUE(failures.empty());
 
   registry.gauge("aqm.p").set(0.05);  // decoupled
-  check_coupling_snapshot(cfg, registry, failures);
+  check_coupling_snapshot(cfg.aqm, registry, failures);
   ASSERT_EQ(failures.size(), 1u);
   EXPECT_EQ(failures[0].oracle, "coupling-law");
+}
+
+// The per-link checks over hand-built two-link results: each fault below
+// sits where only the per-link path looks (a later link's band windows,
+// links[0]'s gauges beyond forwarded/marked/aqm_dropped, its sojourn probe).
+
+TEST(Oracles, LinkChecksPassAHealthyTwoLinkResult) {
+  const auto cfg = two_link_config();
+  const auto result = healthy_two_link_result(cfg);
+  std::vector<OracleFailure> failures;
+  check_topology_links(cfg, result, failures);
+  check_link_gauges(cfg, result, mirrored_registry(result), failures);
+  for (const auto& f : failures) ADD_FAILURE() << "[" << f.oracle << "] " << f.detail;
+}
+
+TEST(Oracles, LinkChecksDetectBandWindowAboveWholeOnSecondLink) {
+  const auto cfg = two_link_config();
+  auto result = healthy_two_link_result(cfg);
+  // Move one window AQM drop from C to L: the L + C sums still match, but
+  // L's window now exceeds L's whole-run count.
+  result.links[1].window_band_l.aqm_dropped += 1;
+  result.links[1].window_band_c.aqm_dropped -= 1;
+  std::vector<OracleFailure> failures;
+  check_topology_links(cfg, result, failures);
+  ASSERT_EQ(failures.size(), 1u);
+  EXPECT_EQ(failures[0].oracle, "dualq");
+  EXPECT_NE(failures[0].detail.find("link b->c: band L window aqm_dropped 2"),
+            std::string::npos)
+      << failures[0].detail;
+}
+
+TEST(Oracles, LinkGaugesDetectPrimaryCounterDrift) {
+  const auto cfg = two_link_config();
+  const auto result = healthy_two_link_result(cfg);
+  for (const char* name :
+       {"link.tail_dropped", "link.fault_dropped", "link.enqueued"}) {
+    telemetry::MetricsRegistry registry = mirrored_registry(result);
+    registry.gauge(name).set(registry.gauge(name).value() + 1.0);
+    std::vector<OracleFailure> failures;
+    check_link_gauges(cfg, result, registry, failures);
+    ASSERT_EQ(failures.size(), 1u) << name;
+    EXPECT_NE(failures[0].detail.find(std::string("gauge ") + name),
+              std::string::npos)
+        << failures[0].detail;
+  }
+}
+
+TEST(Oracles, LinkGaugesDetectSojournCountMismatch) {
+  const auto cfg = two_link_config();
+  const auto result = healthy_two_link_result(cfg);
+  telemetry::MetricsRegistry registry = mirrored_registry(result);
+  registry.histogram("link.sojourn_ms").record(1.0);  // one departure too many
+  std::vector<OracleFailure> failures;
+  check_link_gauges(cfg, result, registry, failures);
+  ASSERT_EQ(failures.size(), 1u);
+  EXPECT_NE(failures[0].detail.find("departure-probe count"), std::string::npos)
+      << failures[0].detail;
 }
 
 TEST(Oracles, TelemetryRoundtripMatchesAndDetectsDrift) {
