@@ -10,8 +10,10 @@
 #pragma once
 
 #include <cstdio>
+#include <cstdlib>
 #include <string>
 
+#include "durable/wire.hpp"
 #include "scenario/dumbbell.hpp"
 
 namespace pi2::bench {
@@ -76,6 +78,16 @@ struct Options {
   double min_link_mbps = 0;
 };
 
+/// Parses the whole of `value` into `out`; a malformed, out-of-range or (for
+/// doubles) non-finite value is a usage error (exit 17) naming the flag.
+template <typename T>
+void flag_value(const std::string& flag, const char* value, T& out) {
+  if (!durable::parse_decimal(value, out)) {
+    std::fprintf(stderr, "invalid value '%s' for %s\n", value, flag.c_str());
+    std::exit(17);
+  }
+}
+
 /// Applies the sweep flag at argv[i] to `opts`, advancing `i` past its
 /// value. Returns false, leaving both untouched, when argv[i] is not a sweep
 /// flag or its value is missing.
@@ -98,41 +110,41 @@ inline bool parse_option(int argc, char** argv, int& i, Options& opts) {
   if (i + 1 >= argc) return false;
   const char* value = argv[i + 1];
   if (arg == "--seed") {
-    opts.seed = std::strtoull(value, nullptr, 10);
+    flag_value(arg, value, opts.seed);
   } else if (arg == "--jobs") {
-    opts.jobs = static_cast<unsigned>(std::strtoul(value, nullptr, 10));
+    flag_value(arg, value, opts.jobs);
   } else if (arg == "--json") {
     opts.json_path = value;
   } else if (arg == "--duration-s") {
-    opts.duration_s_override = std::strtod(value, nullptr);
+    flag_value(arg, value, opts.duration_s_override);
   } else if (arg == "--stats-start-s") {
-    opts.stats_start_s_override = std::strtod(value, nullptr);
+    flag_value(arg, value, opts.stats_start_s_override);
   } else if (arg == "--grid-cap") {
-    opts.grid_cap = static_cast<int>(std::strtol(value, nullptr, 10));
+    flag_value(arg, value, opts.grid_cap);
   } else if (arg == "--min-link-mbps") {
-    opts.min_link_mbps = std::strtod(value, nullptr);
+    flag_value(arg, value, opts.min_link_mbps);
   } else if (arg == "--deadline-s") {
-    opts.deadline_s = std::strtod(value, nullptr);
+    flag_value(arg, value, opts.deadline_s);
   } else if (arg == "--retries") {
-    opts.retries = static_cast<int>(std::strtol(value, nullptr, 10));
+    flag_value(arg, value, opts.retries);
   } else if (arg == "--backoff-ms") {
-    opts.backoff_ms = std::strtoll(value, nullptr, 10);
+    flag_value(arg, value, opts.backoff_ms);
   } else if (arg == "--journal") {
     opts.journal_path = value;
   } else if (arg == "--inject-fail") {
-    opts.inject_fail = std::strtoll(value, nullptr, 10);
+    flag_value(arg, value, opts.inject_fail);
   } else if (arg == "--inject-hang") {
-    opts.inject_hang = std::strtoll(value, nullptr, 10);
+    flag_value(arg, value, opts.inject_hang);
   } else if (arg == "--hang-s") {
-    opts.hang_s = std::strtod(value, nullptr);
+    flag_value(arg, value, opts.hang_s);
   } else if (arg == "--telemetry") {
     opts.telemetry_dir = value;
   } else if (arg == "--telemetry-interval") {
-    opts.telemetry_interval_s = std::strtod(value, nullptr);
+    flag_value(arg, value, opts.telemetry_interval_s);
   } else if (arg == "--packet-background") {
-    opts.packet_background = static_cast<int>(std::strtol(value, nullptr, 10));
+    flag_value(arg, value, opts.packet_background);
   } else if (arg == "--fluid-background") {
-    opts.fluid_background = static_cast<int>(std::strtol(value, nullptr, 10));
+    flag_value(arg, value, opts.fluid_background);
   } else {
     return false;
   }

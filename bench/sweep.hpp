@@ -28,6 +28,7 @@
 #include "durable/result_codec.hpp"
 #include "durable/shutdown.hpp"
 #include "durable/status.hpp"
+#include "durable/wire.hpp"
 #include "runner/parallel_runner.hpp"
 #include "sim/rng.hpp"
 #include "telemetry/recorder.hpp"
@@ -50,28 +51,7 @@ inline const char* aqm_label(scenario::AqmType aqm) {
   return aqm == scenario::AqmType::kPie ? "PIE" : "PI2(coupled)";
 }
 
-/// Minimal JSON string escaping for error messages embedded in records.
-inline std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
+using durable::json_escape;
 
 /// Streams one machine-readable record per sweep point as a JSON array.
 /// Used by --json to make runs comparable across PRs (BENCH_sweep.json);

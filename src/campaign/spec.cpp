@@ -3,17 +3,18 @@
 #include <algorithm>
 #include <charconv>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 
-#include "durable/journal.hpp"
+#include "durable/wire.hpp"
 #include "sim/rng.hpp"
 
 namespace pi2::campaign {
 
 namespace {
+
+using durable::JsonValue;
+using durable::json_escape;
 
 /// Shortest round-trip rendering (4 -> "4", 0.5 -> "0.5"), so serialized
 /// specs stay human-readable and parse back to the identical double.
@@ -23,218 +24,37 @@ std::string format_number(double v) {
   return std::string(buf, res.ptr);
 }
 
-std::string escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
+// ---- spec mapping -----------------------------------------------------------
+// The shared reader accepts nan/inf spellings (a poisoned metric row must
+// still parse); a spec refuses every non-finite number, naming its key.
+
+std::string finite_from_json(const JsonValue& value, const std::string& key,
+                             double& out) {
+  if (value.type != JsonValue::Type::kNumber) {
+    return "spec: '" + key + "' must be a number";
   }
-  return out;
+  if (!std::isfinite(value.number)) {
+    return "spec: '" + key + "' must be finite (got " + value.text + ")";
+  }
+  out = value.number;
+  return "";
 }
 
-// ---- JSON subset parser -----------------------------------------------------
-// Hand-rolled (no dependencies): objects, arrays, strings, numbers, bools,
-// null. Field order is preserved so strict key checking can point at the
-// offending key.
-
-struct JsonValue {
-  enum class Type { kNull, kBool, kNumber, kString, kArray, kObject };
-  Type type = Type::kNull;
-  bool boolean = false;
-  double number = 0.0;
-  std::string text;
-  std::vector<JsonValue> items;
-  std::vector<std::pair<std::string, JsonValue>> fields;
-};
-
-class JsonParser {
- public:
-  explicit JsonParser(const std::string& text) : text_(text) {}
-
-  /// "" on success; the parsed document lands in `out`.
-  std::string parse(JsonValue& out) {
-    skip_ws();
-    std::string err = parse_value(out);
-    if (!err.empty()) return err;
-    skip_ws();
-    if (pos_ != text_.size()) return error("trailing content");
+/// Plain digits are reread exactly: 64-bit seeds overflow the double's
+/// 53-bit mantissa. Other spellings (1e3) go through the double.
+std::string seed_from_json(const JsonValue& value, std::uint64_t& seed) {
+  if (value.type == JsonValue::Type::kNumber &&
+      durable::parse_decimal(value.text, seed)) {
     return "";
   }
-
- private:
-  std::string error(const std::string& what) const {
-    return "spec: " + what + " at offset " + std::to_string(pos_);
+  const double v = value.number;
+  if (value.type != JsonValue::Type::kNumber || !(v >= 0 && v < 0x1p64) ||
+      v != std::floor(v)) {
+    return "spec: 'seed' must be a non-negative whole number";
   }
-
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           (text_[pos_] == ' ' || text_[pos_] == '\t' || text_[pos_] == '\n' ||
-            text_[pos_] == '\r')) {
-      ++pos_;
-    }
-  }
-
-  bool eat(char c) {
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  std::string parse_value(JsonValue& out) {
-    if (pos_ >= text_.size()) return error("unexpected end of input");
-    const char c = text_[pos_];
-    if (c == '{') return parse_object(out);
-    if (c == '[') return parse_array(out);
-    if (c == '"') {
-      out.type = JsonValue::Type::kString;
-      return parse_string(out.text);
-    }
-    if (c == 't' || c == 'f') return parse_keyword(out);
-    if (c == 'n') return parse_keyword(out);
-    if (c == '-' || (c >= '0' && c <= '9')) return parse_number(out);
-    return error(std::string("unexpected character '") + c + "'");
-  }
-
-  std::string parse_object(JsonValue& out) {
-    out.type = JsonValue::Type::kObject;
-    ++pos_;  // '{'
-    skip_ws();
-    if (eat('}')) return "";
-    while (true) {
-      skip_ws();
-      if (pos_ >= text_.size() || text_[pos_] != '"') {
-        return error("expected a quoted key");
-      }
-      std::string key;
-      std::string err = parse_string(key);
-      if (!err.empty()) return err;
-      skip_ws();
-      if (!eat(':')) return error("expected ':' after key");
-      skip_ws();
-      JsonValue value;
-      err = parse_value(value);
-      if (!err.empty()) return err;
-      out.fields.emplace_back(std::move(key), std::move(value));
-      skip_ws();
-      if (eat(',')) continue;
-      if (eat('}')) return "";
-      return error("expected ',' or '}' in object");
-    }
-  }
-
-  std::string parse_array(JsonValue& out) {
-    out.type = JsonValue::Type::kArray;
-    ++pos_;  // '['
-    skip_ws();
-    if (eat(']')) return "";
-    while (true) {
-      skip_ws();
-      JsonValue value;
-      std::string err = parse_value(value);
-      if (!err.empty()) return err;
-      out.items.push_back(std::move(value));
-      skip_ws();
-      if (eat(',')) continue;
-      if (eat(']')) return "";
-      return error("expected ',' or ']' in array");
-    }
-  }
-
-  std::string parse_string(std::string& out) {
-    ++pos_;  // opening quote
-    out.clear();
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_++];
-      if (c == '"') return "";
-      if (c != '\\') {
-        out += c;
-        continue;
-      }
-      if (pos_ >= text_.size()) break;
-      const char next = text_[pos_++];
-      switch (next) {
-        case '"': out += '"'; break;
-        case '\\': out += '\\'; break;
-        case '/': out += '/'; break;
-        case 'n': out += '\n'; break;
-        case 't': out += '\t'; break;
-        case 'r': out += '\r'; break;
-        case 'u': {
-          if (pos_ + 4 > text_.size()) return error("truncated \\u escape");
-          unsigned value = 0;
-          for (int k = 0; k < 4; ++k) {
-            const char h = text_[pos_++];
-            value <<= 4;
-            if (h >= '0' && h <= '9') value |= static_cast<unsigned>(h - '0');
-            else if (h >= 'a' && h <= 'f') value |= static_cast<unsigned>(h - 'a' + 10);
-            else if (h >= 'A' && h <= 'F') value |= static_cast<unsigned>(h - 'A' + 10);
-            else return error("bad \\u escape");
-          }
-          out += static_cast<char>(value);  // BMP-ASCII subset is enough here
-          break;
-        }
-        default:
-          return error("unknown escape");
-      }
-    }
-    return error("unterminated string");
-  }
-
-  std::string parse_number(JsonValue& out) {
-    const char* start = text_.c_str() + pos_;
-    char* end = nullptr;
-    out.type = JsonValue::Type::kNumber;
-    out.number = std::strtod(start, &end);
-    if (end == start) return error("malformed number");
-    if (!std::isfinite(out.number)) return error("non-finite number");
-    // Raw token, kept alongside the double: 64-bit seeds overflow the
-    // double's 53-bit mantissa, so the seed mapping rereads the digits.
-    out.text.assign(start, static_cast<std::size_t>(end - start));
-    pos_ += static_cast<std::size_t>(end - start);
-    return "";
-  }
-
-  std::string parse_keyword(JsonValue& out) {
-    if (text_.compare(pos_, 4, "true") == 0) {
-      out.type = JsonValue::Type::kBool;
-      out.boolean = true;
-      pos_ += 4;
-      return "";
-    }
-    if (text_.compare(pos_, 5, "false") == 0) {
-      out.type = JsonValue::Type::kBool;
-      out.boolean = false;
-      pos_ += 5;
-      return "";
-    }
-    if (text_.compare(pos_, 4, "null") == 0) {
-      out.type = JsonValue::Type::kNull;
-      pos_ += 4;
-      return "";
-    }
-    return error("unknown keyword");
-  }
-
-  const std::string& text_;
-  std::size_t pos_ = 0;
-};
-
-// ---- spec mapping -----------------------------------------------------------
+  seed = static_cast<std::uint64_t>(v);
+  return "";
+}
 
 std::string values_from_json(const JsonValue& array, const char* what,
                              std::vector<AxisValue>& out) {
@@ -244,6 +64,10 @@ std::string values_from_json(const JsonValue& array, const char* what,
   out.clear();
   for (const JsonValue& item : array.items) {
     if (item.type == JsonValue::Type::kNumber) {
+      if (!std::isfinite(item.number)) {
+        return std::string("spec: '") + what + "' holds a non-finite number (" +
+               item.text + ")";
+      }
       out.push_back(axis_number(item.number));
     } else if (item.type == JsonValue::Type::kString) {
       out.push_back(axis_text(item.text));
@@ -388,7 +212,7 @@ std::string values_to_json(const std::vector<AxisValue>& values) {
       out += format_number(values[i].number);
     } else {
       out += '"';
-      out += escape(values[i].text);
+      out += json_escape(values[i].text);
       out += '"';
     }
   }
@@ -550,9 +374,8 @@ std::string CampaignSpec::validate() const {
 std::string parse_spec(const std::string& text, CampaignSpec& spec) {
   spec = CampaignSpec{};
   JsonValue doc;
-  JsonParser parser{text};
-  std::string err = parser.parse(doc);
-  if (!err.empty()) return err;
+  std::string err = durable::parse_json(text, doc);
+  if (!err.empty()) return "spec: " + err;
   if (doc.type != JsonValue::Type::kObject) {
     return "spec: top level must be an object";
   }
@@ -568,24 +391,11 @@ std::string parse_spec(const std::string& text, CampaignSpec& spec) {
       }
       spec.template_name = value.text;
     } else if (key == "seed") {
-      if (value.type != JsonValue::Type::kNumber || value.number < 0 ||
-          value.number != std::floor(value.number)) {
-        return "spec: 'seed' must be a non-negative whole number";
-      }
-      spec.seed =
-          value.text.find_first_not_of("0123456789") == std::string::npos
-              ? std::strtoull(value.text.c_str(), nullptr, 10)
-              : static_cast<std::uint64_t>(value.number);
+      err = seed_from_json(value, spec.seed);
     } else if (key == "link_mbps") {
-      if (value.type != JsonValue::Type::kNumber) {
-        return "spec: 'link_mbps' must be a number";
-      }
-      spec.link_mbps = value.number;
+      err = finite_from_json(value, key, spec.link_mbps);
     } else if (key == "rtt_ms") {
-      if (value.type != JsonValue::Type::kNumber) {
-        return "spec: 'rtt_ms' must be a number";
-      }
-      spec.rtt_ms = value.number;
+      err = finite_from_json(value, key, spec.rtt_ms);
     } else if (key == "axes") {
       if (value.type != JsonValue::Type::kArray) {
         return "spec: 'axes' must be an array of axis objects";
@@ -599,6 +409,7 @@ std::string parse_spec(const std::string& text, CampaignSpec& spec) {
     } else {
       return "spec: unknown key '" + key + "'";
     }
+    if (!err.empty()) return err;
   }
   return "";
 }
@@ -615,8 +426,8 @@ std::string load_spec(const std::string& path, CampaignSpec& spec) {
 
 std::string serialize_spec(const CampaignSpec& spec) {
   std::string out = "{\n";
-  out += "  \"name\": \"" + escape(spec.name) + "\",\n";
-  out += "  \"template\": \"" + escape(spec.template_name) + "\",\n";
+  out += "  \"name\": \"" + json_escape(spec.name) + "\",\n";
+  out += "  \"template\": \"" + json_escape(spec.template_name) + "\",\n";
   out += "  \"seed\": " + std::to_string(spec.seed) + ",\n";
   if (spec.link_mbps != 0) {
     out += "  \"link_mbps\": " + format_number(spec.link_mbps) + ",\n";
@@ -627,7 +438,7 @@ std::string serialize_spec(const CampaignSpec& spec) {
   out += "  \"axes\": [\n";
   for (std::size_t i = 0; i < spec.axes.size(); ++i) {
     const Axis& axis = spec.axes[i];
-    out += "    {\"name\": \"" + escape(axis.name) + "\"";
+    out += "    {\"name\": \"" + json_escape(axis.name) + "\"";
     if (!axis.cap) out += ", \"cap\": false";
     out += ", \"values\": " + values_to_json(axis.values);
     if (!axis.full_values.empty()) {

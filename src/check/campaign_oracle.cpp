@@ -5,7 +5,7 @@
 #include <vector>
 
 #include "campaign/merge.hpp"
-#include "durable/journal.hpp"
+#include "durable/wire.hpp"
 #include "faults/fault_presets.hpp"
 #include "scenario/dumbbell.hpp"
 #include "sim/rng.hpp"

@@ -1,140 +1,42 @@
 #include "check/golden.hpp"
 
 #include <algorithm>
-#include <cctype>
-#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
 
+#include "durable/wire.hpp"
+
 namespace pi2::check {
 
 namespace {
 
-/// Cursor over a JSON text; the grammar here is only what SweepJsonWriter
-/// and JsonlExporter emit (flat objects, string/number values, no nesting).
-struct Cursor {
-  const std::string& text;
-  std::size_t pos = 0;
+using durable::JsonValue;
 
-  void skip_ws() {
-    while (pos < text.size() &&
-           std::isspace(static_cast<unsigned char>(text[pos]))) {
-      ++pos;
-    }
-  }
-  [[nodiscard]] bool at(char c) {
-    skip_ws();
-    return pos < text.size() && text[pos] == c;
-  }
-  bool eat(char c) {
-    if (!at(c)) return false;
-    ++pos;
-    return true;
-  }
-};
-
-bool parse_string(Cursor& cur, std::string* out, std::string* error) {
-  if (!cur.eat('"')) {
-    *error = "expected '\"' at offset " + std::to_string(cur.pos);
-    return false;
-  }
-  out->clear();
-  while (cur.pos < cur.text.size()) {
-    const char c = cur.text[cur.pos++];
-    if (c == '"') return true;
-    if (c == '\\') {
-      if (cur.pos >= cur.text.size()) break;
-      const char esc = cur.text[cur.pos++];
-      switch (esc) {
-        case '"': *out += '"'; break;
-        case '\\': *out += '\\'; break;
-        case 'n': *out += '\n'; break;
-        case 't': *out += '\t'; break;
-        case 'u':
-          // The writers only escape control characters; decode the low byte.
-          if (cur.pos + 4 <= cur.text.size()) {
-            unsigned value = 0;
-            std::from_chars(cur.text.data() + cur.pos,
-                            cur.text.data() + cur.pos + 4, value, 16);
-            *out += static_cast<char>(value);
-            cur.pos += 4;
-          }
-          break;
-        default: *out += esc; break;
-      }
-    } else {
-      *out += c;
-    }
-  }
-  *error = "unterminated string";
-  return false;
-}
-
-bool parse_number(Cursor& cur, double* out, std::string* error) {
-  cur.skip_ws();
-  const std::size_t start = cur.pos;
-  while (cur.pos < cur.text.size()) {
-    const char c = cur.text[cur.pos];
-    if ((c >= '0' && c <= '9') || c == '-' || c == '+' || c == '.' ||
-        c == 'e' || c == 'E' || c == 'n' || c == 'a' || c == 'i' || c == 'f') {
-      ++cur.pos;  // accepts nan/inf spellings so a poisoned metric parses
-    } else {
-      break;
-    }
-  }
-  if (cur.pos == start) {
-    *error = "expected number at offset " + std::to_string(start);
-    return false;
-  }
-  char* end = nullptr;
-  const std::string token = cur.text.substr(start, cur.pos - start);
-  *out = std::strtod(token.c_str(), &end);
-  if (end == token.c_str()) {
-    *error = "bad number '" + token + "'";
-    return false;
-  }
-  return true;
-}
-
-bool parse_object(Cursor& cur, JsonRecord* out, std::string* error) {
-  if (!cur.eat('{')) {
-    *error = "expected '{' at offset " + std::to_string(cur.pos);
+/// A parsed object as a flat record: strings and numbers by key, booleans
+/// as 1/0; nested values (and nulls) are refused.
+bool to_record(const JsonValue& object, JsonRecord* out, std::string* error) {
+  if (object.type != JsonValue::Type::kObject) {
+    *error = "expected a flat JSON object";
     return false;
   }
   out->numbers.clear();
   out->strings.clear();
-  if (cur.eat('}')) return true;
-  while (true) {
-    std::string key;
-    if (!parse_string(cur, &key, error)) return false;
-    if (!cur.eat(':')) {
-      *error = "expected ':' after key '" + key + "'";
-      return false;
-    }
-    cur.skip_ws();
-    if (cur.at('"')) {
-      std::string value;
-      if (!parse_string(cur, &value, error)) return false;
-      out->strings[key] = value;
-    } else if (cur.at('{') || cur.at('[')) {
-      *error = "nested value under key '" + key + "' (flat objects only)";
-      return false;
-    } else if (cur.at('t') || cur.at('f')) {  // true / false
-      const bool value = cur.text[cur.pos] == 't';
-      cur.pos += value ? 4 : 5;
-      out->numbers[key] = value ? 1.0 : 0.0;
+  for (const auto& [key, value] : object.fields) {
+    if (value.type == JsonValue::Type::kString) {
+      out->strings[key] = value.text;
+    } else if (value.type == JsonValue::Type::kNumber) {
+      out->numbers[key] = value.number;
+    } else if (value.type == JsonValue::Type::kBool) {
+      out->numbers[key] = value.boolean ? 1.0 : 0.0;
     } else {
-      double value = 0;
-      if (!parse_number(cur, &value, error)) return false;
-      out->numbers[key] = value;
+      *error = "value under key '" + key +
+               "' is not a string, number or boolean (flat objects only)";
+      return false;
     }
-    if (cur.eat(',')) continue;
-    if (cur.eat('}')) return true;
-    *error = "expected ',' or '}' at offset " + std::to_string(cur.pos);
-    return false;
   }
+  return true;
 }
 
 std::string record_label(const std::vector<JsonRecord>& records, std::size_t i) {
@@ -154,8 +56,9 @@ std::string record_label(const std::vector<JsonRecord>& records, std::size_t i) 
 
 bool parse_flat_object(const std::string& text, JsonRecord* out,
                        std::string* error) {
-  Cursor cur{text};
-  return parse_object(cur, out, error);
+  JsonValue doc;
+  *error = durable::parse_json(text, doc);
+  return error->empty() && to_record(doc, out, error);
 }
 
 std::vector<JsonRecord> parse_records(const std::string& path, std::string* error) {
@@ -166,28 +69,21 @@ std::vector<JsonRecord> parse_records(const std::string& path, std::string* erro
   }
   std::ostringstream buf;
   buf << in.rdbuf();
-  const std::string text = buf.str();
 
-  std::vector<JsonRecord> records;
-  Cursor cur{text};
-  if (!cur.eat('[')) {
-    *error = path + ": expected a JSON array";
-    return {};
+  JsonValue doc;
+  *error = durable::parse_json(buf.str(), doc);
+  if (error->empty() && doc.type != JsonValue::Type::kArray) {
+    *error = "expected a JSON array";
   }
-  if (cur.eat(']')) return records;
-  while (true) {
-    JsonRecord record;
-    if (!parse_object(cur, &record, error)) {
-      *error = path + ": " + *error;
-      return {};
+  std::vector<JsonRecord> records(doc.items.size());
+  for (std::size_t i = 0; error->empty() && i < records.size(); ++i) {
+    if (!to_record(doc.items[i], &records[i], error)) {
+      *error = "record " + std::to_string(i) + ": " + *error;
     }
-    records.push_back(std::move(record));
-    if (cur.eat(',')) continue;
-    if (cur.eat(']')) return records;
-    *error = path + ": expected ',' or ']' after record " +
-             std::to_string(records.size() - 1);
-    return {};
   }
+  if (error->empty()) return records;
+  *error = path + ": " + *error;
+  return {};
 }
 
 GoldenOptions default_golden_options() {
@@ -341,12 +237,14 @@ std::string write_perturbed_copy(const std::string& baseline_path,
     std::fprintf(out, "%s\n  {", i == 0 ? "" : ",");
     bool first = true;
     for (const auto& [key, value] : records[i].strings) {
-      std::fprintf(out, "%s\"%s\": \"%s\"", first ? "" : ", ", key.c_str(),
-                   value.c_str());
+      std::fprintf(out, "%s\"%s\": \"%s\"", first ? "" : ", ",
+                   durable::json_escape(key).c_str(),
+                   durable::json_escape(value).c_str());
       first = false;
     }
     for (const auto& [key, value] : records[i].numbers) {
-      std::fprintf(out, "%s\"%s\": %.17g", first ? "" : ", ", key.c_str(), value);
+      std::fprintf(out, "%s\"%s\": %.17g", first ? "" : ", ",
+                   durable::json_escape(key).c_str(), value);
       first = false;
     }
     std::fputs("}", out);

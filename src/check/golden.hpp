@@ -12,9 +12,10 @@
 //     guard survives benign cross-toolchain floating-point drift while still
 //     pinning every headline metric of figs 15-18 and the step response.
 //
-// The parser handles exactly the subset the writers emit — an array of flat
-// objects with string / number values — and is reused by the telemetry
-// JSONL parse-back oracle (one flat object per line).
+// Files are read by the shared JSON reader (durable/wire.hpp) and mapped to
+// flat records: an array of objects with string / number / boolean values.
+// The telemetry JSONL parse-back oracle reads its rows (one flat object per
+// line) the same way.
 #pragma once
 
 #include <map>
@@ -30,7 +31,9 @@ struct JsonRecord {
 };
 
 /// Parses a single flat JSON object. Returns false (and fills *error) on
-/// malformed input; nested objects/arrays are rejected.
+/// malformed input; nested objects/arrays and nulls are rejected. Booleans
+/// become 1/0; nan/inf spellings parse, so a poisoned metric is reported by
+/// its field name.
 bool parse_flat_object(const std::string& text, JsonRecord* out,
                        std::string* error);
 

@@ -6,6 +6,7 @@
 #include <fstream>
 
 #include "durable/atomic_file.hpp"
+#include "durable/wire.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <unistd.h>
@@ -20,64 +21,6 @@ constexpr const char* kHeaderKind = "header";
 constexpr const char* kShardKind = "shard";
 constexpr const char* kInterruptedKind = "interrupted";
 
-std::string escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-bool unescape(const std::string& s, std::string& out) {
-  out.clear();
-  out.reserve(s.size());
-  for (std::size_t i = 0; i < s.size(); ++i) {
-    if (s[i] != '\\') {
-      out += s[i];
-      continue;
-    }
-    if (i + 1 >= s.size()) return false;
-    const char next = s[++i];
-    switch (next) {
-      case '"': out += '"'; break;
-      case '\\': out += '\\'; break;
-      case 'n': out += '\n'; break;
-      case 't': out += '\t'; break;
-      case 'u': {
-        if (i + 4 >= s.size()) return false;
-        unsigned value = 0;
-        for (int k = 0; k < 4; ++k) {
-          const char h = s[++i];
-          value <<= 4;
-          if (h >= '0' && h <= '9') value |= static_cast<unsigned>(h - '0');
-          else if (h >= 'a' && h <= 'f') value |= static_cast<unsigned>(h - 'a' + 10);
-          else if (h >= 'A' && h <= 'F') value |= static_cast<unsigned>(h - 'A' + 10);
-          else return false;
-        }
-        out += static_cast<char>(value);
-        break;
-      }
-      default:
-        return false;
-    }
-  }
-  return true;
-}
-
 std::uint64_t record_crc(const std::string& kind, std::uint64_t key,
                          const std::string& payload) {
   Fnv1a h;
@@ -85,43 +28,6 @@ std::uint64_t record_crc(const std::string& kind, std::uint64_t key,
   h.mix_u64(key);
   h.mix_string(payload);
   return h.state;
-}
-
-/// Extracts the raw (still-escaped) value of `"name":"` from `line`.
-bool extract_field(const std::string& line, const char* name, std::string& raw) {
-  const std::string needle = std::string("\"") + name + "\":\"";
-  const auto start = line.find(needle);
-  if (start == std::string::npos) return false;
-  std::size_t i = start + needle.size();
-  std::string out;
-  while (i < line.size()) {
-    if (line[i] == '\\') {
-      if (i + 1 >= line.size()) return false;
-      out += line[i];
-      out += line[i + 1];
-      i += 2;
-      continue;
-    }
-    if (line[i] == '"') {
-      raw = std::move(out);
-      return true;
-    }
-    out += line[i];
-    ++i;
-  }
-  return false;
-}
-
-bool parse_hex64(const std::string& s, std::uint64_t& value) {
-  if (s.size() != 16) return false;
-  value = 0;
-  for (const char c : s) {
-    value <<= 4;
-    if (c >= '0' && c <= '9') value |= static_cast<std::uint64_t>(c - '0');
-    else if (c >= 'a' && c <= 'f') value |= static_cast<std::uint64_t>(c - 'a' + 10);
-    else return false;
-  }
-  return true;
 }
 
 std::string hex64(std::uint64_t value) {
@@ -166,11 +72,11 @@ bool parse_shard_info(const std::string& payload, ShardInfo& shard) {
 
 std::string encode_record(const JournalRecord& record) {
   std::string line = "{\"kind\":\"";
-  line += escape(record.kind);
+  line += json_escape(record.kind);
   line += "\",\"key\":\"";
   line += hex64(record.key);
   line += "\",\"payload\":\"";
-  line += escape(record.payload);
+  line += json_escape(record.payload);
   line += "\",\"crc\":\"";
   line += hex64(record_crc(record.kind, record.key, record.payload));
   line += "\"}\n";
@@ -178,26 +84,28 @@ std::string encode_record(const JournalRecord& record) {
 }
 
 Status parse_record(const std::string& line, JournalRecord& record) {
-  std::string raw_kind;
-  std::string raw_key;
-  std::string raw_payload;
-  std::string raw_crc;
-  if (!extract_field(line, "kind", raw_kind) ||
-      !extract_field(line, "key", raw_key) ||
-      !extract_field(line, "payload", raw_payload) ||
-      !extract_field(line, "crc", raw_crc)) {
-    return Status::corrupt("journal record: missing field");
+  JsonValue doc;
+  const std::string err = parse_json(line, doc);
+  if (!err.empty()) return Status::corrupt("journal record: " + err);
+  // Exactly the flat object of four strings encode_record writes.
+  constexpr const char* kFields[] = {"kind", "key", "payload", "crc"};
+  bool flat = doc.type == JsonValue::Type::kObject && doc.fields.size() == 4;
+  for (std::size_t i = 0; flat && i < 4; ++i) {
+    flat = doc.fields[i].first == kFields[i] &&
+           doc.fields[i].second.type == JsonValue::Type::kString;
   }
+  if (!flat) return Status::corrupt("journal record: missing field");
+  const auto hex16 = [](const std::string& raw, std::uint64_t& value) {
+    return raw.size() == 16 && parse_hex_u64(raw, value);
+  };
   std::uint64_t key = 0;
   std::uint64_t crc = 0;
-  if (!parse_hex64(raw_key, key) || !parse_hex64(raw_crc, crc)) {
+  if (!hex16(doc.fields[1].second.text, key) ||
+      !hex16(doc.fields[3].second.text, crc)) {
     return Status::corrupt("journal record: bad hex field");
   }
-  std::string kind;
-  std::string payload;
-  if (!unescape(raw_kind, kind) || !unescape(raw_payload, payload)) {
-    return Status::corrupt("journal record: bad escape");
-  }
+  std::string& kind = doc.fields[0].second.text;
+  std::string& payload = doc.fields[2].second.text;
   if (record_crc(kind, key, payload) != crc) {
     return Status::corrupt("journal record: crc mismatch (torn write)");
   }

@@ -155,23 +155,4 @@ class JournalWriter {
   Status status_;
 };
 
-/// FNV-1a 64-bit streaming hasher — the digest behind journal keys and
-/// record crcs. Deliberately tiny and dependency-free.
-struct Fnv1a {
-  std::uint64_t state = 0xcbf29ce484222325ull;
-  void mix_bytes(const void* data, std::size_t size) {
-    const auto* bytes = static_cast<const unsigned char*>(data);
-    for (std::size_t i = 0; i < size; ++i) {
-      state ^= bytes[i];
-      state *= 0x100000001b3ull;
-    }
-  }
-  void mix_u64(std::uint64_t v) { mix_bytes(&v, sizeof v); }
-  void mix_double(double v) { mix_bytes(&v, sizeof v); }
-  void mix_string(const std::string& s) {
-    mix_u64(s.size());
-    mix_bytes(s.data(), s.size());
-  }
-};
-
 }  // namespace pi2::durable

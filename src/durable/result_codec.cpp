@@ -1,10 +1,8 @@
 #include "durable/result_codec.hpp"
 
-#include <cinttypes>
-#include <cstdio>
-#include <cstring>
-#include <sstream>
 #include <vector>
+
+#include "durable/wire.hpp"
 
 namespace pi2::durable {
 
@@ -21,36 +19,6 @@ namespace {
 // topologies) and the ResilienceReport (recovery scoring of the primary
 // link's fault windows).
 constexpr const char* kMagic = "pi2-result-v5";
-
-void put_u64(std::string& out, std::uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof buf, " %" PRIx64, v);
-  out += buf;
-}
-
-void put_i64(std::string& out, std::int64_t v) {
-  // Two's-complement via u64 keeps negatives (none expected, but exact).
-  put_u64(out, static_cast<std::uint64_t>(v));
-}
-
-void put_double(std::string& out, double v) {
-  std::uint64_t bits = 0;
-  std::memcpy(&bits, &v, sizeof bits);
-  char buf[24];
-  std::snprintf(buf, sizeof buf, " %016" PRIx64, bits);
-  out += buf;
-}
-
-void put_string(std::string& out, const std::string& s) {
-  put_u64(out, s.size());
-  if (s.empty()) return;
-  out += ' ';
-  char buf[4];
-  for (const char c : s) {
-    std::snprintf(buf, sizeof buf, "%02x", static_cast<unsigned char>(c));
-    out += buf;
-  }
-}
 
 void put_series(std::string& out, const stats::TimeSeries& series) {
   put_u64(out, series.size());
@@ -74,115 +42,43 @@ void put_sampler_lite(std::string& out, const stats::PercentileSampler& sampler)
   put_double(out, sampler.sum());
 }
 
-class Reader {
- public:
-  explicit Reader(const std::string& payload) : in_(payload) {}
-
-  bool u64(std::uint64_t& v) {
-    std::string tok;
-    if (!(in_ >> tok)) return fail();
-    v = 0;
-    if (tok.empty() || tok.size() > 16) return fail();
-    for (const char c : tok) {
-      v <<= 4;
-      if (c >= '0' && c <= '9') v |= static_cast<std::uint64_t>(c - '0');
-      else if (c >= 'a' && c <= 'f') v |= static_cast<std::uint64_t>(c - 'a' + 10);
-      else return fail();
-    }
-    return true;
+bool read_series(TokenReader& reader, stats::TimeSeries& out) {
+  std::uint64_t size = 0;
+  if (!reader.u64(size)) return false;
+  for (std::uint64_t i = 0; i < size; ++i) {
+    std::int64_t t_ns = 0;
+    double value = 0.0;
+    if (!reader.i64(t_ns) || !reader.real(value)) return false;
+    out.add(pi2::sim::Time{t_ns}, value);
   }
+  return true;
+}
 
-  bool i64(std::int64_t& v) {
-    std::uint64_t raw = 0;
-    if (!u64(raw)) return false;
-    v = static_cast<std::int64_t>(raw);
-    return true;
-  }
-
-  bool real(double& v) {
-    std::uint64_t bits = 0;
-    if (!u64(bits)) return false;
-    std::memcpy(&v, &bits, sizeof v);
-    return true;
-  }
-
-  bool str(std::string& out) {
-    std::uint64_t size = 0;
-    if (!u64(size)) return false;
-    if (size > (1u << 20)) return fail();  // sanity bound on string fields
-    out.clear();
-    if (size == 0) return true;
-    std::string hex;
-    if (!(in_ >> hex) || hex.size() != size * 2) return fail();
-    out.reserve(size);
-    for (std::size_t i = 0; i < hex.size(); i += 2) {
-      unsigned byte = 0;
-      for (int k = 0; k < 2; ++k) {
-        const char c = hex[i + static_cast<std::size_t>(k)];
-        byte <<= 4;
-        if (c >= '0' && c <= '9') byte |= static_cast<unsigned>(c - '0');
-        else if (c >= 'a' && c <= 'f') byte |= static_cast<unsigned>(c - 'a' + 10);
-        else return fail();
-      }
-      out += static_cast<char>(byte);
-    }
-    return true;
-  }
-
-  bool series(stats::TimeSeries& out) {
-    std::uint64_t size = 0;
-    if (!u64(size)) return false;
-    for (std::uint64_t i = 0; i < size; ++i) {
-      std::int64_t t_ns = 0;
-      double value = 0.0;
-      if (!i64(t_ns) || !real(value)) return false;
-      out.add(pi2::sim::Time{t_ns}, value);
-    }
-    return true;
-  }
-
-  bool sampler(stats::PercentileSampler& out) {
-    std::int64_t seen = 0;
-    double sum = 0.0;
-    std::uint64_t retained = 0;
-    if (!i64(seen) || !real(sum) || !u64(retained)) return false;
-    std::vector<double> samples;
-    samples.reserve(retained);
-    for (std::uint64_t i = 0; i < retained; ++i) {
-      double x = 0.0;
-      if (!real(x)) return false;
-      samples.push_back(x);
-    }
-    out.restore(seen, sum, std::move(samples));
-    return true;
-  }
-
-  bool sampler_lite(stats::PercentileSampler& out) {
-    std::int64_t seen = 0;
-    double sum = 0.0;
-    if (!i64(seen) || !real(sum)) return false;
-    out.restore(seen, sum, {});
-    return true;
-  }
-
-  [[nodiscard]] bool failed() const { return failed_; }
-
-  /// True once every token has been consumed. Trailing bytes mean the payload
-  /// is not what encode_result() produced (e.g. two records glued together).
-  [[nodiscard]] bool exhausted() {
-    std::string extra;
-    return !(in_ >> extra);
-  }
-
- private:
-  bool fail() {
-    failed_ = true;
+bool read_sampler(TokenReader& reader, stats::PercentileSampler& out) {
+  std::int64_t seen = 0;
+  double sum = 0.0;
+  std::uint64_t retained = 0;
+  if (!reader.i64(seen) || !reader.real(sum) || !reader.u64(retained)) {
     return false;
   }
+  std::vector<double> samples;
+  samples.reserve(retained);
+  for (std::uint64_t i = 0; i < retained; ++i) {
+    double x = 0.0;
+    if (!reader.real(x)) return false;
+    samples.push_back(x);
+  }
+  out.restore(seen, sum, std::move(samples));
+  return true;
+}
 
-  std::istringstream in_;
-  bool failed_ = false;
-};
+bool read_sampler_lite(TokenReader& reader, stats::PercentileSampler& out) {
+  std::int64_t seen = 0;
+  double sum = 0.0;
+  if (!reader.i64(seen) || !reader.real(sum)) return false;
+  out.restore(seen, sum, {});
+  return true;
+}
 
 }  // namespace
 
@@ -296,12 +192,11 @@ std::string encode_result(const scenario::RunResult& result) {
 }
 
 Status decode_result(const std::string& payload, scenario::RunResult& result) {
-  std::istringstream magic_in(payload);
+  TokenReader reader(payload);
   std::string magic;
-  if (!(magic_in >> magic) || magic != kMagic) {
+  if (!reader.word(magic) || magic != kMagic) {
     return Status::corrupt("result payload: bad magic");
   }
-  Reader reader(payload.substr(magic.size()));
   scenario::RunResult out;
 
   bool ok = reader.u64(out.events_executed) && reader.u64(out.clamped_events) &&
@@ -338,14 +233,14 @@ Status decode_result(const std::string& payload, scenario::RunResult& result) {
   ok = ok && reader.real(out.mean_qdelay_ms) && reader.real(out.p99_qdelay_ms) &&
        reader.real(out.utilization);
 
-  ok = ok && reader.series(out.qdelay_ms_series) &&
-       reader.series(out.classic_prob_series) &&
-       reader.series(out.total_throughput_series) &&
-       reader.series(out.utilization_series);
+  ok = ok && read_series(reader, out.qdelay_ms_series) &&
+       read_series(reader, out.classic_prob_series) &&
+       read_series(reader, out.total_throughput_series) &&
+       read_series(reader, out.utilization_series);
 
-  ok = ok && reader.sampler(out.classic_prob_samples) &&
-       reader.sampler(out.scalable_prob_samples) &&
-       reader.sampler_lite(out.qdelay_ms_packets);
+  ok = ok && read_sampler(reader, out.classic_prob_samples) &&
+       read_sampler(reader, out.scalable_prob_samples) &&
+       read_sampler_lite(reader, out.qdelay_ms_packets);
 
   std::uint64_t flow_count = 0;
   ok = ok && reader.u64(flow_count) && flow_count <= (1u << 20);

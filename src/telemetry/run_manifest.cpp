@@ -1,59 +1,21 @@
 #include "telemetry/run_manifest.hpp"
 
 #include <cstdio>
-#include <cstring>
 
 #include "durable/atomic_file.hpp"
+#include "durable/wire.hpp"
 
 namespace pi2::telemetry {
 
 namespace {
+
+using durable::json_escape;
 
 std::string format_double(double v) {
   char buf[64];
   std::snprintf(buf, sizeof buf, "%.9g", v);
   return buf;
 }
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-/// FNV-1a 64-bit over raw bytes.
-struct Fnv1a {
-  std::uint64_t state = 0xcbf29ce484222325ull;
-  void mix(const void* data, std::size_t size) {
-    const auto* bytes = static_cast<const unsigned char*>(data);
-    for (std::size_t i = 0; i < size; ++i) {
-      state ^= bytes[i];
-      state *= 0x100000001b3ull;
-    }
-  }
-  void mix_u64(std::uint64_t v) { mix(&v, sizeof v); }
-  void mix_double(double v) {
-    std::uint64_t bits = 0;
-    std::memcpy(&bits, &v, sizeof bits);
-    mix_u64(bits);
-  }
-};
 
 }  // namespace
 
@@ -107,7 +69,7 @@ durable::Status RunManifest::write_json(const std::string& path) const {
 }
 
 std::string fault_schedule_digest(const faults::FaultSchedule& schedule) {
-  Fnv1a h;
+  durable::Fnv1a h;
   h.mix_u64(schedule.events.size());
   for (const auto& e : schedule.events) {
     h.mix_u64(static_cast<std::uint64_t>(e.kind));

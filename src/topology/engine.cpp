@@ -510,6 +510,9 @@ TopologyResult run_topology(const TopologyConfig& config) {
         reg.gauge(prefix + "backlog_packets", [&link] {
           return static_cast<double>(link.backlog_packets());
         });
+        reg.gauge(prefix + "enqueued", [&link] {
+          return static_cast<double>(link.counters().enqueued);
+        });
         reg.gauge(prefix + "forwarded", [&link] {
           return static_cast<double>(link.counters().forwarded);
         });
@@ -518,6 +521,12 @@ TopologyResult run_topology(const TopologyConfig& config) {
         });
         reg.gauge(prefix + "aqm_dropped", [&link] {
           return static_cast<double>(link.counters().aqm_dropped);
+        });
+        reg.gauge(prefix + "tail_dropped", [&link] {
+          return static_cast<double>(link.counters().tail_dropped);
+        });
+        reg.gauge(prefix + "fault_dropped", [&link] {
+          return static_cast<double>(link.counters().fault_dropped);
         });
       }
     }

@@ -618,6 +618,42 @@ TEST(CampaignParse, SeedMustBeWholeNumber) {
             "spec: 'seed' must be a non-negative whole number");
 }
 
+TEST(CampaignParse, NonFiniteNumbersAreRefusedByKey) {
+  // The shared reader accepts nan/inf spellings (poisoned metric rows must
+  // parse); a spec refuses each of them, naming where it sits.
+  for (const std::string bad : {"nan", "-nan", "1e309"}) {
+    EXPECT_EQ(validate_parsed(R"({"name": "x", "template": "parking_lot",
+                                  "link_mbps": )" + bad + R"(,
+                                  "axes": [{"name": "aqm", "values": ["pie"]},
+                                           {"name": "hops", "values": [1]}]})"),
+              "spec: 'link_mbps' must be finite (got " + bad + ")");
+    EXPECT_EQ(validate_parsed(R"({"name": "x", "template": "parking_lot",
+                                  "axes": [{"name": "aqm", "values": ["pie"]},
+                                           {"name": "hops", "values": [1, )" +
+                              bad + R"(]}]})"),
+              "spec: 'values' holds a non-finite number (" + bad + ")");
+    EXPECT_EQ(validate_parsed(R"({"name": "x", "template": "rtt_mix", "seed": )" +
+                              bad + R"(,
+                                  "axes": [{"name": "aqm", "values": ["pie"]}]})"),
+              "spec: 'seed' must be a non-negative whole number");
+  }
+}
+
+TEST(CampaignParse, SeedDigitsAreReadExactlyUpTo64Bits) {
+  CampaignSpec spec;
+  ASSERT_EQ(parse_spec(R"({"name": "x", "template": "rtt_mix",
+                           "seed": 18446744073709551615,
+                           "axes": [{"name": "aqm", "values": ["pie"]}]})",
+                       spec),
+            "");
+  EXPECT_EQ(spec.seed, ~0ull);
+  EXPECT_EQ(parse_spec(R"({"name": "x", "template": "rtt_mix",
+                           "seed": 18446744073709551616,
+                           "axes": [{"name": "aqm", "values": ["pie"]}]})",
+                       spec),
+            "spec: 'seed' must be a non-negative whole number");
+}
+
 TEST(CampaignParse, AxisValuesMustBeScalars) {
   EXPECT_EQ(validate_parsed(
                 R"({"name": "x", "template": "rtt_mix",

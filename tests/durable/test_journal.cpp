@@ -65,6 +65,38 @@ TEST(JournalRecord, StructuralDamageIsCorrupt) {
             StatusCode::kCorrupt);
 }
 
+TEST(JournalRecord, TornAndRottenRecordsAreToldApart) {
+  JournalRecord record;
+  record.kind = "point";
+  record.key = 7;
+  record.payload = "payload";
+  const std::string line = encode_record(record);
+  JournalRecord parsed;
+  // Every truncation is structural damage (a torn tail), never a crc
+  // mismatch: load_shard_journal and the merge's exit 15 split on that.
+  for (std::size_t n = 0; n + 2 < line.size(); ++n) {
+    const Status status = parse_record(line.substr(0, n), parsed);
+    EXPECT_EQ(status.code(), StatusCode::kCorrupt) << n;
+    EXPECT_EQ(status.message().find("crc mismatch"), std::string::npos) << n;
+  }
+  std::string rotten = line;
+  rotten[rotten.find("payload\",\"crc")] = 'q';
+  EXPECT_NE(parse_record(rotten, parsed).message().find(
+                "crc mismatch (torn write)"),
+            std::string::npos);
+  // The four string fields, in the order encode_record writes them.
+  for (const char* text :
+       {R"({"kind":"point","key":"0000000000000007","payload":"p"})",
+        R"({"key":"0000000000000007","kind":"point","payload":"p","crc":"0000000000000000"})",
+        R"({"kind":"point","key":7,"payload":"p","crc":"0000000000000000"})",
+        R"({"kind":"point","key":"7","payload":"p","crc":"0000000000000000"})",
+        R"(["point","0000000000000007","p","0000000000000000"])"}) {
+    const Status status = parse_record(text, parsed);
+    EXPECT_EQ(status.code(), StatusCode::kCorrupt) << text;
+    EXPECT_EQ(status.message().find("crc mismatch"), std::string::npos) << text;
+  }
+}
+
 TEST(Journal, WriteThenLoadRoundtrip) {
   const std::string path = temp_path("roundtrip.jsonl");
   fs::remove(path);

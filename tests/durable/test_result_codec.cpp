@@ -11,6 +11,7 @@
 #include <string>
 
 #include "check/oracles.hpp"
+#include "durable/wire.hpp"
 #include "scenario/dumbbell.hpp"
 #include "sim/time.hpp"
 
@@ -299,6 +300,46 @@ TEST(ResultCodec, StructuralDamageIsCorruptNeverGarbage) {
   }
   // Trailing garbage is also structural damage.
   EXPECT_FALSE(decode_result(payload + " deadbeef", decoded).ok());
+}
+
+TEST(ResultCodec, TokenReaderRefusesNonCanonicalTokens) {
+  // Integers are written as 1..16 lowercase hex digits; strtoull-style
+  // leniency (signs, 0x, uppercase, overflow) would decode foreign bytes.
+  for (const char* token : {"-1", "0x10", "FF", "aB", "10000000000000000", "",
+                            "+1", "1g"}) {
+    TokenReader reader{token};
+    std::uint64_t v = 0;
+    EXPECT_FALSE(reader.u64(v)) << "'" << token << "'";
+    EXPECT_TRUE(reader.failed()) << "'" << token << "'";
+  }
+  TokenReader reader{" ffffffffffffffff 0 "};
+  std::uint64_t v = 0;
+  EXPECT_TRUE(reader.u64(v));
+  EXPECT_EQ(v, ~0ull);
+  EXPECT_TRUE(reader.u64(v));
+  EXPECT_EQ(v, 0u);
+  EXPECT_TRUE(reader.exhausted());
+}
+
+TEST(ResultCodec, TokenWriterAndReaderRoundTripStrings) {
+  std::string out;
+  put_string(out, std::string("a b\n\0\xff", 6));
+  put_string(out, "");
+  put_i64(out, -5);
+  put_double(out, -0.0);
+  TokenReader reader{out};
+  std::string a;
+  std::string b = "stale";
+  std::int64_t i = 0;
+  double d = 1.0;
+  ASSERT_TRUE(reader.str(a) && reader.str(b) && reader.i64(i) && reader.real(d));
+  EXPECT_EQ(a, std::string("a b\n\0\xff", 6));
+  EXPECT_EQ(b, "");
+  EXPECT_EQ(i, -5);
+  EXPECT_TRUE(same_bits(d, -0.0));
+  EXPECT_TRUE(reader.exhausted());
+  TokenReader odd{" 2 abc"};  // two bytes promised, three hex digits given
+  EXPECT_FALSE(odd.str(a));
 }
 
 TEST(ResultCodec, EmptyResultRoundtrips) {

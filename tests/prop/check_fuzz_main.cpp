@@ -22,7 +22,6 @@
 // over the combined set.
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <map>
 #include <memory>
 #include <set>
@@ -36,6 +35,7 @@
 #include "durable/journal.hpp"
 #include "durable/shutdown.hpp"
 #include "durable/status.hpp"
+#include "durable/wire.hpp"
 #include "runner/parallel_runner.hpp"
 #include "sim/rng.hpp"
 
@@ -65,34 +65,46 @@ struct Args {
   std::string journal_path;
 };
 
+/// Parses the value of the flag at argv[i] whole into `out`, advancing i; a
+/// malformed value is a usage error (exit 17) naming the flag.
+template <typename T>
+void flag_value(char** argv, int& i, T& out) {
+  if (!durable::parse_decimal(argv[i + 1], out)) {
+    std::fprintf(stderr, "check_fuzz: invalid value '%s' for %s\n",
+                 argv[i + 1], argv[i]);
+    std::exit(17);
+  }
+  ++i;
+}
+
 Args parse_args(int argc, char** argv) {
   Args args;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--seed" && i + 1 < argc) {
-      args.seed = std::strtoull(argv[++i], nullptr, 10);
+      flag_value(argv, i, args.seed);
     } else if (arg == "--cases" && i + 1 < argc) {
-      args.cases = std::strtoull(argv[++i], nullptr, 10);
+      flag_value(argv, i, args.cases);
     } else if (arg == "--topo-cases" && i + 1 < argc) {
-      args.topo_cases = std::strtoll(argv[++i], nullptr, 10);
+      flag_value(argv, i, args.topo_cases);
     } else if (arg == "--campaign-cases" && i + 1 < argc) {
-      args.campaign_cases = std::strtoll(argv[++i], nullptr, 10);
+      flag_value(argv, i, args.campaign_cases);
     } else if (arg == "--case" && i + 1 < argc) {
-      args.single_case = std::strtoll(argv[++i], nullptr, 10);
+      flag_value(argv, i, args.single_case);
     } else if (arg == "--topo-case" && i + 1 < argc) {
-      args.single_topo_case = std::strtoll(argv[++i], nullptr, 10);
+      flag_value(argv, i, args.single_topo_case);
     } else if (arg == "--jobs" && i + 1 < argc) {
-      args.jobs = static_cast<unsigned>(std::strtoul(argv[++i], nullptr, 10));
+      flag_value(argv, i, args.jobs);
     } else if (arg == "--scratch" && i + 1 < argc) {
       args.scratch = argv[++i];
     } else if (arg == "--inject-oracle-fail" && i + 1 < argc) {
-      args.inject_case = std::strtoll(argv[++i], nullptr, 10);
+      flag_value(argv, i, args.inject_case);
     } else if (arg == "--repro-out" && i + 1 < argc) {
       args.repro_out = argv[++i];
     } else if (arg == "--shrink-evals" && i + 1 < argc) {
-      args.shrink_evals = static_cast<int>(std::strtol(argv[++i], nullptr, 10));
+      flag_value(argv, i, args.shrink_evals);
     } else if (arg == "--recheck" && i + 1 < argc) {
-      args.recheck = std::strtoull(argv[++i], nullptr, 10);
+      flag_value(argv, i, args.recheck);
     } else if (arg == "--verbose" || arg == "-v") {
       args.verbose = true;
     } else if (arg == "--resume") {
@@ -133,100 +145,34 @@ Args parse_args(int argc, char** argv) {
 }
 
 // --- CaseOutcome <-> journal payload -------------------------------------
-// Same exactness rules as the RunResult codec: integers in hex, strings as
-// length + hex bytes, one line of space-separated tokens.
-
-void put_u64(std::string& out, std::uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof buf, " %llx", static_cast<unsigned long long>(v));
-  out += buf;
-}
-
-void put_string(std::string& out, const std::string& s) {
-  put_u64(out, s.size());
-  if (s.empty()) return;
-  out += ' ';
-  for (const char c : s) {
-    char buf[4];
-    std::snprintf(buf, sizeof buf, "%02x", static_cast<unsigned char>(c));
-    out += buf;
-  }
-}
+// The hex-token codec of the RunResult payload (durable/wire.hpp).
 
 std::string encode_outcome(const check::CaseOutcome& outcome) {
   std::string out = "pi2-fuzz-outcome-v1";
-  put_u64(out, outcome.index);
-  put_u64(out, outcome.seed);
-  put_u64(out, outcome.digest);
-  put_u64(out, outcome.failures.size());
+  durable::put_u64(out, outcome.index);
+  durable::put_u64(out, outcome.seed);
+  durable::put_u64(out, outcome.digest);
+  durable::put_u64(out, outcome.failures.size());
   for (const auto& failure : outcome.failures) {
-    put_string(out, failure.oracle);
-    put_string(out, failure.detail);
+    durable::put_string(out, failure.oracle);
+    durable::put_string(out, failure.detail);
   }
   return out;
 }
 
-/// Token reader for decode_outcome; any structural mismatch sets fail.
-struct OutcomeReader {
-  const std::string& s;
-  std::size_t pos = 0;
-  bool fail = false;
-
-  std::string next() {
-    while (pos < s.size() && s[pos] == ' ') ++pos;
-    const std::size_t start = pos;
-    while (pos < s.size() && s[pos] != ' ') ++pos;
-    if (pos == start) fail = true;
-    return s.substr(start, pos - start);
-  }
-  std::uint64_t u64() {
-    const std::string tok = next();
-    if (fail) return 0;
-    char* end = nullptr;
-    const std::uint64_t v = std::strtoull(tok.c_str(), &end, 16);
-    if (end == nullptr || *end != '\0') fail = true;
-    return v;
-  }
-  std::string str() {
-    const std::uint64_t n = u64();
-    if (fail || n > (1u << 20)) {
-      fail = true;
-      return {};
-    }
-    if (n == 0) return {};
-    const std::string tok = next();
-    if (fail || tok.size() != 2 * n) {
-      fail = true;
-      return {};
-    }
-    std::string out;
-    out.reserve(n);
-    for (std::size_t i = 0; i < tok.size(); i += 2) {
-      unsigned byte = 0;
-      if (std::sscanf(tok.c_str() + i, "%2x", &byte) != 1) {
-        fail = true;
-        return {};
-      }
-      out += static_cast<char>(byte);
-    }
-    return out;
-  }
-};
-
 bool decode_outcome(const std::string& payload, check::CaseOutcome& outcome) {
-  OutcomeReader r{payload};
-  if (r.next() != "pi2-fuzz-outcome-v1" || r.fail) return false;
+  durable::TokenReader r{payload};
+  std::string magic;
   check::CaseOutcome built;
-  built.index = r.u64();
-  built.seed = r.u64();
-  built.digest = r.u64();
-  const std::uint64_t n = r.u64();
-  if (r.fail || n > (1u << 20)) return false;
+  std::uint64_t n = 0;
+  if (!r.word(magic) || magic != "pi2-fuzz-outcome-v1" ||
+      !r.u64(built.index) || !r.u64(built.seed) || !r.u64(built.digest) ||
+      !r.u64(n) || n > (1u << 20)) {
+    return false;
+  }
   for (std::uint64_t i = 0; i < n; ++i) {
     check::OracleFailure failure;
-    failure.oracle = r.str();
-    failure.detail = r.str();
-    if (r.fail) return false;
+    if (!r.str(failure.oracle) || !r.str(failure.detail)) return false;
     built.failures.push_back(std::move(failure));
   }
   outcome = std::move(built);

@@ -17,11 +17,11 @@
 // The self-test proves the bands actually bite: a comparator that passes
 // everything would make every golden test green forever.
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 
 #include "check/golden.hpp"
+#include "durable/wire.hpp"
 
 int main(int argc, char** argv) {
   using namespace pi2::check;
@@ -48,18 +48,18 @@ int main(int argc, char** argv) {
       // engine renderings are required to agree.
       const std::string spec = argv[arg + 1];
       const std::size_t eq = spec.find('=');
-      const double value =
-          eq == std::string::npos ? -1.0 : std::strtod(spec.c_str() + eq + 1,
-                                                       nullptr);
-      if (eq == std::string::npos || eq == 0 || !(value >= 0.0)) {
+      double value = -1.0;
+      if (eq == std::string::npos || eq == 0 ||
+          !pi2::durable::parse_decimal(spec.substr(eq + 1), value) ||
+          !(value >= 0.0)) {
         std::printf("check_golden: --tol expects NAME=VALUE with VALUE >= 0\n");
         return 2;
       }
       options.metric_rel_tol[spec.substr(0, eq)] = value;
       arg += 2;
     } else if (std::strcmp(argv[arg], "--tol-scale") == 0) {
-      const double scale = std::strtod(argv[arg + 1], nullptr);
-      if (!(scale > 0.0)) {
+      double scale = 0.0;
+      if (!pi2::durable::parse_decimal(argv[arg + 1], scale) || !(scale > 0.0)) {
         std::printf("check_golden: --tol-scale needs a value > 0\n");
         return 2;
       }

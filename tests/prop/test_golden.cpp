@@ -2,6 +2,7 @@
 // and the self-test perturbation.
 #include "check/golden.hpp"
 
+#include <cmath>
 #include <fstream>
 #include <string>
 
@@ -38,6 +39,40 @@ TEST(GoldenParser, RejectsNestedValuesAndGarbage) {
   EXPECT_FALSE(parse_flat_object(R"({"a": [1, 2]})", &record, &error));
   EXPECT_FALSE(parse_flat_object(R"({"a" 1})", &record, &error));
   EXPECT_FALSE(parse_flat_object("not json", &record, &error));
+}
+
+TEST(GoldenParser, RefusesTruncatedKeywords) {
+  JsonRecord record;
+  std::string error;
+  EXPECT_FALSE(parse_flat_object(R"({"a": tru})", &record, &error));
+  EXPECT_NE(error.find("at offset"), std::string::npos) << error;
+  EXPECT_FALSE(parse_flat_object(R"({"a": txyz})", &record, &error));
+  EXPECT_FALSE(parse_flat_object(R"({"a": null})", &record, &error));
+  EXPECT_NE(error.find("'a'"), std::string::npos) << error;
+}
+
+TEST(GoldenParser, NonFiniteMetricsParseAndAreNamed) {
+  JsonRecord record;
+  std::string error;
+  ASSERT_TRUE(parse_flat_object(
+      R"({"t_s": 1, "p": nan, "q": -nan, "r": inf, "s": -inf, "u": 1e309})",
+      &record, &error))
+      << error;
+  EXPECT_TRUE(std::isnan(record.numbers.at("p")));
+  EXPECT_TRUE(std::isnan(record.numbers.at("q")));
+  EXPECT_TRUE(std::isinf(record.numbers.at("r")));
+  EXPECT_TRUE(std::isinf(record.numbers.at("s")));
+  EXPECT_TRUE(std::isinf(record.numbers.at("u")));
+  const auto base = write_temp(
+      "base_inf.json", R"([{"index": 0, "aqm": "pi2", "utilization": 0.9}])");
+  const auto poisoned = write_temp(
+      "cand_inf.json", R"([{"index": 0, "aqm": "pi2", "utilization": -inf}])");
+  const auto mismatches =
+      compare_golden(base, poisoned, default_golden_options());
+  ASSERT_EQ(mismatches.size(), 1u);
+  EXPECT_NE(mismatches[0].find("\"utilization\" is non-finite"),
+            std::string::npos)
+      << mismatches[0];
 }
 
 TEST(GoldenParser, ParsesRecordArrays) {

@@ -116,9 +116,15 @@ telemetry::MetricsRegistry mirrored_registry(
   registry.gauge("link.fault_dropped").set(static_cast<double>(c.fault_dropped));
   const auto& c1 = result.links[1].counters;
   const std::string prefix = "topo." + result.links[1].name + ".";
+  registry.gauge(prefix + "backlog_packets")
+      .set(static_cast<double>(result.links[1].final_backlog_packets));
+  registry.gauge(prefix + "enqueued").set(static_cast<double>(c1.enqueued));
   registry.gauge(prefix + "forwarded").set(static_cast<double>(c1.forwarded));
-  registry.gauge(prefix + "marked").set(static_cast<double>(c1.marked));
   registry.gauge(prefix + "aqm_dropped").set(static_cast<double>(c1.aqm_dropped));
+  registry.gauge(prefix + "tail_dropped").set(static_cast<double>(c1.tail_dropped));
+  registry.gauge(prefix + "marked").set(static_cast<double>(c1.marked));
+  registry.gauge(prefix + "fault_dropped")
+      .set(static_cast<double>(c1.fault_dropped));
   return registry;
 }
 
@@ -262,7 +268,7 @@ TEST(Oracles, CouplingSnapshotDetectsDecoupledGauges) {
 
 // The per-link checks over hand-built two-link results: each fault below
 // sits where only the per-link path looks (a later link's band windows,
-// links[0]'s gauges beyond forwarded/marked/aqm_dropped, its sojourn probe).
+// every link's mirrored gauges, links[0]'s sojourn probe).
 
 TEST(Oracles, LinkChecksPassAHealthyTwoLinkResult) {
   const auto cfg = two_link_config();
@@ -303,6 +309,24 @@ TEST(Oracles, LinkGaugesDetectPrimaryCounterDrift) {
               std::string::npos)
         << failures[0].detail;
   }
+}
+
+TEST(Oracles, LinkGaugesDetectLaterLinkDrift) {
+  // links[1] mirrors the same six counters and its backlog as
+  // "topo.b->c.*" gauges; drift in any of them is a lying probe.
+  const auto cfg = two_link_config();
+  const auto result = healthy_two_link_result(cfg);
+  telemetry::MetricsRegistry registry = mirrored_registry(result);
+  const std::string prefix = "topo." + result.links[1].name + ".";
+  for (const char* name : {"tail_dropped", "backlog_packets"}) {
+    auto& gauge = registry.gauge(prefix + name);
+    gauge.set(gauge.value() + 1.0);
+  }
+  std::vector<OracleFailure> failures;
+  check_link_gauges(cfg, result, registry, failures);
+  ASSERT_EQ(failures.size(), 2u);
+  EXPECT_TRUE(has_detail(failures, "gauge " + prefix + "tail_dropped = 3"));
+  EXPECT_TRUE(has_detail(failures, "gauge " + prefix + "backlog_packets = 7"));
 }
 
 TEST(Oracles, LinkGaugesDetectSojournCountMismatch) {
