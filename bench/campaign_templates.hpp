@@ -15,26 +15,18 @@
 #include <string>
 
 #include "faults/fault_presets.hpp"
+#include "scenario/resilience.hpp"
 #include "sweep.hpp"
 #include "topology/topology.hpp"
 
 namespace pi2::bench {
 
-/// Maps a campaign-spec axis value onto an AqmType. Names follow
-/// scenario::to_string(AqmType); callers pass validated spec values.
+/// Maps a campaign-spec axis value onto an AqmType (names follow
+/// scenario::to_string(AqmType)); throws std::invalid_argument for a name no
+/// AQM carries.
 inline scenario::AqmType aqm_from_name(const std::string& name) {
-  using scenario::AqmType;
-  if (name == "fifo") return AqmType::kFifo;
-  if (name == "pie") return AqmType::kPie;
-  if (name == "bare-pie") return AqmType::kBarePie;
-  if (name == "pi") return AqmType::kPi;
-  if (name == "pi2") return AqmType::kPi2;
-  if (name == "coupled-pi2") return AqmType::kCoupledPi2;
-  if (name == "red") return AqmType::kRed;
-  if (name == "codel") return AqmType::kCodel;
-  if (name == "curvy-red") return AqmType::kCurvyRed;
-  if (name == "step") return AqmType::kStep;
-  return AqmType::kDualPi2;
+  if (const auto type = scenario::aqm_from_string(name)) return *type;
+  throw std::invalid_argument("unknown aqm '" + name + "'");
 }
 
 inline MixKind mix_from_name(const std::string& name) {
@@ -430,51 +422,10 @@ inline bool rtt_mix_check_branches(const RttMixSummary& s) {
 
 // ---- resilience (fault presets x fluid background vs recovery time) --------
 
-/// The preset/literal scaling context for one resilience campaign: faults
-/// scale to the expansion's link rate, base RTT and (override-adjusted)
-/// duration, so the same spec stresses quick, full and smoke runs alike.
-inline faults::PresetContext resilience_fault_context(double link_mbps,
-                                                      double rtt_ms,
-                                                      double total_s) {
-  faults::PresetContext ctx;
-  ctx.link_bps = link_mbps * 1e6;
-  ctx.base_rtt = sim::from_millis(rtt_ms);
-  ctx.duration = sim::from_seconds(total_s);
-  return ctx;
-}
-
-/// Foreground is the coexistence pair (1 Cubic + 1 DCTCP) every AQM on the
-/// grid can govern; the fluid tier renders the `fluid_flows` background as
-/// one modelled-Reno ensemble, exactly the --fluid-background idiom.
-inline scenario::DumbbellConfig resilience_config(
-    scenario::AqmType aqm, const faults::FaultSchedule& schedule,
-    double fluid_flows, double link_mbps, double rtt_ms, double total_s,
-    double stats_start_s, std::uint64_t seed) {
-  scenario::DumbbellConfig cfg;
-  cfg.link_rate_bps = link_mbps * 1e6;
-  cfg.aqm.type = aqm;
-  cfg.aqm.ecn = true;
-  cfg.duration = sim::from_seconds(total_s);
-  cfg.stats_start = sim::from_seconds(stats_start_s);
-  cfg.seed = seed;
-  cfg.faults = schedule;
-  scenario::TcpFlowSpec cubic;
-  cubic.cc = tcp::CcType::kCubic;
-  cubic.base_rtt = sim::from_millis(rtt_ms);
-  cfg.tcp_flows.push_back(cubic);
-  scenario::TcpFlowSpec dctcp;
-  dctcp.cc = tcp::CcType::kDctcp;
-  dctcp.base_rtt = sim::from_millis(rtt_ms);
-  cfg.tcp_flows.push_back(dctcp);
-  if (fluid_flows > 0) {
-    scenario::FluidFlowSpec bg;
-    bg.cc = tcp::CcType::kReno;
-    bg.count = fluid_flows;
-    bg.base_rtt = sim::from_millis(rtt_ms);
-    cfg.fluid_flows.push_back(bg);
-  }
-  return cfg;
-}
+// The point builders live in scenario/resilience.hpp, shared with the
+// check_fuzz campaign slice.
+using scenario::resilience_config;
+using scenario::resilience_fault_context;
 
 inline void resilience_print_row(const char* aqm_name, const char* fault,
                                  double fluid_flows,

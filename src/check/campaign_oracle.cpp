@@ -7,7 +7,7 @@
 #include "campaign/merge.hpp"
 #include "durable/wire.hpp"
 #include "faults/fault_presets.hpp"
-#include "scenario/dumbbell.hpp"
+#include "scenario/resilience.hpp"
 #include "sim/rng.hpp"
 #include "sim/time.hpp"
 
@@ -313,46 +313,21 @@ CaseOutcome run_campaign_case_oracles(std::uint64_t seed, std::uint64_t index,
 
   const campaign::CampaignPoint& p =
       x.points[rng.uniform_below(x.points.size())];
-  faults::PresetContext ctx;
-  ctx.link_bps = x.link_mbps * 1e6;
-  ctx.base_rtt = sim::from_millis(x.rtt_ms);
-  ctx.duration = sim::from_seconds(x.duration_s);
   faults::FaultSchedule schedule;
-  const std::string resolve_err =
-      faults::resolve_schedule(x.text(p, "fault_schedule"), ctx, &schedule);
+  const std::string resolve_err = faults::resolve_schedule(
+      x.text(p, "fault_schedule"),
+      scenario::resilience_fault_context(x.link_mbps, x.rtt_ms, x.duration_s),
+      &schedule);
   if (!resolve_err.empty()) {
     outcome.failures.push_back({"campaign-resolve", resolve_err});
     return outcome;
   }
 
-  scenario::DumbbellConfig cfg;
-  cfg.link_rate_bps = x.link_mbps * 1e6;
-  const std::string& aqm_name = x.text(p, "aqm");
-  cfg.aqm.type = aqm_name == "pie"       ? scenario::AqmType::kPie
-                 : aqm_name == "dualpi2" ? scenario::AqmType::kDualPi2
-                                         : scenario::AqmType::kCoupledPi2;
-  cfg.aqm.ecn = true;
-  cfg.duration = sim::from_seconds(x.duration_s);
-  cfg.stats_start = sim::from_seconds(x.stats_start_s);
-  cfg.seed = p.seed;
-  cfg.faults = schedule;
-  scenario::TcpFlowSpec cubic;
-  cubic.cc = tcp::CcType::kCubic;
-  cubic.base_rtt = sim::from_millis(x.rtt_ms);
-  cfg.tcp_flows.push_back(cubic);
-  scenario::TcpFlowSpec dctcp;
-  dctcp.cc = tcp::CcType::kDctcp;
-  dctcp.base_rtt = sim::from_millis(x.rtt_ms);
-  cfg.tcp_flows.push_back(dctcp);
-  const double fluid = x.number(p, "fluid_flows");
-  if (fluid > 0) {
-    scenario::FluidFlowSpec bg;
-    bg.cc = tcp::CcType::kReno;
-    bg.count = fluid;
-    bg.base_rtt = sim::from_millis(x.rtt_ms);
-    cfg.fluid_flows.push_back(bg);
-  }
-
+  // validate() above accepted the aqm value, so it names an AqmType.
+  const scenario::DumbbellConfig cfg = scenario::resilience_config(
+      scenario::aqm_from_string(x.text(p, "aqm")).value(), schedule,
+      x.number(p, "fluid_flows"), x.link_mbps, x.rtt_ms, x.duration_s,
+      x.stats_start_s, p.seed);
   outcome = run_case_oracles(cfg, index, options);
   if (!prop_err.empty()) {
     outcome.failures.push_back({"campaign-properties", prop_err});

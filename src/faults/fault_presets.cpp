@@ -1,13 +1,16 @@
 #include "faults/fault_presets.hpp"
 
 #include <algorithm>
+#include <climits>
 #include <cstdio>
-#include <cstdlib>
 #include <map>
 #include <utility>
 
+#include "durable/wire.hpp"
+
 namespace pi2::faults {
 
+using pi2::durable::parse_decimal;
 using pi2::sim::from_millis;
 using pi2::sim::from_seconds;
 using pi2::sim::to_seconds;
@@ -61,15 +64,6 @@ std::vector<std::string_view> split(std::string_view s, char sep) {
     out.push_back(trim(s.substr(0, pos)));
     s.remove_prefix(pos + 1);
   }
-}
-
-bool parse_double(std::string_view s, double* out) {
-  const std::string copy(s);
-  char* end = nullptr;
-  const double v = std::strtod(copy.c_str(), &end);
-  if (end == copy.c_str() || *end != '\0') return false;
-  *out = v;
-  return true;
 }
 
 bool windowed_kind(FaultKind kind) {
@@ -133,7 +127,7 @@ std::string parse_event(std::string_view text, std::size_t index,
                    ? std::string(kind_name) + " needs a window (`start..end`)"
                    : std::string(kind_name) + " takes a single `@start` time");
   }
-  if (!parse_double(trim(time_part.substr(0, dots)), &start_frac)) {
+  if (!parse_decimal(trim(time_part.substr(0, dots)), start_frac)) {
     return literal_error(index, "`start` must be a number (got '" +
                                     std::string(time_part) + "')");
   }
@@ -142,7 +136,7 @@ std::string parse_event(std::string_view text, std::size_t index,
         index, "`start` must be a duration fraction in [0, 1)");
   }
   if (has_window) {
-    if (!parse_double(trim(time_part.substr(dots + 2)), &end_frac)) {
+    if (!parse_decimal(trim(time_part.substr(dots + 2)), end_frac)) {
       return literal_error(index, "`end` must be a number (got '" +
                                       std::string(time_part) + "')");
     }
@@ -199,11 +193,20 @@ std::string parse_event(std::string_view text, std::size_t index,
                                         " has no key '" + key +
                                         "' (keys: " + valid_keys + ")");
       }
-      if (!parse_double(trim(pair.substr(eq + 1)), &it->second)) {
+      if (!parse_decimal(trim(pair.substr(eq + 1)), it->second)) {
         return literal_error(index, "`" + key + "` must be a number (got '" +
                                         std::string(pair) + "')");
       }
     }
+  }
+
+  if (kind == FaultKind::kBurstLoss &&
+      !(params["packets"] >= 1.0 && params["packets"] <= INT_MAX)) {
+    char buf[96];
+    std::snprintf(buf, sizeof buf,
+                  "`packets` must lie in [1, %d] (got %g)", INT_MAX,
+                  params["packets"]);
+    return literal_error(index, buf);
   }
 
   const double dur_s = to_seconds(ctx.duration);

@@ -29,6 +29,15 @@ std::string_view to_string(AqmType type) {
   return "?";
 }
 
+std::optional<AqmType> aqm_from_string(std::string_view name) {
+  // kFifo and kDualPi2 are the enum's first and last members.
+  for (int i = 0; i <= static_cast<int>(AqmType::kDualPi2); ++i) {
+    const auto type = static_cast<AqmType>(i);
+    if (to_string(type) == name) return type;
+  }
+  return std::nullopt;
+}
+
 std::unique_ptr<net::QueueDiscipline> AqmConfig::make() const {
   switch (type) {
     case AqmType::kFifo:

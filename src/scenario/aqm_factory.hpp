@@ -30,6 +30,9 @@ enum class AqmType {
 
 [[nodiscard]] std::string_view to_string(AqmType type);
 
+/// The inverse of to_string(AqmType); nullopt for a name no type carries.
+[[nodiscard]] std::optional<AqmType> aqm_from_string(std::string_view name);
+
 struct AqmConfig {
   AqmType type = AqmType::kPi2;
   pi2::sim::Duration target = pi2::sim::from_millis(20);

@@ -52,6 +52,10 @@ struct TcpFlowSpec {
   /// (footnote 5), which bounds slow-start overshoot exactly as it did
   /// there. 0 = unlimited.
   double max_cwnd = 700.0;
+  /// Transfer size in segments: a finite flow completes once this many are
+  /// acknowledged, and run_topology() records when. 0 = bulk (sends until
+  /// `stop`).
+  std::int64_t segments = 0;
 };
 
 struct UdpFlowSpec {

@@ -88,6 +88,10 @@ std::string validate_tcp_spec(const TcpFlowSpec& f, const std::string& where) {
     return bad_field(where + "max_cwnd", "be finite and >= 0 (0 = unlimited)",
                      f.max_cwnd);
   }
+  if (f.segments < 0) {
+    return bad_field(where + "segments", "be >= 0 (0 = bulk)",
+                     static_cast<double>(f.segments));
+  }
   return "";
 }
 

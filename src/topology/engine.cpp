@@ -228,6 +228,7 @@ TopologyResult run_topology(const TopologyConfig& config) {
     tcp::TcpSender::Config sc;
     sc.flow = static_cast<std::int32_t>(flows.size());
     sc.max_cwnd = spec.max_cwnd;
+    if (spec.segments > 0) sc.total_segments = spec.segments;
     auto sender = std::make_unique<tcp::TcpSender>(
         sim, sc, tcp::make_congestion_control(spec.cc));
     auto receiver = std::make_unique<tcp::TcpReceiver>(sim, sc.flow);
@@ -249,6 +250,13 @@ TopologyResult run_topology(const TopologyConfig& config) {
           ack_pipes[bucket_of_flow[static_cast<std::size_t>(flow_id)]].send(
               std::move(ack), flows.half_rtt(flow_id));
         });
+
+    if (spec.segments > 0) {
+      flows.sender(flow_id)->set_completion_callback([&result, &sim, flow_id] {
+        result.flow_completion_s[static_cast<std::size_t>(flow_id)] =
+            to_seconds(sim.now());
+      });
+    }
 
     const Time start = spec.start + spec.stagger * index_in_spec;
     sim.at(start, [&flows, flow_id] { flows.sender(flow_id)->start(); });
@@ -291,6 +299,8 @@ TopologyResult run_topology(const TopologyConfig& config) {
       result.flow_route.push_back(static_cast<std::int32_t>(route));
     }
   }
+  result.flow_completion_s.assign(flows.size() + config.fluid_flows.size(),
+                                  -1.0);
 
   // --- Fluid tiers. --------------------------------------------------------
   // One ensemble per link that carries fluid routes, integrating against

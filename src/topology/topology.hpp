@@ -170,6 +170,12 @@ struct TopologyResult {
   /// Parallel to `flows`: the global route index each result came from.
   /// Routes number tcp_flows first, then udp_flows, then fluid_flows.
   std::vector<std::int32_t> flow_route;
+  /// Parallel to `flows`: when each finite TCP flow (TcpFlowSpec::segments
+  /// > 0) had its last segment acknowledged, in seconds of simulated time;
+  /// -1 for bulk, UDP and fluid flows and for finite flows that did not
+  /// finish. Kept out of FlowResult, so the result codec and digest ignore
+  /// it.
+  std::vector<double> flow_completion_s;
 
   std::uint64_t events_executed = 0;
   std::uint64_t clamped_events = 0;
@@ -191,6 +197,7 @@ TopologyResult run_topology(const TopologyConfig& config);
 /// top-level link fields come from links[0] (the primary link), and every
 /// link lands in RunResult::links as a codec-v4 slice. With one link this
 /// is a lossless renaming — run_dumbbell() is exactly this composition.
+/// `flow_completion_s` has no RunResult field and is dropped.
 [[nodiscard]] scenario::RunResult to_run_result(TopologyResult result);
 
 }  // namespace pi2::topology

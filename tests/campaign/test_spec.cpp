@@ -14,6 +14,7 @@
 
 #include "campaign/merge.hpp"
 #include "check/campaign_oracle.hpp"
+#include "scenario/aqm_factory.hpp"
 #include "sim/rng.hpp"
 
 namespace pi2::campaign {
@@ -578,6 +579,15 @@ TEST(TemplateRegistry, TemplateAxesAreRecognizedAxes) {
     for (const std::string& axis : axes) {
       EXPECT_NE(std::find(all.begin(), all.end(), axis), all.end())
           << name << " requires unknown axis " << axis;
+    }
+  }
+}
+
+TEST(TemplateRegistry, AcceptedAqmsAreAqmNames) {
+  for (const TemplateRule& rule : template_rules()) {
+    for (const std::string& aqm : rule.aqms) {
+      EXPECT_TRUE(scenario::aqm_from_string(aqm).has_value())
+          << rule.name << " accepts unknown aqm " << aqm;
     }
   }
 }

@@ -113,6 +113,34 @@ TEST(FaultPresets, LiteralErrorsNameTheEventAndConstraint) {
   }
 }
 
+TEST(FaultPresets, LiteralNumbersMustBeFiniteAndInRange) {
+  // Numbers parse whole and finite (no inf, nan or hex floats), and a burst
+  // length must fit an int before it is converted to one.
+  FaultSchedule s;
+  const struct {
+    const char* literal;
+    const char* message;
+  } cases[] = {
+      {"burst_loss@0.5:packets=1e10",
+       "fault literal event #0: `packets` must lie in [1, 2147483647] "
+       "(got 1e+10)"},
+      {"burst_loss@0.5:packets=inf",
+       "fault literal event #0: `packets` must be a number (got "
+       "'packets=inf')"},
+      {"burst_loss@0.5:packets=nan",
+       "fault literal event #0: `packets` must be a number (got "
+       "'packets=nan')"},
+      {"rate_step@0.2;rate_step@nan",
+       "fault literal event #1: `start` must be a number (got 'nan')"},
+      {"rate_step@0x0.8",
+       "fault literal event #0: `start` must be a number (got '0x0.8')"},
+  };
+  for (const auto& c : cases) {
+    EXPECT_EQ(resolve_schedule(c.literal, ctx_20s(), &s), c.message)
+        << c.literal;
+  }
+}
+
 TEST(FaultPresets, ResolveRejectsNonLiteralNonPreset) {
   FaultSchedule s;
   const std::string msg = resolve_schedule("gibberish", ctx_20s(), &s);

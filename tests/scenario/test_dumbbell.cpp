@@ -276,5 +276,17 @@ TEST(AqmFactory, NamesAreUnique) {
   EXPECT_EQ(names.size(), 8u);
 }
 
+TEST(AqmFactory, FromStringInvertsToString) {
+  for (auto type : {AqmType::kFifo, AqmType::kPie, AqmType::kBarePie,
+                    AqmType::kPi, AqmType::kPi2, AqmType::kCoupledPi2,
+                    AqmType::kRed, AqmType::kCodel, AqmType::kCurvyRed,
+                    AqmType::kStep, AqmType::kDualPi2}) {
+    EXPECT_EQ(aqm_from_string(to_string(type)), type) << to_string(type);
+  }
+  EXPECT_EQ(aqm_from_string("PIE"), std::nullopt);
+  EXPECT_EQ(aqm_from_string(""), std::nullopt);
+  EXPECT_EQ(aqm_from_string("?"), std::nullopt);
+}
+
 }  // namespace
 }  // namespace pi2::scenario

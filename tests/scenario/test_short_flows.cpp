@@ -2,22 +2,43 @@
 
 #include <gtest/gtest.h>
 
+#include "topology/dumbbell_adapter.hpp"
+
 namespace pi2::scenario {
 namespace {
 
 using pi2::sim::from_millis;
 using pi2::sim::from_seconds;
 
-ShortFlowConfig quick_config(AqmType aqm) {
-  ShortFlowConfig cfg;
+/// The web workload on a 10 Mb/s, 50 ms Cubic dumbbell with `background`
+/// bulk flows sharing the bottleneck.
+struct WebRun {
+  AqmType aqm = AqmType::kPi2;
+  double offered_load = 0.4;
+  int background = 0;
+};
+
+FctSummary run_web(const WebRun& run) {
+  DumbbellConfig cfg;
   cfg.link_rate_bps = 10e6;
-  cfg.aqm.type = aqm;
+  cfg.aqm.type = run.aqm;
   cfg.aqm.ecn = false;
-  cfg.offered_load = 0.4;
   cfg.duration = from_seconds(30.0);
   cfg.stats_start = from_seconds(5.0);
-  cfg.base_rtt = from_millis(50);
-  return cfg;
+  TcpFlowSpec flow;
+  flow.cc = tcp::CcType::kCubic;
+  flow.base_rtt = from_millis(50);
+  if (run.background > 0) {
+    cfg.tcp_flows.push_back(flow);
+    cfg.tcp_flows.back().count = run.background;
+  }
+  for (const TcpFlowSpec& web : web_flows(flow, run.offered_load,
+                                          cfg.link_rate_bps, cfg.duration,
+                                          cfg.seed)) {
+    cfg.tcp_flows.push_back(web);
+  }
+  const topology::TopologyConfig topo = topology::from_dumbbell(cfg);
+  return summarize_fct(topo, topology::run_topology(topo));
 }
 
 TEST(BoundedParetoMean, MatchesClosedForm) {
@@ -32,7 +53,7 @@ TEST(BoundedParetoMean, MatchesClosedForm) {
 }
 
 TEST(ShortFlows, FlowsCompleteUnderPi2) {
-  const auto r = run_short_flows(quick_config(AqmType::kPi2));
+  const auto r = run_web({});
   EXPECT_GT(r.flows_started, 50);
   // Nearly everything started early enough should have completed.
   EXPECT_GT(static_cast<double>(r.flows_completed) /
@@ -42,7 +63,7 @@ TEST(ShortFlows, FlowsCompleteUnderPi2) {
 }
 
 TEST(ShortFlows, ShortFlowsFinishFasterThanLong) {
-  const auto r = run_short_flows(quick_config(AqmType::kPi2));
+  const auto r = run_web({});
   if (r.fct_short_ms.count() > 5 && r.fct_long_ms.count() > 5) {
     EXPECT_LT(r.fct_short_ms.median(), r.fct_long_ms.median());
   }
@@ -51,14 +72,14 @@ TEST(ShortFlows, ShortFlowsFinishFasterThanLong) {
 TEST(ShortFlows, MinimumFctIsBoundedByRtt) {
   // Nothing completes faster than ~2 RTTs (handshake-free model: one full
   // window exchange minimum).
-  const auto r = run_short_flows(quick_config(AqmType::kPi2));
+  const auto r = run_web({});
   ASSERT_GT(r.fct_ms.count(), 0);
   EXPECT_GE(r.fct_ms.quantile(0.0), 50.0);  // >= 1 base RTT
 }
 
 TEST(ShortFlows, DeterministicPerSeed) {
-  const auto a = run_short_flows(quick_config(AqmType::kPi2));
-  const auto b = run_short_flows(quick_config(AqmType::kPi2));
+  const auto a = run_web({});
+  const auto b = run_web({});
   EXPECT_EQ(a.flows_started, b.flows_started);
   EXPECT_EQ(a.flows_completed, b.flows_completed);
   EXPECT_DOUBLE_EQ(a.fct_ms.mean(), b.fct_ms.mean());
@@ -67,9 +88,9 @@ TEST(ShortFlows, DeterministicPerSeed) {
 TEST(ShortFlows, FctComparableAcrossPieBarePieAndPi2) {
   // The paper's §6 claim: short flow completion times under PIE, bare-PIE
   // and PI2 are essentially the same.
-  const auto pie = run_short_flows(quick_config(AqmType::kPie));
-  const auto bare = run_short_flows(quick_config(AqmType::kBarePie));
-  const auto pi2r = run_short_flows(quick_config(AqmType::kPi2));
+  const auto pie = run_web({AqmType::kPie});
+  const auto bare = run_web({AqmType::kBarePie});
+  const auto pi2r = run_web({AqmType::kPi2});
   ASSERT_GT(pie.fct_short_ms.count(), 10);
   ASSERT_GT(bare.fct_short_ms.count(), 10);
   ASSERT_GT(pi2r.fct_short_ms.count(), 10);
@@ -81,21 +102,16 @@ TEST(ShortFlows, FctComparableAcrossPieBarePieAndPi2) {
 }
 
 TEST(ShortFlows, BackgroundFlowsRaiseShortFlowDelay) {
-  auto cfg = quick_config(AqmType::kPi2);
-  const auto light = run_short_flows(cfg);
-  cfg.background_flows = 4;
-  const auto heavy = run_short_flows(cfg);
+  const auto light = run_web({});
+  const auto heavy = run_web({AqmType::kPi2, 0.4, /*background=*/4});
   ASSERT_GT(light.fct_short_ms.count(), 10);
   ASSERT_GT(heavy.fct_short_ms.count(), 10);
   EXPECT_GT(heavy.fct_short_ms.median(), light.fct_short_ms.median());
 }
 
 TEST(ShortFlows, HigherLoadRaisesFct) {
-  auto cfg = quick_config(AqmType::kPi2);
-  cfg.offered_load = 0.2;
-  const auto light = run_short_flows(cfg);
-  cfg.offered_load = 0.8;
-  const auto heavy = run_short_flows(cfg);
+  const auto light = run_web({AqmType::kPi2, 0.2});
+  const auto heavy = run_web({AqmType::kPi2, 0.8});
   ASSERT_GT(light.fct_ms.count(), 10);
   ASSERT_GT(heavy.fct_ms.count(), 10);
   EXPECT_GE(heavy.fct_ms.quantile(0.9), light.fct_ms.quantile(0.9) * 0.9);

@@ -1,5 +1,6 @@
 // run_topology(): multi-bottleneck behavior — parking-lot fairness shape,
-// per-link accounting, fluid scoping, and digest determinism.
+// per-link accounting, fluid scoping, digest determinism, and finite flows'
+// completion times.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -7,6 +8,7 @@
 
 #include "check/fuzzer.hpp"
 #include "check/oracles.hpp"
+#include "topology/dumbbell_adapter.hpp"
 #include "topology/topology.hpp"
 
 namespace pi2::topology {
@@ -163,6 +165,55 @@ TEST(Topology, FuzzedTopologiesPassTheOracles) {
                     << failure.detail;
     }
   }
+}
+
+TEST(FiniteFlows, CompletionTakesAtLeastOneBaseRttAndBulkReadsMinusOne) {
+  scenario::DumbbellConfig cfg;
+  cfg.aqm.type = scenario::AqmType::kPi2;
+  cfg.duration = pi2::sim::from_seconds(5.0);
+  scenario::TcpFlowSpec bulk;
+  bulk.cc = tcp::CcType::kCubic;
+  bulk.count = 2;
+  bulk.base_rtt = pi2::sim::from_millis(50);
+  cfg.tcp_flows.push_back(bulk);
+  scenario::TcpFlowSpec finite = bulk;
+  finite.count = 1;
+  finite.start = pi2::sim::from_seconds(1.0);
+  finite.segments = 20;
+  cfg.tcp_flows.push_back(finite);
+  scenario::UdpFlowSpec udp;
+  udp.rate_bps = 1e6;
+  cfg.udp_flows.push_back(udp);
+  scenario::FluidFlowSpec fluid;
+  fluid.count = 1;
+  fluid.base_rtt = bulk.base_rtt;
+  cfg.fluid_flows.push_back(fluid);
+
+  const TopologyResult result = run_topology(from_dumbbell(cfg));
+  ASSERT_EQ(result.flows.size(), 5u);
+  ASSERT_EQ(result.flow_completion_s.size(), result.flows.size());
+  EXPECT_EQ(result.flow_completion_s[0], -1.0);  // bulk
+  EXPECT_EQ(result.flow_completion_s[1], -1.0);  // bulk
+  EXPECT_GE(result.flow_completion_s[2] - 1.0, 0.050);  // >= 1 base RTT
+  EXPECT_LT(result.flow_completion_s[2], 5.0);
+  EXPECT_EQ(result.flow_completion_s[3], -1.0);  // udp
+  EXPECT_EQ(result.flow_completion_s[4], -1.0);  // fluid
+}
+
+TEST(FiniteFlows, CompleteOnATwoLinkRoute) {
+  auto cfg = parking_lot(2);
+  TcpRoute finite = cfg.tcp_flows[0];  // the long flow's route, both hops
+  finite.spec.start = pi2::sim::from_seconds(3.0);
+  finite.spec.segments = 50;
+  cfg.tcp_flows.push_back(finite);
+
+  const TopologyResult result = run_topology(cfg);
+  ASSERT_EQ(result.flow_completion_s.size(), 4u);
+  for (std::size_t f = 0; f < 3; ++f) {
+    EXPECT_EQ(result.flow_completion_s[f], -1.0) << "bulk flow " << f;
+  }
+  EXPECT_GE(result.flow_completion_s[3] - 3.0, 0.010);  // >= 1 base RTT
+  EXPECT_LT(result.flow_completion_s[3], 10.0);
 }
 
 }  // namespace

@@ -223,6 +223,13 @@ TEST(TopologyValidate, PrefixesFlowSpecErrors) {
             "fluid_flows[0].spec.count must be finite and >= 0 (got -2)");
 }
 
+TEST(TopologyValidate, RejectsNegativeSegments) {
+  auto cfg = valid_chain();
+  cfg.tcp_flows[0].spec.segments = -1;
+  EXPECT_EQ(cfg.validate(),
+            "tcp_flows[0].spec.segments must be >= 0 (0 = bulk) (got -1)");
+}
+
 TEST(TopologyValidate, RejectsBadScalarFields) {
   auto cfg = valid_chain();
   cfg.duration = pi2::sim::kTimeZero;
