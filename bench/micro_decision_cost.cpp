@@ -7,9 +7,8 @@
 
 #include <memory>
 
-#include "aqm/pi.hpp"
 #include "aqm/pie.hpp"
-#include "core/coupled_pi2.hpp"
+#include "aqm/think.hpp"
 #include "core/pi2.hpp"
 #include "net/queue_discipline.hpp"
 #include "sim/simulator.hpp"
@@ -74,7 +73,7 @@ BENCHMARK(BM_EnqueueDecision_Pi2);
 void BM_EnqueueDecision_CoupledPi2(benchmark::State& state) {
   pi2::sim::Simulator sim{1};
   PinnedView view{0.05};
-  auto aqm = warmed<core::CoupledPi2Aqm>(sim, view, core::CoupledPi2Aqm::Params{});
+  auto aqm = warmed<core::Pi2Aqm>(sim, view, core::Pi2Aqm::coupled_params());
   net::Packet packet;
   packet.ecn = net::Ecn::kEct1;
   for (auto _ : state) {
@@ -86,7 +85,7 @@ BENCHMARK(BM_EnqueueDecision_CoupledPi2);
 void BM_EnqueueDecision_PlainPi(benchmark::State& state) {
   pi2::sim::Simulator sim{1};
   PinnedView view{0.05};
-  auto aqm = warmed<aqm::PiAqm>(sim, view, aqm::PiAqm::Params{});
+  auto aqm = warmed<core::Pi2Aqm>(sim, view, core::Pi2Aqm::pi_params());
   net::Packet packet;
   for (auto _ : state) {
     benchmark::DoNotOptimize(aqm->enqueue(packet));
@@ -138,7 +137,7 @@ void BM_Square_ByTwoRandoms(benchmark::State& state) {
   pi2::sim::Rng rng{7};
   const double p_prime = 0.07;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(std::max(rng.uniform(), rng.uniform()) < p_prime);
+    benchmark::DoNotOptimize(aqm::think_twice(rng, p_prime));
   }
 }
 BENCHMARK(BM_Square_ByTwoRandoms);

@@ -52,7 +52,7 @@ Outcome run_with(std::unique_ptr<net::QueueDiscipline> qdisc) {
   net::BottleneckLink link{simulator, link_cfg, std::move(qdisc)};
 
   stats::PercentileSampler delay_ms;
-  link.set_departure_probe([&](const net::Packet&, sim::Duration sojourn) {
+  link.add_departure_probe([&](const net::Packet&, sim::Duration sojourn) {
     if (simulator.now() > sim::from_seconds(10)) {
       delay_ms.add(sim::to_millis(sojourn));
     }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "aqm/think.hpp"
 #include "sim/time.hpp"
 
 namespace pi2::aqm {
@@ -27,11 +28,9 @@ CurvyRedAqm::Verdict CurvyRedAqm::enqueue(const net::Packet& packet) {
 
   const double p_s = scalable_probability();
   if (net::is_scalable(packet.ecn)) {
-    return rng().uniform() < p_s ? Verdict::kMark : Verdict::kAccept;
+    return think_once(rng(), p_s) ? Verdict::kMark : Verdict::kAccept;
   }
-  if (std::max(rng().uniform(), rng().uniform()) >= p_s / params_.k) {
-    return Verdict::kAccept;
-  }
+  if (!think_twice(rng(), p_s / params_.k)) return Verdict::kAccept;
   if (params_.ecn && net::ecn_capable(packet.ecn)) return Verdict::kMark;
   return Verdict::kDrop;
 }

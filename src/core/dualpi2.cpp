@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "aqm/think.hpp"
+
 namespace pi2::core {
 
 using pi2::sim::to_seconds;
@@ -57,7 +59,7 @@ double DualPi2Core::l_native(double sojourn_s, std::int64_t l_backlog_packets) {
 DualPi2Core::Signal DualPi2Core::classic_signal(pi2::sim::Rng& rng,
                                                 bool ecn_capable) {
   // "Think twice to drop": P[signal] = (p')^2.
-  if (std::max(rng.uniform(), rng.uniform()) >= pi_.prob()) return Signal::kNone;
+  if (!aqm::think_twice(rng, pi_.prob())) return Signal::kNone;
   if (!ecn_capable || overloaded_) return Signal::kDrop;
   return Signal::kMark;
 }
@@ -69,9 +71,9 @@ DualPi2Core::Signal DualPi2Core::l_signal(pi2::sim::Rng& rng, double sojourn_s,
     // RFC 9332 overload: ECN marking is no longer sufficient (the flood may
     // ignore CE), so the L queue drops with the same squared probability
     // the Classic queue applies; survivors still carry the mark.
-    if (std::max(rng.uniform(), rng.uniform()) < pi_.prob()) return Signal::kDrop;
+    if (aqm::think_twice(rng, pi_.prob())) return Signal::kDrop;
   }
-  return rng.uniform() < p_l ? Signal::kMark : Signal::kNone;
+  return aqm::think_once(rng, p_l) ? Signal::kMark : Signal::kNone;
 }
 
 // --- DualPi2Qdisc ------------------------------------------------------------

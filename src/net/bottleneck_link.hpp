@@ -60,10 +60,6 @@ class BottleneckLink final : public QueueView {
     std::int64_t dequeue_dropped = 0;
   };
 
-  /// Kept as a nested alias for source compatibility; the enum itself lives
-  /// at namespace scope (net/probe_bus.hpp) so the probe bus can carry it.
-  using DropReason = pi2::net::DropReason;
-
   /// Verdict of the ingress fault filter, applied before the AQM sees the
   /// packet. kDelay re-offers the packet to the queue after `delay` through
   /// a delay pipe (packet reordering); re-injected packets bypass the filter.
@@ -97,17 +93,6 @@ class BottleneckLink final : public QueueView {
   /// Fires when a packet is accepted into the queue (after AQM marking).
   void add_enqueue_probe(ProbeBus::EnqueueProbe probe) {
     probes_.add_enqueue(std::move(probe));
-  }
-
-  // Single-probe setters kept for convenience (equivalent to add_*).
-  void set_departure_probe(ProbeBus::DepartureProbe probe) {
-    add_departure_probe(std::move(probe));
-  }
-  void set_busy_probe(ProbeBus::BusyProbe probe) {
-    add_busy_probe(std::move(probe));
-  }
-  void set_drop_probe(ProbeBus::DropProbe probe) {
-    add_drop_probe(std::move(probe));
   }
 
   /// Offers a packet to the queue. The ingress fault filter (if any) runs

@@ -2,11 +2,9 @@
 
 #include "aqm/codel.hpp"
 #include "aqm/curvy_red.hpp"
-#include "aqm/pi.hpp"
 #include "aqm/pie.hpp"
 #include "aqm/red.hpp"
 #include "aqm/step_marker.hpp"
-#include "core/coupled_pi2.hpp"
 #include "core/dualpi2.hpp"
 #include "core/pi2.hpp"
 
@@ -54,34 +52,22 @@ std::unique_ptr<net::QueueDiscipline> AqmConfig::make() const {
       if (ecn_drop_threshold) p.ecn_drop_threshold = *ecn_drop_threshold;
       return std::make_unique<aqm::PieAqm>(p);
     }
-    case AqmType::kPi: {
-      aqm::PiAqm::Params p;
-      p.target = target;
-      p.t_update = t_update;
-      if (alpha_hz) p.alpha_hz = *alpha_hz;
-      if (beta_hz) p.beta_hz = *beta_hz;
-      p.ecn = ecn;
-      return std::make_unique<aqm::PiAqm>(p);
-    }
-    case AqmType::kPi2: {
-      core::Pi2Aqm::Params p;
-      p.target = target;
-      p.t_update = t_update;
-      if (alpha_hz) p.alpha_hz = *alpha_hz;
-      if (beta_hz) p.beta_hz = *beta_hz;
-      p.ecn = ecn;
-      p.max_classic_prob = max_classic_prob;
-      return std::make_unique<core::Pi2Aqm>(p);
-    }
+    case AqmType::kPi:
+    case AqmType::kPi2:
     case AqmType::kCoupledPi2: {
-      core::CoupledPi2Aqm::Params p;
+      core::Pi2Aqm::Params p = type == AqmType::kPi    ? core::Pi2Aqm::pi_params()
+                               : type == AqmType::kPi2 ? core::Pi2Aqm::pi2_params()
+                                                       : core::Pi2Aqm::coupled_params();
       p.target = target;
       p.t_update = t_update;
       if (alpha_hz) p.alpha_hz = *alpha_hz;
       if (beta_hz) p.beta_hz = *beta_hz;
       p.k = coupling_k;
-      p.max_classic_prob = max_classic_prob;
-      return std::make_unique<core::CoupledPi2Aqm>(p);
+      // Plain PI has no overload cap, and Figure 9's coupled queue marks
+      // every ECN-capable packet whatever `ecn` says.
+      if (type != AqmType::kPi) p.max_classic_prob = max_classic_prob;
+      if (type != AqmType::kCoupledPi2) p.ecn = ecn;
+      return std::make_unique<core::Pi2Aqm>(p);
     }
     case AqmType::kRed: {
       aqm::RedAqm::Params p;

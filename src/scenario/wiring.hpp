@@ -1,7 +1,7 @@
-// Shared scenario wiring helpers: the pieces of link/AQM/flow setup and
-// validation that both the legacy dumbbell harness and the topology engine
-// need. Extracted from dumbbell.cpp so run_topology() reuses the exact same
-// constraint messages and signal routing instead of duplicating them.
+// Shared scenario wiring helpers: the config validation that both
+// DumbbellConfig and TopologyConfig run, and the link/fluid plumbing the
+// topology engine needs, so both configs report the exact same constraint
+// messages and the engine uses one signal routing.
 #pragma once
 
 #include <string>

@@ -1,8 +1,8 @@
 // Struct-of-arrays flow state for the scenario hot path.
 //
-// The per-packet work in run_dumbbell touches exactly two facts about a
-// flow: its half-RTT (to schedule the propagation hop) and whether it is
-// UDP (to pick delivery handling). With the AoS layout
+// The per-packet work in the topology engine touches exactly two facts
+// about a flow: its half-RTT (to schedule the propagation hop) and whether
+// it is UDP (to pick delivery handling). With the AoS layout
 // (vector<unique_ptr<FlowContext>>) each lookup chases a pointer into a
 // ~200-byte heap object, so at 10⁴+ flows the delivery path is a cache
 // miss per packet. FlowTable splits the state: the two hot facts live in

@@ -43,38 +43,6 @@ void JsonlExporter::on_sample(pi2::sim::Time t, const MetricsRegistry& registry)
 
 bool JsonlExporter::finish(const MetricsRegistry&) { return commit(); }
 
-void CsvExporter::on_sample(pi2::sim::Time t, const MetricsRegistry& registry) {
-  if (!file_.healthy()) return;
-  const auto& snapshot = registry.snapshot_view();
-  if (header_.empty()) {
-    line_ = "t_s";
-    for (const auto& [name, value] : snapshot) {
-      header_.push_back(name);
-      line_ += ',';
-      line_ += name;
-    }
-    line_ += '\n';
-    file_.write(line_);
-  }
-  line_.clear();
-  append_f9(line_, pi2::sim::to_seconds(t));
-  // Rows follow the first sample's column set; metrics registered later are
-  // not retrofitted into the CSV (JSONL carries the full evolving set).
-  std::size_t column = 0;
-  for (const auto& [name, value] : snapshot) {
-    if (column < header_.size() && header_[column] == name) {
-      line_ += ',';
-      append_g9(line_, value);
-      ++column;
-    }
-  }
-  line_.append(header_.size() - column, ',');
-  line_ += '\n';
-  file_.write(line_);
-}
-
-bool CsvExporter::finish(const MetricsRegistry&) { return commit(); }
-
 void PrometheusExporter::on_sample(pi2::sim::Time, const MetricsRegistry&) {}
 
 bool PrometheusExporter::finish(const MetricsRegistry& registry) {

@@ -1,9 +1,7 @@
-// Metric exporters: one interface, three wire formats.
+// Metric exporters: one interface, two wire formats.
 //
 //  - JsonlExporter: one flat JSON object per sample — the plotting format
 //    (each line is {"t_s": ..., "<metric>": value, ...}).
-//  - CsvExporter: same rows as aligned CSV columns (header from the first
-//    sample's metric set).
 //  - PrometheusExporter: text exposition format, written once at finish()
 //    as the run's final scrape-style snapshot (histograms with cumulative
 //    `le` buckets, counters/gauges with TYPE lines).
@@ -20,7 +18,6 @@
 #pragma once
 
 #include <string>
-#include <vector>
 
 #include "durable/atomic_file.hpp"
 #include "durable/status.hpp"
@@ -72,17 +69,6 @@ class JsonlExporter final : public FileExporter {
   bool finish(const MetricsRegistry& registry) override;
 
  private:
-  std::string line_;  ///< reused row buffer (one allocation per run)
-};
-
-class CsvExporter final : public FileExporter {
- public:
-  explicit CsvExporter(const std::string& path) : FileExporter(path) {}
-  void on_sample(pi2::sim::Time t, const MetricsRegistry& registry) override;
-  bool finish(const MetricsRegistry& registry) override;
-
- private:
-  std::vector<std::string> header_;
   std::string line_;  ///< reused row buffer (one allocation per run)
 };
 

@@ -13,25 +13,19 @@ Recorder::Recorder(RecorderConfig config)
   prometheus_ = std::make_unique<PrometheusExporter>(prometheus_path());
   sampler_.add_exporter(jsonl_.get());
   sampler_.add_exporter(prometheus_.get());
-  if (config_.csv) {
-    csv_ = std::make_unique<CsvExporter>(csv_path());
-    sampler_.add_exporter(csv_.get());
-  }
   manifest_.run_id = config_.run_id;
   manifest_.build_flags = build_flags_string();
 }
 
 bool Recorder::ok() const {
   if (finished_) return finish_ok_;
-  if (!jsonl_->ok() || !prometheus_->ok()) return false;
-  return !csv_ || csv_->ok();
+  return jsonl_->ok() && prometheus_->ok();
 }
 
 durable::Status Recorder::status() const {
   durable::Status status;
   status.update(jsonl_->status());
   status.update(prometheus_->status());
-  if (csv_) status.update(csv_->status());
   status.update(manifest_status_);
   return status;
 }
@@ -47,7 +41,6 @@ bool Recorder::finish(pi2::sim::Time end) {
   manifest_.capture_final(registry_);
   bool ok = jsonl_->finish(registry_);
   ok = prometheus_->finish(registry_) && ok;
-  if (csv_) ok = csv_->finish(registry_) && ok;
   manifest_status_ = manifest_.write_json(manifest_path());
   ok = manifest_status_.ok() && ok;
   finish_ok_ = ok;

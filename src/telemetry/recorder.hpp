@@ -4,7 +4,6 @@
 //
 //   <dir>/<run_id>.jsonl          per-sample metric stream (always)
 //   <dir>/<run_id>.prom           final Prometheus text snapshot (always)
-//   <dir>/<run_id>.csv            per-sample CSV (opt-in)
 //   <dir>/<run_id>.manifest.json  RunManifest (always)
 //
 // A caller constructs a Recorder, hands it to the experiment harness
@@ -33,8 +32,6 @@ struct RecorderConfig {
   std::string run_id = "run";
   /// Simulated-time sampling cadence.
   pi2::sim::Duration interval = pi2::sim::from_millis(100);
-  /// Also write the per-sample CSV next to the JSONL stream.
-  bool csv = false;
 };
 
 class Recorder {
@@ -65,7 +62,6 @@ class Recorder {
 
   [[nodiscard]] const std::string& dir() const { return config_.dir; }
   [[nodiscard]] std::string jsonl_path() const { return stem() + ".jsonl"; }
-  [[nodiscard]] std::string csv_path() const { return stem() + ".csv"; }
   [[nodiscard]] std::string prometheus_path() const { return stem() + ".prom"; }
   [[nodiscard]] std::string manifest_path() const {
     return stem() + ".manifest.json";
@@ -79,7 +75,6 @@ class Recorder {
   RunManifest manifest_;
   SectionProfile profile_;
   std::unique_ptr<JsonlExporter> jsonl_;
-  std::unique_ptr<CsvExporter> csv_;
   std::unique_ptr<PrometheusExporter> prometheus_;
   Sampler sampler_;
   bool finished_ = false;

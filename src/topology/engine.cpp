@@ -134,11 +134,11 @@ TopologyResult run_topology(const TopologyConfig& config) {
   // --- Wire each bottleneck's probes. --------------------------------------
   if (config.trace != nullptr) config.trace->attach(*links[0].link);
   for (LinkRuntime& rt : links) {
-    rt.link->set_busy_probe([&rt](Time from, Time to) {
+    rt.link->add_busy_probe([&rt](Time from, Time to) {
       rt.util_meter.add_busy(from, to);
       rt.packet_busy_s += to_seconds(to - from);
     });
-    rt.link->set_departure_probe(
+    rt.link->add_departure_probe(
         [&rt, &sim, &config](const net::Packet& packet, Duration sojourn) {
           if (sim.now() >= config.stats_start) {
             rt.out.qdelay_ms_packets.add(to_millis(sojourn));
@@ -305,8 +305,9 @@ TopologyResult run_topology(const TopologyConfig& config) {
   // --- Fluid tiers. --------------------------------------------------------
   // One ensemble per link that carries fluid routes, integrating against
   // that link's AQM signal; its tick also runs the fluid/packet capacity
-  // split (see the legacy harness for the accounting rationale — the code
-  // is kept identical per link).
+  // split: packets are served first, the fluid tier gets what capacity the
+  // tick's packet bytes left over, and the link serializes packets at the
+  // rate the fluid service leaves (BottleneckLink::set_fluid_state).
   for (std::uint32_t li = 0; li < n_links; ++li) {
     LinkRuntime& rt = links[li];
     for (std::size_t fi = 0; fi < config.fluid_flows.size(); ++fi) {

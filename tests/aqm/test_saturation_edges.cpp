@@ -7,10 +7,8 @@
 #include <memory>
 
 #include "aqm/curvy_red.hpp"
-#include "aqm/pi.hpp"
 #include "aqm/pie.hpp"
 #include "aqm/step_marker.hpp"
-#include "core/coupled_pi2.hpp"
 #include "core/pi2.hpp"
 #include "test_support.hpp"
 
@@ -114,7 +112,7 @@ void expect_silent_on_empty_queue(Aqm& aqm, pi2::sim::Duration t_update) {
 }
 
 TEST(SaturationEdges, PiStaysSilentOnEmptyQueue) {
-  PiAqm aqm;
+  core::Pi2Aqm aqm{core::Pi2Aqm::pi_params()};
   expect_silent_on_empty_queue(aqm, aqm.params().t_update);
 }
 
@@ -129,7 +127,7 @@ TEST(SaturationEdges, Pi2StaysSilentOnEmptyQueue) {
 }
 
 TEST(SaturationEdges, CoupledPi2StaysSilentOnEmptyQueue) {
-  core::CoupledPi2Aqm aqm;
+  core::Pi2Aqm aqm{core::Pi2Aqm::coupled_params()};
   expect_silent_on_empty_queue(aqm, aqm.params().t_update);
   EXPECT_DOUBLE_EQ(aqm.scalable_probability(), 0.0);
 }
@@ -150,7 +148,7 @@ TEST(SaturationEdges, Pi2CapsClassicProbabilityUnderOverload) {
 }
 
 TEST(SaturationEdges, CoupledPi2CapsScalableAtKTimesRootOfClassicCap) {
-  core::CoupledPi2Aqm aqm;
+  core::Pi2Aqm aqm{core::Pi2Aqm::coupled_params()};
   Simulator sim{1};
   FakeQueueView view;
   aqm.install(sim, view);

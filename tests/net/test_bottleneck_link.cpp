@@ -98,7 +98,7 @@ TEST(BottleneckLink, BusyProbeCoversTransmissions) {
   Simulator sim;
   BottleneckLink link{sim, config_with(12000.0), std::make_unique<FifoTailDrop>()};
   double busy_s = 0.0;
-  link.set_busy_probe([&](Time a, Time b) { busy_s += pi2::sim::to_seconds(b - a); });
+  link.add_busy_probe([&](Time a, Time b) { busy_s += pi2::sim::to_seconds(b - a); });
   link.send(packet_of(0, 1500));
   link.send(packet_of(0, 1500));
   sim.run();
@@ -109,7 +109,7 @@ TEST(BottleneckLink, DeparatureProbeReportsSojourn) {
   Simulator sim;
   BottleneckLink link{sim, config_with(12000.0), std::make_unique<FifoTailDrop>()};
   std::vector<double> sojourns;
-  link.set_departure_probe([&](const Packet&, pi2::sim::Duration d) {
+  link.add_departure_probe([&](const Packet&, pi2::sim::Duration d) {
     sojourns.push_back(pi2::sim::to_seconds(d));
   });
   link.send(packet_of(0, 1500));
@@ -182,8 +182,8 @@ TEST(BottleneckLink, DropProbeDistinguishesReasons) {
   Simulator sim;
   BottleneckLink link{sim, config_with(1e6, 1), std::make_unique<FifoTailDrop>()};
   int tail = 0;
-  link.set_drop_probe([&](const Packet&, BottleneckLink::DropReason r) {
-    if (r == BottleneckLink::DropReason::kTailDrop) ++tail;
+  link.add_drop_probe([&](const Packet&, DropReason r) {
+    if (r == DropReason::kTailDrop) ++tail;
   });
   for (int i = 0; i < 5; ++i) link.send(packet_of(0));
   sim.run();

@@ -11,6 +11,7 @@
 #include "core/pi2.hpp"
 #include "telemetry/recorder.hpp"
 #include "telemetry/sampler.hpp"
+#include "test_support.hpp"
 
 namespace pi2::scenario {
 namespace {
@@ -264,6 +265,51 @@ TEST(AqmFactory, GainOverridesPropagate) {
   ASSERT_NE(pi2_aqm, nullptr);
   EXPECT_DOUBLE_EQ(pi2_aqm->params().alpha_hz, 0.9);
   EXPECT_DOUBLE_EQ(pi2_aqm->params().beta_hz, 9.0);
+}
+
+TEST(AqmFactory, PiFamilyKeepsCapsAndEcn) {
+  using net::Ecn;
+  using Verdict = net::QueueDiscipline::Verdict;
+  // Pins the queue at 1 s, 50x the target, for 500 update intervals.
+  const auto overloaded = [](const AqmConfig& cfg, sim::Simulator& sim,
+                             pi2::testing::FakeQueueView& view) {
+    auto aqm = cfg.make();
+    aqm->install(sim, view);
+    view.set_delay_seconds(1.0);
+    sim.run_until(sim.now() + cfg.t_update * 500);
+    return aqm;
+  };
+  {
+    // Plain PI has no overload cap: max_classic_prob never reaches it.
+    AqmConfig cfg;
+    cfg.type = AqmType::kPi;
+    sim::Simulator sim{1};
+    pi2::testing::FakeQueueView view;
+    const auto aqm = overloaded(cfg, sim, view);
+    EXPECT_GT(aqm->classic_probability(), cfg.max_classic_prob);
+  }
+  {
+    // Coupled PI2 marks ECN-capable Classic packets whatever `ecn` says.
+    AqmConfig cfg;
+    cfg.type = AqmType::kCoupledPi2;
+    cfg.ecn = false;
+    sim::Simulator sim{1};
+    pi2::testing::FakeQueueView view;
+    const auto aqm = overloaded(cfg, sim, view);
+    int marks = 0;
+    int drops = 0;
+    for (int i = 0; i < 1000; ++i) {
+      const Verdict ect0 = aqm->enqueue(pi2::testing::make_data_packet(Ecn::kEct0));
+      EXPECT_NE(ect0, Verdict::kDrop);
+      marks += ect0 == Verdict::kMark ? 1 : 0;
+      const Verdict not_ect =
+          aqm->enqueue(pi2::testing::make_data_packet(Ecn::kNotEct));
+      EXPECT_NE(not_ect, Verdict::kMark);
+      drops += not_ect == Verdict::kDrop ? 1 : 0;
+    }
+    EXPECT_GT(marks, 0);
+    EXPECT_GT(drops, 0);
+  }
 }
 
 TEST(AqmFactory, NamesAreUnique) {

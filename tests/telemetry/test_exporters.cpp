@@ -49,22 +49,6 @@ TEST(JsonlExporter, WritesOneObjectPerSampleSorted) {
   std::remove(path.c_str());
 }
 
-TEST(CsvExporter, HeaderFromFirstSampleLaterMetricsNotRetrofitted) {
-  MetricsRegistry reg;
-  reg.gauge("x").set(1.5);
-  const std::string path = temp_path("pi2_test_export.csv");
-  CsvExporter exporter{path};
-  exporter.on_sample(pi2::sim::from_seconds(1.0), reg);
-  reg.gauge("a").set(9.0);  // sorts before "x" but joined after the header
-  exporter.on_sample(pi2::sim::from_seconds(2.0), reg);
-  ASSERT_TRUE(exporter.finish(reg));
-  EXPECT_EQ(slurp(path),
-            "t_s,x\n"
-            "1.000000000,1.5\n"
-            "2.000000000,1.5\n");
-  std::remove(path.c_str());
-}
-
 TEST(PrometheusExporter, EmitsTypedFinalSnapshot) {
   MetricsRegistry reg;
   reg.counter("tx").inc(7);
