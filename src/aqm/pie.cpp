@@ -35,11 +35,11 @@ void PieAqm::install(pi2::sim::Simulator& sim, const net::QueueView& view) {
   schedule_update();
 }
 
-void PieAqm::schedule_update() {
-  sim().after(params_.t_update, [this] {
-    update();
-    schedule_update();
-  });
+void PieAqm::schedule_update() { sim().arm(tick_, sim().now() + params_.t_update); }
+
+void PieAqm::tick() {
+  update();
+  schedule_update();
 }
 
 double PieAqm::qdelay_estimate_s() const {

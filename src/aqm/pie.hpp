@@ -63,9 +63,12 @@ class PieAqm : public net::QueueDiscipline {
  private:
   void update();
   void schedule_update();
+  void tick();
 
   Params params_;
   PiCore pi_;
+  pi2::sim::MemberEvent<PieAqm, &PieAqm::tick> tick_{
+      pi2::sim::EventKind::kAqmTick, this};
   double burst_allowance_s_ = 0.0;
   bool had_first_packet_ = false;
 

@@ -61,7 +61,7 @@ void FluidFlowEnsemble::start() {
     throw std::logic_error("FluidFlowEnsemble: sources not set before start");
   }
   started_ = true;
-  sim_.after(from_seconds(config_.dt_s), [this] { tick(); });
+  sim_.arm(tick_, sim_.now() + from_seconds(config_.dt_s));
 }
 
 void FluidFlowEnsemble::advance(SpecState& s, double now_s, double p_classic,
@@ -117,7 +117,7 @@ void FluidFlowEnsemble::tick() {
   ++ticks_;
   aggregate_bps_ = aggregate;
   if (sink_) sink_(aggregate);
-  sim_.after(from_seconds(config_.dt_s), [this] { tick(); });
+  sim_.arm(tick_, sim_.now() + from_seconds(config_.dt_s));
 }
 
 double FluidFlowEnsemble::window(std::size_t spec_index) const {

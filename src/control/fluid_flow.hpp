@@ -143,6 +143,8 @@ class FluidFlowEnsemble {
   std::uint64_t ticks_ = 0;
   double aggregate_bps_ = 0.0;
   bool started_ = false;
+  pi2::sim::MemberEvent<FluidFlowEnsemble, &FluidFlowEnsemble::tick> tick_{
+      pi2::sim::EventKind::kFluidTick, this};
 };
 
 }  // namespace pi2::control

@@ -100,14 +100,16 @@ void DualPi2Qdisc::install(pi2::sim::Simulator& sim, const net::QueueView& view)
 }
 
 void DualPi2Qdisc::schedule_update() {
-  sim().after(params_.t_update, [this] {
-    // The PI controller regulates the Classic queue's delay, measured as the
-    // sojourn of the head packet (as Linux sch_dualpi2 does). Backlog/rate
-    // would under-estimate it: C drains at less than the full link rate
-    // while the scheduler favours L, and the controller must see that wait.
-    core_.update(to_seconds(view().band_head_sojourn(kCBand)));
-    schedule_update();
-  });
+  sim().arm(update_event_, sim().now() + params_.t_update);
+}
+
+void DualPi2Qdisc::update() {
+  // The PI controller regulates the Classic queue's delay, measured as the
+  // sojourn of the head packet (as Linux sch_dualpi2 does). Backlog/rate
+  // would under-estimate it: C drains at less than the full link rate
+  // while the scheduler favours L, and the controller must see that wait.
+  core_.update(to_seconds(view().band_head_sojourn(kCBand)));
+  schedule_update();
 }
 
 std::size_t DualPi2Qdisc::select_band() {

@@ -156,9 +156,12 @@ class DualPi2Qdisc final : public net::QueueDiscipline {
 
  private:
   void schedule_update();
+  void update();
 
   Params params_;
   DualPi2Core core_;
+  pi2::sim::MemberEvent<DualPi2Qdisc, &DualPi2Qdisc::update> update_event_{
+      pi2::sim::EventKind::kAqmTick, this};
 };
 
 }  // namespace pi2::core

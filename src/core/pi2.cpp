@@ -56,10 +56,12 @@ void Pi2Aqm::install(pi2::sim::Simulator& sim, const net::QueueView& view) {
 }
 
 void Pi2Aqm::schedule_update() {
-  sim().after(params_.t_update, [this] {
-    pi_.update(to_seconds(view().queue_delay()), to_seconds(params_.target));
-    schedule_update();
-  });
+  sim().arm(update_event_, sim().now() + params_.t_update);
+}
+
+void Pi2Aqm::update() {
+  pi_.update(to_seconds(view().queue_delay()), to_seconds(params_.target));
+  schedule_update();
 }
 
 double Pi2Aqm::classic_probability() const {

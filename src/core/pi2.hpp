@@ -79,9 +79,12 @@ class Pi2Aqm : public net::QueueDiscipline {
 
  private:
   void schedule_update();
+  void update();
 
   Params params_;
   pi2::aqm::PiCore pi_;
+  pi2::sim::MemberEvent<Pi2Aqm, &Pi2Aqm::update> update_event_{
+      pi2::sim::EventKind::kAqmTick, this};
 };
 
 }  // namespace pi2::core

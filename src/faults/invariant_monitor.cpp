@@ -14,11 +14,11 @@ InvariantMonitor::InvariantMonitor(pi2::sim::Simulator& sim,
                                    Config config)
     : sim_(sim), link_(link), config_(config) {}
 
-void InvariantMonitor::start() {
-  sim_.after(config_.interval, [this]() {
-    check_now();
-    start();
-  });
+void InvariantMonitor::start() { sim_.arm(tick_, sim_.now() + config_.interval); }
+
+void InvariantMonitor::tick() {
+  check_now();
+  start();
 }
 
 void InvariantMonitor::fail(const char* check, std::string detail) {

@@ -70,6 +70,7 @@ class InvariantMonitor {
   [[nodiscard]] std::string report() const;
 
  private:
+  void tick();
   void fail(const char* check, std::string detail);
 
   pi2::sim::Simulator& sim_;
@@ -81,6 +82,8 @@ class InvariantMonitor {
   std::uint64_t checks_run_ = 0;
   std::uint64_t total_violations_ = 0;
   std::vector<InvariantViolation> violations_;
+  pi2::sim::MemberEvent<InvariantMonitor, &InvariantMonitor::tick> tick_{
+      pi2::sim::EventKind::kMonitor, this};
 };
 
 }  // namespace pi2::faults

@@ -151,7 +151,7 @@ void BottleneckLink::try_start_transmission() {
     transmitting_band_ = band;
     in_service_ = packet;
     tx_started_ = sim_.now();
-    sim_.after(tx_time, [this] { finish_transmission(); });
+    sim_.arm(tx_done_, sim_.now() + tx_time);
     return;
   }
 }

@@ -211,10 +211,12 @@ class BottleneckLink final : public QueueView {
 #endif
   bool transmitting_ = false;
   std::size_t transmitting_band_ = 0;
-  /// The packet on the wire and when its serialization started, held here
-  /// so the completion event captures nothing but `this`.
+  /// The packet on the wire, when its serialization started, and the
+  /// source that fires when it completes.
   Packet in_service_;
   pi2::sim::Time tx_started_{};
+  pi2::sim::MemberEvent<BottleneckLink, &BottleneckLink::finish_transmission>
+      tx_done_{pi2::sim::EventKind::kLinkTx, this};
   /// Packets the ingress filter holds back (kDelay), re-offered to accept().
   DelayPipe held_;
   Counters counters_;

@@ -1,12 +1,12 @@
 // Fixed-delay pipe: propagation and the uncongested reverse path.
 //
-// A delay line sorted by (due time, tie-break seq) with one scheduler event
-// pending, for its head. send() reserves the seq a per-packet event would
-// have taken, so deliveries interleave with all other events exactly as one
-// event per packet would, while the heap holds one entry per pipe and no
-// callback captures a Packet. Sends land at the tail in O(1) unless a
-// shorter delay (an RTT step) moves them forward; a new head re-targets the
-// pending event.
+// A delay line sorted by (due time, tie-break seq) whose head is one event
+// source, armed at the head packet's (due, seq). send() reserves the seq a
+// per-packet event would have taken, so deliveries interleave with all
+// other events exactly as one event per packet would, while the heap holds
+// one entry per pipe and nothing captures a Packet. Sends land at the tail
+// in O(1) unless a shorter delay (an RTT step) moves them forward; a new
+// head moves the armed source in place.
 //
 // quantum > 0 rounds due times up to the quantum grid (ACK-clock batching):
 // a packet whose rounded due time matches a batch still in the pipe joins
@@ -90,9 +90,8 @@ class DelayPipe {
   }
 
   void arm_head() {
-    event_.cancel();
     const Entry& head = at(0);
-    event_ = sim_.at(head.due, head.seq, [this] { fire(); });
+    sim_.arm(head_event_, head.due, head.seq);
   }
 
   /// Delivers the head packet, or the head batch, then re-arms for the next
@@ -106,7 +105,7 @@ class DelayPipe {
       if (sink_) sink_(std::move(packet));
     } while (size_ > 0 && at(0).seq == flushing_);
     flushing_ = kNoBatch;
-    if (size_ > 0 && !event_.pending()) arm_head();
+    if (size_ > 0 && !head_event_.armed()) arm_head();
   }
 
   pi2::sim::Simulator& sim_;
@@ -116,9 +115,10 @@ class DelayPipe {
   std::vector<Entry> ring_;
   std::size_t head_ = 0;
   std::size_t size_ = 0;
-  pi2::sim::EventHandle event_;
   /// Batch being delivered; packets sent meanwhile must not join it.
   std::uint64_t flushing_ = kNoBatch;
+  pi2::sim::MemberEvent<DelayPipe, &DelayPipe::fire> head_event_{
+      pi2::sim::EventKind::kPipe, this};
 };
 
 }  // namespace pi2::net

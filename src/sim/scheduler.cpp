@@ -1,119 +1,129 @@
 #include "sim/scheduler.hpp"
 
-#include <algorithm>
 #include <cassert>
+#include <iterator>
 #include <utility>
 
 namespace pi2::sim {
 
-namespace {
-/// Below this heap size compaction is pointless churn; skim() handles it.
-constexpr std::size_t kMinCompactionSize = 64;
-}  // namespace
+std::string_view event_kind_name(EventKind kind) {
+  static constexpr std::string_view kNames[] = {
+      "link_tx",    "pipe",    "rto", "delayed_ack", "aqm_tick",
+      "fluid_tick", "sampler", "udp", "monitor",     "closure"};
+  static_assert(std::size(kNames) == kEventKinds, "one name per EventKind");
+  return kNames[static_cast<std::size_t>(kind)];
+}
 
 void EventHandle::cancel() {
-  if (scheduler_ != nullptr) scheduler_->cancel(slot_, generation_);
+  if (scheduler_ != nullptr) scheduler_->cancel(closure_, generation_);
 }
 
 bool EventHandle::pending() const {
-  return scheduler_ != nullptr && scheduler_->pending(slot_, generation_);
+  return scheduler_ != nullptr && scheduler_->pending(closure_, generation_);
+}
+
+Scheduler::~Scheduler() {
+  for (const Entry& e : heap_) e.source->index_ = EventSource::kNotArmed;
+  heap_.clear();
+}
+
+void Scheduler::arm(EventSource& source, Time at, std::uint64_t seq) {
+  ++scheduled_;
+  const Entry entry{at, seq, &source};
+  if (!source.armed()) {
+    source.scheduler_ = this;
+    heap_.push_back(entry);
+    sift_up(heap_.size() - 1, entry);
+    return;
+  }
+  assert(source.scheduler_ == this);
+  const std::size_t i = source.index_;
+  if (before(entry, heap_[i])) {
+    sift_up(i, entry);
+  } else {
+    sift_down(i, entry);
+  }
+}
+
+void Scheduler::disarm(EventSource& source) {
+  if (!source.armed()) return;
+  assert(source.scheduler_ == this);
+  ++cancelled_;
+  const std::size_t i = source.index_;
+  source.index_ = EventSource::kNotArmed;
+  const Entry last = heap_.back();
+  heap_.pop_back();
+  if (i == heap_.size()) return;  // it was the last entry
+  if (before(last, heap_[i])) {
+    sift_up(i, last);
+  } else {
+    sift_down(i, last);
+  }
+}
+
+void Scheduler::sift_up(std::size_t hole, Entry entry) {
+  while (hole > 0) {
+    const std::size_t parent = (hole - 1) / 2;
+    if (!before(entry, heap_[parent])) break;
+    place(hole, heap_[parent]);
+    hole = parent;
+  }
+  place(hole, entry);
+}
+
+void Scheduler::sift_down(std::size_t hole, Entry entry) {
+  const std::size_t n = heap_.size();
+  for (;;) {
+    std::size_t child = 2 * hole + 1;
+    if (child >= n) break;
+    if (child + 1 < n && before(heap_[child + 1], heap_[child])) ++child;
+    if (!before(heap_[child], entry)) break;
+    place(hole, heap_[child]);
+    hole = child;
+  }
+  place(hole, entry);
 }
 
 EventHandle Scheduler::schedule_at(Time at, std::uint64_t seq,
-                                   UniqueFunction fn) {
-  const std::uint32_t slot = allocate_slot();
-  const std::uint32_t generation = slots_[slot].generation;
-  slots_[slot].fn = std::move(fn);
-  ++scheduled_;
-  heap_.push_back(Entry{at, seq, slot});
-  std::push_heap(heap_.begin(), heap_.end(), Later{});
-  return EventHandle{this, slot, generation};
-}
-
-std::uint32_t Scheduler::allocate_slot() {
-  std::uint32_t slot;
-  if (!free_slots_.empty()) {
-    slot = free_slots_.back();
-    free_slots_.pop_back();
-  } else {
-    slot = static_cast<std::uint32_t>(slots_.size());
-    slots_.emplace_back();
+                                   std::function<void()> fn) {
+  if (free_closures_.empty()) {
+    const auto id = static_cast<std::uint32_t>(closures_.size());
+    closures_.emplace_back(*this, id);
+    free_closures_.push_back(id);
   }
-  slots_[slot].live = true;
-  return slot;
+  Closure& closure = closures_[free_closures_.back()];
+  free_closures_.pop_back();
+  closure.fn = std::move(fn);
+  arm(closure, at, seq);
+  return EventHandle{this, closure.id, closure.generation};
 }
 
-void Scheduler::release_slot(std::uint32_t slot) {
-  Slot& s = slots_[slot];
-  s.fn = UniqueFunction{};
-  s.live = false;
-  ++s.generation;
-  free_slots_.push_back(slot);
+void Scheduler::Closure::fire() {
+  // Move the callback out and recycle the node before running it: the
+  // callback may schedule new closures, and its own handle must read as
+  // no longer pending.
+  std::function<void()> callback = std::move(fn);
+  owner.release(*this);
+  callback();
 }
 
-void Scheduler::cancel(std::uint32_t slot, std::uint32_t generation) {
-  if (slot >= slots_.size()) return;
-  Slot& s = slots_[slot];
-  if (s.generation != generation || !s.live) return;
-  s.live = false;
-  // Free the callback (and whatever it captures) right away; the heap entry
-  // itself is skipped lazily or reclaimed by compaction.
-  s.fn = UniqueFunction{};
-  ++dead_;
-  ++cancelled_;
-  maybe_compact();
+void Scheduler::release(Closure& closure) {
+  closure.fn = nullptr;
+  ++closure.generation;
+  free_closures_.push_back(closure.id);
 }
 
-bool Scheduler::pending(std::uint32_t slot, std::uint32_t generation) const {
-  return slot < slots_.size() && slots_[slot].generation == generation &&
-         slots_[slot].live;
+void Scheduler::cancel(std::uint32_t closure, std::uint32_t generation) {
+  if (!pending(closure, generation)) return;
+  Closure& c = closures_[closure];
+  disarm(c);
+  release(c);  // frees the callback and its captures right away
 }
 
-void Scheduler::skim() {
-  while (!heap_.empty() && !slots_[heap_.front().slot].live) {
-    std::pop_heap(heap_.begin(), heap_.end(), Later{});
-    release_slot(heap_.back().slot);
-    heap_.pop_back();
-    --dead_;
-  }
-}
-
-void Scheduler::maybe_compact() {
-  if (heap_.size() < kMinCompactionSize || dead_ * 2 < heap_.size()) return;
-  auto is_dead = [this](const Entry& e) { return !slots_[e.slot].live; };
-  for (const Entry& e : heap_) {
-    if (is_dead(e)) release_slot(e.slot);
-  }
-  heap_.erase(std::remove_if(heap_.begin(), heap_.end(), is_dead), heap_.end());
-  std::make_heap(heap_.begin(), heap_.end(), Later{});
-  dead_ = 0;
-  ++compactions_;
-}
-
-bool Scheduler::empty() const {
-  const_cast<Scheduler*>(this)->skim();
-  return heap_.empty();
-}
-
-Time Scheduler::next_time() const {
-  const_cast<Scheduler*>(this)->skim();
-  return heap_.empty() ? kTimeInfinity : heap_.front().at;
-}
-
-Time Scheduler::run_next() {
-  skim();
-  assert(!heap_.empty());
-  std::pop_heap(heap_.begin(), heap_.end(), Later{});
-  const Entry entry = heap_.back();
-  heap_.pop_back();
-  // Move the callback out before running it: it may schedule new events,
-  // which mutates both the heap and the slab. The slot is released first so
-  // that pending() is false and the slot is reusable inside the callback.
-  UniqueFunction fn = std::move(slots_[entry.slot].fn);
-  release_slot(entry.slot);
-  ++executed_;
-  fn();
-  return entry.at;
+bool Scheduler::pending(std::uint32_t closure, std::uint32_t generation) const {
+  return closure < closures_.size() &&
+         closures_[closure].generation == generation &&
+         closures_[closure].armed();
 }
 
 }  // namespace pi2::sim

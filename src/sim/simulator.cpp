@@ -14,9 +14,11 @@ void Simulator::run_until(Time until) {
   stopped_ = false;
   // The clock must advance *before* the event executes, so that callbacks
   // observe now() == their scheduled time.
-  while (!scheduler_.empty() && scheduler_.next_time() <= until) {
+  while (!scheduler_.empty()) {
+    const Time next = scheduler_.next_time();
+    if (next > until) break;
     if (should_stop()) return;
-    now_ = scheduler_.next_time();
+    now_ = next;
     scheduler_.run_next();
   }
   if (now_ < until) now_ = until;

@@ -1,16 +1,17 @@
 // Simulation context: clock + scheduler + root RNG.
 //
-// Components hold a Simulator& and use `at`/`after` to schedule work. The
+// Components hold a Simulator& and arm their persistent event sources with
+// `arm`; one-shot work goes through the closures of `at`/`after`. The
 // simulator is the composition root of a run; it owns nothing but time.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 
 #include "sim/rng.hpp"
 #include "sim/scheduler.hpp"
 #include "sim/time.hpp"
-#include "sim/unique_function.hpp"
 
 namespace pi2::sim {
 
@@ -30,29 +31,29 @@ class Simulator {
   /// Schedules `fn` at absolute time `at`. Scheduling in the past is almost
   /// always a component bug; the time is clamped to now and counted in
   /// clamped_events() so harnesses can assert it never happens.
-  EventHandle at(Time when, UniqueFunction fn) {
-    return at(when, reserve_seq(), std::move(fn));
+  EventHandle at(Time when, std::function<void()> fn) {
+    return scheduler_.schedule_at(clamp(when), std::move(fn));
   }
 
-  /// Schedules `fn` at `when` with a tie-break number taken earlier from
+  /// Arms `source` at `when` under a fresh tie-break number, or moves it
+  /// there if it is already armed (clamped and counted like at()).
+  void arm(EventSource& source, Time when) { arm(source, when, reserve_seq()); }
+
+  /// Arms `source` at `when` with a tie-break number taken earlier from
   /// reserve_seq() (clamped and counted like at()).
-  EventHandle at(Time when, std::uint64_t seq, UniqueFunction fn) {
-    if (when < now_) {
-      ++clamped_;
-      when = now_;
-    }
-    return scheduler_.schedule_at(when, seq, std::move(fn));
+  void arm(EventSource& source, Time when, std::uint64_t seq) {
+    scheduler_.arm(source, clamp(when), seq);
   }
 
   /// Takes the tie-break number an event scheduled now would get, for a
-  /// component that pushes the event later (see Scheduler::reserve_seq).
+  /// component that arms its source later (see Scheduler::reserve_seq).
   [[nodiscard]] std::uint64_t reserve_seq() { return scheduler_.reserve_seq(); }
 
   /// Schedules `fn` after a relative delay. A negative delay targets the
   /// past and is clamped to now by `at()`, which also counts it in
   /// clamped_events() — negative delays are component bugs exactly like
   /// absolute times in the past, and harnesses assert the counter stays 0.
-  EventHandle after(Duration delay, UniqueFunction fn) {
+  EventHandle after(Duration delay, std::function<void()> fn) {
     return at(now_ + delay, std::move(fn));
   }
 
@@ -80,8 +81,8 @@ class Simulator {
   /// clamped to now. Healthy runs keep this at 0.
   [[nodiscard]] std::uint64_t clamped_events() const { return clamped_; }
 
-  /// The underlying scheduler (observability: heap occupancy, compactions,
-  /// schedule and cancel counts).
+  /// The underlying scheduler (observability: heap occupancy, arm and
+  /// disarm counts, events executed per kind).
   [[nodiscard]] const Scheduler& scheduler() const { return scheduler_; }
 
  private:
@@ -91,6 +92,14 @@ class Simulator {
   static constexpr std::uint64_t kStopPollInterval = 1024;
 
   [[nodiscard]] bool should_stop();
+
+  Time clamp(Time when) {
+    if (when < now_) {
+      ++clamped_;
+      return now_;
+    }
+    return when;
+  }
 
   Time now_ = kTimeZero;
   Scheduler scheduler_;

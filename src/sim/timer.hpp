@@ -1,11 +1,12 @@
-// One-shot timer with lazy re-arm.
+// One-shot timer with lazy re-arm: an event source of its own.
 //
 // Transport timers are re-armed far more often than they fire (the RTO on
-// every new ACK). Rather than cancel and reschedule, a Timer keeps its
-// pending event while that fires before the new deadline; the early wake
-// then re-schedules itself at the deadline under the tie-break number arm()
-// reserved, so the callback runs at exactly the (time, seq) the cancel-and-
-// reschedule code would have used. Only the early wakes are extra events.
+// every new ACK). Rather than move its heap entry on every re-arm, a Timer
+// keeps its pending firing while that comes before the new deadline; the
+// early wake then re-arms itself at the deadline under the tie-break number
+// arm() reserved, so the callback runs at exactly the (time, seq) a
+// cancel-and-reschedule timer would have used. Only the early wakes are
+// extra events. A sooner deadline moves the pending firing in place.
 #pragma once
 
 #include <cstdint>
@@ -16,40 +17,30 @@
 
 namespace pi2::sim {
 
-class Timer {
+class Timer final : public EventSource {
  public:
-  /// `on_fire` is a std::function, not a UniqueFunction: every flow
-  /// endpoint holds timers, and a callback capturing `this` fits the
-  /// std::function's smaller inline buffer (an 80-byte timer, not 112).
-  Timer(Simulator& sim, std::function<void()> on_fire)
-      : sim_(sim), on_fire_(std::move(on_fire)) {}
-
-  Timer(const Timer&) = delete;
-  Timer& operator=(const Timer&) = delete;
+  Timer(Simulator& sim, EventKind kind, std::function<void()> on_fire)
+      : EventSource(kind), sim_(sim), on_fire_(std::move(on_fire)) {}
 
   /// (Re)arms the timer to fire at `deadline`, replacing any earlier
   /// deadline, whether the new one is later or sooner.
   void arm(Time deadline) {
     deadline_ = deadline;
     seq_ = sim_.reserve_seq();
-    if (event_.pending() && wake_ < deadline_) return;  // wakes early, re-arms
-    event_.cancel();
+    if (armed() && wake_ < deadline_) return;  // wakes early, re-arms
     schedule();
   }
 
   /// Disarms the timer; the callback does not run. Idempotent.
-  void cancel() { event_.cancel(); }
-
-  /// True while a deadline is pending.
-  [[nodiscard]] bool armed() const { return event_.pending(); }
+  void cancel() { disarm(); }
 
  private:
   void schedule() {
     wake_ = deadline_;
-    event_ = sim_.at(deadline_, seq_, [this] { fire(); });
+    sim_.arm(*this, deadline_, seq_);
   }
 
-  void fire() {
+  void fire() override {
     if (wake_ < deadline_) {
       schedule();
       return;
@@ -59,9 +50,8 @@ class Timer {
 
   Simulator& sim_;
   std::function<void()> on_fire_;
-  EventHandle event_;
   Time deadline_{};
-  Time wake_{};  ///< time the pending event was scheduled for
+  Time wake_{};  ///< time the pending firing is due
   std::uint64_t seq_ = 0;
 };
 

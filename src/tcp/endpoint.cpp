@@ -16,7 +16,7 @@ TcpSender::TcpSender(pi2::sim::Simulator& sim, Config config,
     : sim_(sim),
       config_(config),
       cc_(std::move(cc)),
-      rto_timer_(sim, [this] { on_rto(); }) {
+      rto_timer_(sim, pi2::sim::EventKind::kRto, [this] { on_rto(); }) {
   assert(cc_ != nullptr);
 }
 

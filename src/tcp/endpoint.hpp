@@ -132,7 +132,7 @@ class TcpReceiver {
       : sim_(sim),
         flow_(flow),
         options_(options),
-        delack_timer_(sim, [this] {
+        delack_timer_(sim, pi2::sim::EventKind::kDelayedAck, [this] {
           emit_ack(/*ce_echo=*/false, pending_sent_at_);
         }) {}
 

@@ -12,7 +12,7 @@ void UdpSender::start() {
 
 void UdpSender::stop() {
   running_ = false;
-  timer_.cancel();
+  next_packet_.disarm();
 }
 
 void UdpSender::tick() {
@@ -27,7 +27,7 @@ void UdpSender::tick() {
   if (output_) output_(packet);
   const double interval_s =
       static_cast<double>(config_.packet_bytes) * 8.0 / config_.rate_bps;
-  timer_ = sim_.after(from_seconds(interval_s), [this] { tick(); });
+  sim_.arm(next_packet_, sim_.now() + from_seconds(interval_s));
 }
 
 }  // namespace pi2::tcp

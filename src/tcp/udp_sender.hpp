@@ -36,9 +36,10 @@ class UdpSender {
   pi2::sim::Simulator& sim_;
   Config config_;
   std::function<void(net::Packet)> output_;
-  pi2::sim::EventHandle timer_;
   bool running_ = false;
   std::int64_t packets_sent_ = 0;
+  pi2::sim::MemberEvent<UdpSender, &UdpSender::tick> next_packet_{
+      pi2::sim::EventKind::kUdp, this};
 };
 
 }  // namespace pi2::tcp

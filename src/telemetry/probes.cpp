@@ -49,12 +49,6 @@ void attach_simulator_probes(MetricsRegistry& registry, const sim::Simulator& si
   registry.gauge("sim.sched_heap", [&sim] {
     return static_cast<double>(sim.scheduler().heap_size());
   });
-  registry.gauge("sim.sched_live", [&sim] {
-    return static_cast<double>(sim.scheduler().live_size());
-  });
-  registry.gauge("sim.sched_compactions", [&sim] {
-    return static_cast<double>(sim.scheduler().compactions());
-  });
   registry.gauge("sim.sched_scheduled", [&sim] {
     return static_cast<double>(sim.scheduler().scheduled());
   });

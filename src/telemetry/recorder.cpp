@@ -1,6 +1,7 @@
 #include "telemetry/recorder.hpp"
 
 #include <filesystem>
+#include <string>
 #include <system_error>
 
 namespace pi2::telemetry {
@@ -39,6 +40,14 @@ bool Recorder::finish(pi2::sim::Time end) {
   sampler_.sample_final(end);
   registry_.freeze_gauges();
   manifest_.capture_final(registry_);
+  if (sim_ != nullptr) {
+    for (std::size_t k = 0; k < pi2::sim::kEventKinds; ++k) {
+      const auto kind = static_cast<pi2::sim::EventKind>(k);
+      manifest_.final_metrics["sim.events." +
+                              std::string(pi2::sim::event_kind_name(kind))] =
+          static_cast<double>(sim_->scheduler().executed(kind));
+    }
+  }
   bool ok = jsonl_->finish(registry_);
   ok = prometheus_->finish(registry_) && ok;
   manifest_status_ = manifest_.write_json(manifest_path());

@@ -53,11 +53,16 @@ class Recorder {
   [[nodiscard]] durable::Status status() const;
 
   /// Starts the periodic sampling chain on `sim` (harness-called).
-  void start(pi2::sim::Simulator& sim) { sampler_.start(sim); }
+  void start(pi2::sim::Simulator& sim) {
+    sim_ = &sim;
+    sampler_.start(sim);
+  }
 
   /// Takes the final sample at `end`, freezes bound gauges, captures the
-  /// manifest's final snapshot and writes every artifact. Returns false if
-  /// any artifact failed. Idempotent.
+  /// manifest's final snapshot plus the started simulator's events per
+  /// kind (`sim.events.<kind>`, written once here rather than sampled) and
+  /// writes every artifact. Returns false if any artifact failed.
+  /// Idempotent.
   bool finish(pi2::sim::Time end);
 
   [[nodiscard]] const std::string& dir() const { return config_.dir; }
@@ -77,6 +82,7 @@ class Recorder {
   std::unique_ptr<JsonlExporter> jsonl_;
   std::unique_ptr<PrometheusExporter> prometheus_;
   Sampler sampler_;
+  const pi2::sim::Simulator* sim_ = nullptr;
   bool finished_ = false;
   bool finish_ok_ = false;
   durable::Status manifest_status_;  ///< outcome of the finish-time write

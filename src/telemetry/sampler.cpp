@@ -17,17 +17,17 @@ void Sampler::add_exporter(Exporter* exporter) {
 
 void Sampler::start(pi2::sim::Simulator& sim) {
   sim_ = &sim;
-  next_ = sim_->after(interval_, [this] { tick(); });
+  sim_->arm(tick_, sim_->now() + interval_);
 }
 
 void Sampler::stop() {
-  next_.cancel();
+  tick_.disarm();
   sim_ = nullptr;
 }
 
 void Sampler::tick() {
   sample_at(sim_->now());
-  next_ = sim_->after(interval_, [this] { tick(); });
+  sim_->arm(tick_, sim_->now() + interval_);
 }
 
 void Sampler::sample_at(pi2::sim::Time t) {

@@ -58,7 +58,8 @@ class Sampler {
   MetricsRegistry& registry_;
   pi2::sim::Duration interval_;
   pi2::sim::Simulator* sim_ = nullptr;
-  pi2::sim::EventHandle next_;
+  pi2::sim::MemberEvent<Sampler, &Sampler::tick> tick_{
+      pi2::sim::EventKind::kSampler, this};
   std::vector<Exporter*> exporters_;
   std::map<std::string, stats::TimeSeries> series_;
   /// Snapshot-row -> TimeSeries wiring, rebuilt only when the registry's

@@ -82,6 +82,40 @@ struct LinkRuntime {
   LinkResult out;
 };
 
+/// Samples every link's queue delay and AQM probabilities once per
+/// `interval`: one source for the whole graph, so the event count matches
+/// the legacy harness.
+class LinkSampler {
+ public:
+  LinkSampler(pi2::sim::Simulator& sim, std::deque<LinkRuntime>& links,
+              Duration interval, Time stats_start)
+      : sim_(sim), links_(links), interval_(interval), stats_start_(stats_start) {
+    sim_.arm(event_, sim_.now() + interval_);
+  }
+
+ private:
+  void tick() {
+    for (LinkRuntime& rt : links_) {
+      rt.out.qdelay_ms_series.add(sim_.now(), to_millis(rt.link->queue_delay()));
+      const double pc = rt.link->qdisc().classic_probability();
+      const double ps = rt.link->qdisc().scalable_probability();
+      rt.out.classic_prob_series.add(sim_.now(), pc);
+      if (sim_.now() >= stats_start_) {
+        rt.out.classic_prob_samples.add(pc);
+        rt.out.scalable_prob_samples.add(ps);
+      }
+    }
+    sim_.arm(event_, sim_.now() + interval_);
+  }
+
+  pi2::sim::Simulator& sim_;
+  std::deque<LinkRuntime>& links_;
+  Duration interval_;
+  Time stats_start_;
+  pi2::sim::MemberEvent<LinkSampler, &LinkSampler::tick> event_{
+      pi2::sim::EventKind::kSampler, this};
+};
+
 }  // namespace
 
 TopologyResult run_topology(const TopologyConfig& config) {
@@ -599,22 +633,8 @@ TopologyResult run_topology(const TopologyConfig& config) {
     config.recorder->start(sim);
   }
 
-  // Periodic sampling of every link's queue delay and AQM probabilities —
-  // one shared chain, so the event count matches the legacy harness.
-  std::function<void()> sample = [&] {
-    for (LinkRuntime& rt : links) {
-      rt.out.qdelay_ms_series.add(sim.now(), to_millis(rt.link->queue_delay()));
-      const double pc = rt.link->qdisc().classic_probability();
-      const double ps = rt.link->qdisc().scalable_probability();
-      rt.out.classic_prob_series.add(sim.now(), pc);
-      if (sim.now() >= config.stats_start) {
-        rt.out.classic_prob_samples.add(pc);
-        rt.out.scalable_prob_samples.add(ps);
-      }
-    }
-    sim.after(config.sample_interval, sample);
-  };
-  sim.after(config.sample_interval, sample);
+  LinkSampler link_sampler{sim, links, config.sample_interval,
+                           config.stats_start};
 
   // Snapshot cumulative counters at the start of the stats window (one
   // event for the whole graph).

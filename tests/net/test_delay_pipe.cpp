@@ -96,7 +96,7 @@ TEST(DelayPipe, HeapHoldsOneEntryPerPipe) {
   }
   sim.run_until(from_millis(15));
   EXPECT_EQ(pipe.in_flight(), 1000u);
-  EXPECT_EQ(sim.scheduler().live_size(), 1u);
+  EXPECT_EQ(sim.scheduler().heap_size(), 1u);
   sim.run();
   EXPECT_EQ(delivered, 1000);
   EXPECT_EQ(sim.scheduler().cancelled(), 0u);
