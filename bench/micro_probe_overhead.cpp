@@ -49,7 +49,8 @@ void run_link_cycle(benchmark::State& state, bool attach_telemetry) {
   aqm.type = scenario::AqmType::kFifo;
   net::BottleneckLink link{sim, config, aqm.make()};
   std::int64_t delivered = 0;
-  link.set_sink([&delivered](net::Packet) { ++delivered; });
+  net::CallbackSink count{[&delivered](const net::Packet&) { ++delivered; }};
+  link.set_sink(count);
 
   telemetry::MetricsRegistry registry;
   if (attach_telemetry) telemetry::attach_link_probes(registry, link);

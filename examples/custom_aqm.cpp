@@ -64,17 +64,24 @@ Outcome run_with(std::unique_ptr<net::QueueDiscipline> qdisc) {
   tcp::TcpSender sender{simulator, sc, tcp::make_dctcp()};
   tcp::TcpReceiver receiver{simulator, 0};
   std::int64_t delivered = 0;
-  sender.set_output([&](net::Packet p) { link.send(p); });
+  sender.set_output(link);
   // 5 ms of propagation each way.
   net::DelayPipe forward{simulator, sim::from_millis(5)};
   net::DelayPipe reverse{simulator, sim::from_millis(5)};
-  link.set_sink([&](net::Packet p) { forward.send(p); });
-  forward.set_sink([&](net::Packet p) { receiver.on_data(p); });
-  receiver.set_delivery_probe([&](const net::Packet& p) {
-    if (simulator.now() > sim::from_seconds(10)) delivered += p.size;
-  });
-  receiver.set_ack_path([&](net::Packet a) { reverse.send(a); });
-  reverse.set_sink([&](net::Packet a) { sender.on_ack(a); });
+  net::CallbackSink to_forward{[&](const net::Packet& p) { forward.send(p); }};
+  link.set_sink(to_forward);
+  net::CallbackSink to_receiver{[&](const net::Packet& p) {
+    const std::int64_t before = receiver.delivered_bytes();
+    receiver.on_data(p);
+    if (simulator.now() > sim::from_seconds(10)) {
+      delivered += receiver.delivered_bytes() - before;
+    }
+  }};
+  forward.set_sink(to_receiver);
+  net::CallbackSink to_reverse{[&](const net::Packet& a) { reverse.send(a); }};
+  receiver.set_ack_path(to_reverse);
+  net::CallbackSink to_sender{[&](const net::Packet& a) { sender.on_ack(a); }};
+  reverse.set_sink(to_sender);
   sender.start();
   simulator.run_until(sim::from_seconds(40.0));
 

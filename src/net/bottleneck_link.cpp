@@ -8,7 +8,6 @@ namespace pi2::net {
 
 using pi2::sim::Duration;
 using pi2::sim::from_seconds;
-using pi2::sim::Time;
 
 BottleneckLink::BottleneckLink(pi2::sim::Simulator& sim, Config config,
                                std::unique_ptr<QueueDiscipline> qdisc)
@@ -20,7 +19,7 @@ BottleneckLink::BottleneckLink(pi2::sim::Simulator& sim, Config config,
   band_counters_.resize(bands);
   band_backlog_bytes_.resize(bands, 0);
   qdisc_->install(sim_, *this);
-  held_.set_sink([this](Packet packet) { accept(std::move(packet)); });
+  held_.set_sink(reoffer_);
 }
 
 pi2::sim::Duration BottleneckLink::band_head_sojourn(std::size_t band) const {
@@ -67,23 +66,26 @@ void BottleneckLink::drop(const Packet& packet, DropReason reason) {
   probes_.emit_drop(packet, reason);
 }
 
-void BottleneckLink::send(Packet packet) {
-  if (ingress_filter_) {
-    const IngressVerdict verdict = ingress_filter_(packet);
-    switch (verdict.action) {
-      case IngressVerdict::Action::kDrop:
-        drop(packet, DropReason::kFault);
-        return;
-      case IngressVerdict::Action::kDelay:
-        // Hold the packet back; the re-offer bypasses the filter so a held
-        // packet cannot be deflected again.
-        held_.send(std::move(packet), verdict.delay);
-        return;
-      case IngressVerdict::Action::kPass:
-        break;
-    }
+void BottleneckLink::send(const Packet& offered) {
+  if (!ingress_filter_) {
+    accept(offered);
+    return;
   }
-  accept(std::move(packet));
+  Packet packet = offered;  // the filter may mutate it
+  const IngressVerdict verdict = ingress_filter_(packet);
+  switch (verdict.action) {
+    case IngressVerdict::Action::kDrop:
+      drop(packet, DropReason::kFault);
+      return;
+    case IngressVerdict::Action::kDelay:
+      // Hold the packet back; the re-offer bypasses the filter so a held
+      // packet cannot be deflected again.
+      held_.send(packet, verdict.delay);
+      return;
+    case IngressVerdict::Action::kPass:
+      break;
+  }
+  accept(packet);
 }
 
 void BottleneckLink::accept(Packet packet) {
@@ -157,15 +159,13 @@ void BottleneckLink::try_start_transmission() {
 }
 
 void BottleneckLink::finish_transmission() {
-  // Copies: the sink may offer a packet that starts the next transmission.
+  // A copy: the sink may offer a packet that starts the next transmission.
   const Packet packet = in_service_;
-  const Time started = tx_started_;
   transmitting_ = false;
   ++counters_.forwarded;
   ++band_counters_[transmitting_band_].forwarded;
-  probes_.emit_busy(started, sim_.now());
   probes_.emit_departure(packet, sim_.now() - packet.enqueued_at);
-  if (sink_) sink_(packet);
+  if (sink_ != nullptr) sink_->receive(packet);
   try_start_transmission();
 }
 

@@ -5,6 +5,10 @@
 // when its transmission starts, serializes for size*8/rate seconds, and is
 // delivered to the sink when transmission completes. The drain rate can be
 // changed mid-run (Figure 12's varying-link-capacity experiment).
+//
+// The link is itself a PacketSink (receive() is send()), so a sender or a
+// delay pipe hands packets to it directly; its own sink is a borrowed
+// PacketSink too.
 #pragma once
 
 #include <cstdint>
@@ -15,13 +19,14 @@
 
 #include "net/delay_pipe.hpp"
 #include "net/packet.hpp"
+#include "net/packet_sink.hpp"
 #include "net/probe_bus.hpp"
 #include "net/queue_discipline.hpp"
 #include "sim/simulator.hpp"
 
 namespace pi2::net {
 
-class BottleneckLink final : public QueueView {
+class BottleneckLink final : public QueueView, public PacketSink {
  public:
   struct Config {
     double rate_bps = 10e6;
@@ -71,8 +76,9 @@ class BottleneckLink final : public QueueView {
   BottleneckLink(pi2::sim::Simulator& sim, Config config,
                  std::unique_ptr<QueueDiscipline> qdisc);
 
-  /// Where departing packets go (e.g. a propagation-delay pipe).
-  void set_sink(std::function<void(Packet)> sink) { sink_ = std::move(sink); }
+  /// Where departing packets go (e.g. a propagation-delay pipe). Borrowed;
+  /// without a sink departing packets vanish.
+  void set_sink(PacketSink& sink) { sink_ = &sink; }
 
   /// The probe bus every observer of this queue subscribes to (multicast —
   /// every registered probe fires). PacketTrace, stats meters and telemetry
@@ -83,9 +89,6 @@ class BottleneckLink final : public QueueView {
   // Convenience forwarders onto the bus (the pre-bus public API).
   void add_departure_probe(ProbeBus::DepartureProbe probe) {
     probes_.add_departure(std::move(probe));
-  }
-  void add_busy_probe(ProbeBus::BusyProbe probe) {
-    probes_.add_busy(std::move(probe));
   }
   void add_drop_probe(ProbeBus::DropProbe probe) {
     probes_.add_drop(std::move(probe));
@@ -99,7 +102,10 @@ class BottleneckLink final : public QueueView {
   /// first and may drop, delay or mutate the packet (impairment injection);
   /// then the AQM verdict and the buffer limit apply; accepted packets are
   /// eventually delivered to the sink.
-  void send(Packet packet);
+  void send(const Packet& packet);
+
+  /// PacketSink: a packet handed to the link is sent into it.
+  void receive(const Packet& packet) override { send(packet); }
 
   /// Installs the impairment hook send() consults. The filter may mutate
   /// the packet in place (e.g. clear its ECN codepoint). One filter at a
@@ -149,6 +155,9 @@ class BottleneckLink final : public QueueView {
   /// Band the in-flight packet came from; meaningful only while
   /// transmitting() (per-band conservation needs the attribution).
   [[nodiscard]] std::size_t transmitting_band() const { return transmitting_band_; }
+  /// When the last transmission started: while the sink runs, the start of
+  /// the departing packet's serialization (its busy interval ends now).
+  [[nodiscard]] pi2::sim::Time tx_started() const { return tx_started_; }
 
   /// Recomputes the byte backlog from the buffer contents. O(queue length);
   /// the InvariantMonitor compares it against the incremental
@@ -217,10 +226,21 @@ class BottleneckLink final : public QueueView {
   pi2::sim::Time tx_started_{};
   pi2::sim::MemberEvent<BottleneckLink, &BottleneckLink::finish_transmission>
       tx_done_{pi2::sim::EventKind::kLinkTx, this};
+  /// Re-offers held-back packets to accept(), past the ingress filter.
+  class Reoffer final : public PacketSink {
+   public:
+    explicit Reoffer(BottleneckLink& link) : link_(link) {}
+    void receive(const Packet& packet) override { link_.accept(packet); }
+
+   private:
+    BottleneckLink& link_;
+  };
+
   /// Packets the ingress filter holds back (kDelay), re-offered to accept().
   DelayPipe held_;
+  Reoffer reoffer_{*this};
   Counters counters_;
-  std::function<void(Packet)> sink_;
+  PacketSink* sink_ = nullptr;
   std::function<IngressVerdict(Packet&)> ingress_filter_;
   ProbeBus probes_;
 };

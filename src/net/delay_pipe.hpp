@@ -6,7 +6,9 @@
 // other events exactly as one event per packet would, while the heap holds
 // one entry per pipe and nothing captures a Packet. Sends land at the tail
 // in O(1) unless a shorter delay (an RTT step) moves them forward; a new
-// head moves the armed source in place.
+// head moves the armed source in place. Delivery is one virtual call on the
+// pipe's PacketSink (a borrowed reference that must outlive the pipe's
+// pending deliveries).
 //
 // quantum > 0 rounds due times up to the quantum grid (ACK-clock batching):
 // a packet whose rounded due time matches a batch still in the pipe joins
@@ -16,19 +18,17 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <utility>
 #include <vector>
 
 #include "net/packet.hpp"
+#include "net/packet_sink.hpp"
 #include "sim/simulator.hpp"
 
 namespace pi2::net {
 
 class DelayPipe {
  public:
-  using Sink = std::function<void(Packet)>;
-
   DelayPipe(pi2::sim::Simulator& sim, pi2::sim::Duration delay,
             pi2::sim::Duration quantum = {})
       : sim_(sim), delay_(delay), quantum_(quantum) {}
@@ -36,22 +36,23 @@ class DelayPipe {
   DelayPipe(const DelayPipe&) = delete;
   DelayPipe& operator=(const DelayPipe&) = delete;
 
-  void set_sink(Sink sink) { sink_ = std::move(sink); }
+  /// Where delivered packets go. Borrowed; without a sink they vanish.
+  void set_sink(PacketSink& sink) { sink_ = &sink; }
 
   /// Packets accepted but not yet delivered.
   [[nodiscard]] std::size_t in_flight() const { return size_; }
 
-  void send(Packet packet) { send(std::move(packet), delay_); }
+  void send(const Packet& packet) { send(packet, delay_); }
 
   /// Delivers `packet` to the sink after `delay` instead of the pipe's own.
-  void send(Packet packet, pi2::sim::Duration delay) {
+  void send(const Packet& packet, pi2::sim::Duration delay) {
     const pi2::sim::Time due = quantize(sim_.now() + delay);
     std::size_t pos = size_;
     while (pos > 0 && at(pos - 1).due > due) --pos;
     const bool joins = quantum_.count() > 0 && pos > 0 &&
                        at(pos - 1).due == due && at(pos - 1).seq != flushing_;
     const std::uint64_t seq = joins ? at(pos - 1).seq : sim_.reserve_seq();
-    insert(pos, Entry{due, seq, std::move(packet)});
+    insert(pos, Entry{due, seq, packet});
     if (pos == 0) arm_head();
   }
 
@@ -75,16 +76,16 @@ class DelayPipe {
   /// and reallocates a block every few packets; that ran ~8% slower.)
   Entry& at(std::size_t i) { return ring_[(head_ + i) & (ring_.size() - 1)]; }
 
-  void insert(std::size_t pos, Entry entry) {
+  void insert(std::size_t pos, const Entry& entry) {
     if (size_ == ring_.size()) grow();
-    for (std::size_t i = size_; i > pos; --i) at(i) = std::move(at(i - 1));
-    at(pos) = std::move(entry);
+    for (std::size_t i = size_; i > pos; --i) at(i) = at(i - 1);
+    at(pos) = entry;
     ++size_;
   }
 
   void grow() {
     std::vector<Entry> bigger(std::max<std::size_t>(16, 2 * ring_.size()));
-    for (std::size_t i = 0; i < size_; ++i) bigger[i] = std::move(at(i));
+    for (std::size_t i = 0; i < size_; ++i) bigger[i] = at(i);
     ring_ = std::move(bigger);
     head_ = 0;
   }
@@ -99,10 +100,11 @@ class DelayPipe {
   void fire() {
     flushing_ = at(0).seq;
     do {
-      Packet packet = std::move(at(0).packet);
+      // A copy: the sink may send into this pipe and move the ring.
+      const Packet packet = at(0).packet;
       head_ = (head_ + 1) & (ring_.size() - 1);
       --size_;
-      if (sink_) sink_(std::move(packet));
+      if (sink_ != nullptr) sink_->receive(packet);
     } while (size_ > 0 && at(0).seq == flushing_);
     flushing_ = kNoBatch;
     if (size_ > 0 && !head_event_.armed()) arm_head();
@@ -111,7 +113,7 @@ class DelayPipe {
   pi2::sim::Simulator& sim_;
   pi2::sim::Duration delay_;
   pi2::sim::Duration quantum_;
-  Sink sink_;
+  PacketSink* sink_ = nullptr;
   std::vector<Entry> ring_;
   std::size_t head_ = 0;
   std::size_t size_ = 0;

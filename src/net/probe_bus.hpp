@@ -1,11 +1,14 @@
 // The packet-event probe bus: the single multicast point every observer of
 // a bottleneck queue subscribes to.
 //
-// The bus carries four event streams — enqueue, departure, drop (with a
-// reason), and link-busy intervals — and fans each out to every registered
-// listener. PacketTrace, the stats meters and the telemetry subsystem all
-// ride this one bus, so adding an observer never requires touching the
-// queue's data path and observers compose freely.
+// The bus carries three event streams — enqueue, departure and drop (with a
+// reason) — and fans each out to every registered listener. It is for optional observers: PacketTrace and the telemetry
+// subsystem ride it, so adding an observer never requires touching the
+// queue's data path and observers compose freely. With none attached an
+// emission is an empty loop; the topology engine's own per-packet
+// accounting (busy time, sojourn) runs in its typed link sink instead
+// (busy intervals from BottleneckLink::tx_started()), off this type-erased
+// path.
 #pragma once
 
 #include <functional>
@@ -26,8 +29,6 @@ class ProbeBus {
   /// serialization).
   using DepartureProbe = std::function<void(const Packet&, pi2::sim::Duration)>;
   using DropProbe = std::function<void(const Packet&, DropReason)>;
-  /// Receives each transmission interval, for utilization accounting.
-  using BusyProbe = std::function<void(pi2::sim::Time, pi2::sim::Time)>;
 
   void add_enqueue(EnqueueProbe probe) {
     enqueue_.push_back(std::move(probe));
@@ -36,7 +37,6 @@ class ProbeBus {
     departure_.push_back(std::move(probe));
   }
   void add_drop(DropProbe probe) { drop_.push_back(std::move(probe)); }
-  void add_busy(BusyProbe probe) { busy_.push_back(std::move(probe)); }
 
   // Emission (called by the queue owning the bus).
   void emit_enqueue(const Packet& packet) const {
@@ -48,15 +48,11 @@ class ProbeBus {
   void emit_drop(const Packet& packet, DropReason reason) const {
     for (const auto& probe : drop_) probe(packet, reason);
   }
-  void emit_busy(pi2::sim::Time from, pi2::sim::Time to) const {
-    for (const auto& probe : busy_) probe(from, to);
-  }
 
  private:
   std::vector<EnqueueProbe> enqueue_;
   std::vector<DepartureProbe> departure_;
   std::vector<DropProbe> drop_;
-  std::vector<BusyProbe> busy_;
 };
 
 }  // namespace pi2::net

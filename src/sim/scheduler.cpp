@@ -23,25 +23,28 @@ bool EventHandle::pending() const {
 }
 
 Scheduler::~Scheduler() {
-  for (const Entry& e : heap_) e.source->index_ = EventSource::kNotArmed;
-  heap_.clear();
+  for (std::vector<Entry>& heap : heaps_) {
+    for (const Entry& e : heap) e.source->index_ = EventSource::kNotArmed;
+    heap.clear();
+  }
 }
 
 void Scheduler::arm(EventSource& source, Time at, std::uint64_t seq) {
   ++scheduled_;
-  const Entry entry{at, seq, &source};
+  std::vector<Entry>& heap = heaps_[source.heap_];
+  const Entry entry{bias(at), seq, &source};
   if (!source.armed()) {
     source.scheduler_ = this;
-    heap_.push_back(entry);
-    sift_up(heap_.size() - 1, entry);
+    heap.push_back(entry);
+    sift_up(heap, heap.size() - 1, entry);
     return;
   }
   assert(source.scheduler_ == this);
   const std::size_t i = source.index_;
-  if (before(entry, heap_[i])) {
-    sift_up(i, entry);
+  if (before(entry, heap[i])) {
+    sift_up(heap, i, entry);
   } else {
-    sift_down(i, entry);
+    sift_down(heap, i, entry);
   }
 }
 
@@ -49,39 +52,40 @@ void Scheduler::disarm(EventSource& source) {
   if (!source.armed()) return;
   assert(source.scheduler_ == this);
   ++cancelled_;
+  std::vector<Entry>& heap = heaps_[source.heap_];
   const std::size_t i = source.index_;
   source.index_ = EventSource::kNotArmed;
-  const Entry last = heap_.back();
-  heap_.pop_back();
-  if (i == heap_.size()) return;  // it was the last entry
-  if (before(last, heap_[i])) {
-    sift_up(i, last);
+  const Entry last = heap.back();
+  heap.pop_back();
+  if (i == heap.size()) return;  // it was the last entry
+  if (before(last, heap[i])) {
+    sift_up(heap, i, last);
   } else {
-    sift_down(i, last);
+    sift_down(heap, i, last);
   }
 }
 
-void Scheduler::sift_up(std::size_t hole, Entry entry) {
+void Scheduler::sift_up(std::vector<Entry>& heap, std::size_t hole, Entry entry) {
   while (hole > 0) {
     const std::size_t parent = (hole - 1) / 2;
-    if (!before(entry, heap_[parent])) break;
-    place(hole, heap_[parent]);
+    if (!before(entry, heap[parent])) break;
+    place(heap, hole, heap[parent]);
     hole = parent;
   }
-  place(hole, entry);
+  place(heap, hole, entry);
 }
 
-void Scheduler::sift_down(std::size_t hole, Entry entry) {
-  const std::size_t n = heap_.size();
+void Scheduler::sift_down(std::vector<Entry>& heap, std::size_t hole, Entry entry) {
+  const std::size_t n = heap.size();
   for (;;) {
     std::size_t child = 2 * hole + 1;
     if (child >= n) break;
-    if (child + 1 < n && before(heap_[child + 1], heap_[child])) ++child;
-    if (!before(heap_[child], entry)) break;
-    place(hole, heap_[child]);
+    if (child + 1 < n) child += before(heap[child + 1], heap[child]) ? 1 : 0;
+    if (!before(heap[child], entry)) break;
+    place(heap, hole, heap[child]);
     hole = child;
   }
-  place(hole, entry);
+  place(heap, hole, entry);
 }
 
 EventHandle Scheduler::schedule_at(Time at, std::uint64_t seq,

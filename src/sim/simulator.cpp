@@ -13,23 +13,26 @@ bool Simulator::should_stop() {
 void Simulator::run_until(Time until) {
   stopped_ = false;
   // The clock must advance *before* the event executes, so that callbacks
-  // observe now() == their scheduled time.
-  while (!scheduler_.empty()) {
-    const Time next = scheduler_.next_time();
-    if (next > until) break;
+  // observe now() == their scheduled time. One top() per event compares the
+  // two heaps' tops once.
+  for (;;) {
+    const Scheduler::Top next = scheduler_.top();
+    if (!next.armed || next.at > until) break;
     if (should_stop()) return;
-    now_ = next;
-    scheduler_.run_next();
+    now_ = next.at;
+    scheduler_.run(next);
   }
   if (now_ < until) now_ = until;
 }
 
 void Simulator::run() {
   stopped_ = false;
-  while (!scheduler_.empty()) {
+  for (;;) {
+    const Scheduler::Top next = scheduler_.top();
+    if (!next.armed) break;
     if (should_stop()) return;
-    now_ = scheduler_.next_time();
-    scheduler_.run_next();
+    now_ = next.at;
+    scheduler_.run(next);
   }
 }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 
 namespace pi2::stats {
 
@@ -42,13 +43,20 @@ void PercentileSampler::ensure_sorted() const {
 
 double PercentileSampler::quantile(double q) const {
   if (samples_.empty()) return 0.0;
-  ensure_sorted();
   q = std::clamp(q, 0.0, 1.0);
   const double rank = q * static_cast<double>(samples_.size() - 1);
   const auto lo = static_cast<std::size_t>(rank);
   const std::size_t hi = std::min(lo + 1, samples_.size() - 1);
   const double frac = rank - static_cast<double>(lo);
-  return samples_[lo] * (1.0 - frac) + samples_[hi] * frac;
+  if (sorted_) return samples_[lo] * (1.0 - frac) + samples_[hi] * frac;
+  // Select the two order statistics in O(n) rather than sort: nth_element
+  // puts the lo-th in place with every larger sample after it, so the
+  // hi-th is the least of those.
+  const auto nth = samples_.begin() + static_cast<std::ptrdiff_t>(lo);
+  std::nth_element(samples_.begin(), nth, samples_.end());
+  const double at_lo = *nth;
+  const double at_hi = hi == lo ? at_lo : *std::min_element(nth + 1, samples_.end());
+  return at_lo * (1.0 - frac) + at_hi * frac;
 }
 
 double PercentileSampler::cdf_at(double x) const {

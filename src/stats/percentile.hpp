@@ -22,7 +22,9 @@ class PercentileSampler {
   void add(double x);
 
   /// Quantile q in [0, 1], linear interpolation between order statistics.
-  /// Returns 0 if no samples. Sorts lazily (const via mutable buffer).
+  /// Returns 0 if no samples. On an unsorted buffer it selects the two
+  /// order statistics in O(n) (reordering the buffer; const via mutable);
+  /// cdf_at() and cdf_points() sort it.
   [[nodiscard]] double quantile(double q) const;
 
   [[nodiscard]] double p01() const { return quantile(0.01); }

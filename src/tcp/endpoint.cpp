@@ -67,13 +67,14 @@ void TcpSender::transmit(std::int64_t seq, bool is_retransmit) {
   }
   ++segments_sent_;
   if (is_retransmit) ++retransmits_;
-  if (output_) output_(packet);
+  if (output_ != nullptr) output_->receive(packet);
 }
 
 Duration TcpSender::rto() const {
   double rto_s = rtt_valid_ ? srtt_s_ + 4.0 * rttvar_s_ : 1.0;
   rto_s = std::max(rto_s, to_seconds(kMinRto));
-  rto_s = std::ldexp(rto_s, std::min(backoff_, 6));  // exponential backoff
+  // Exponential backoff. A power-of-two factor is exact, as std::ldexp is.
+  if (backoff_ > 0) rto_s *= static_cast<double>(1 << std::min(backoff_, 6));
   return from_seconds(rto_s);
 }
 
@@ -192,7 +193,17 @@ void TcpReceiver::emit_ack(bool ce_echo, Time data_sent_at) {
   ack.ece = ece_latched_;
   ack.ce_echo = ce_echo;  // DCTCP accurate per-packet echo
   ack.sent_at = data_sent_at;
-  if (ack_path_) ack_path_(ack);
+  if (ack_path_ != nullptr) ack_path_->receive(ack);
+}
+
+void TcpReceiver::hold_out_of_order(std::int64_t seq) {
+  if (!has_gap() || seq > out_of_order_.back()) {
+    out_of_order_.push_back(seq);
+    return;
+  }
+  const auto live = out_of_order_.begin() + static_cast<std::ptrdiff_t>(ooo_head_);
+  const auto it = std::lower_bound(live, out_of_order_.end(), seq);
+  if (*it != seq) out_of_order_.insert(it, seq);  // else a duplicate
 }
 
 void TcpReceiver::on_data(const net::Packet& data) {
@@ -208,20 +219,29 @@ void TcpReceiver::on_data(const net::Packet& data) {
   const bool in_order = data.seq == rcv_nxt_;
   if (in_order) {
     ++rcv_nxt_;
-    if (delivery_probe_) delivery_probe_(data);
-    while (!out_of_order_.empty() && *out_of_order_.begin() == rcv_nxt_) {
-      out_of_order_.erase(out_of_order_.begin());
+    delivered_bytes_ += data.size;
+    while (has_gap() && out_of_order_[ooo_head_] == rcv_nxt_) {
+      ++ooo_head_;
       ++rcv_nxt_;
-      if (delivery_probe_) delivery_probe_(data);
+      delivered_bytes_ += data.size;
+    }
+    if (!has_gap()) {
+      out_of_order_.clear();
+      ooo_head_ = 0;
+    } else if (2 * ooo_head_ >= out_of_order_.size()) {
+      // Drop the consumed prefix once it is half the buffer: amortized O(1).
+      out_of_order_.erase(out_of_order_.begin(),
+                          out_of_order_.begin() + static_cast<std::ptrdiff_t>(ooo_head_));
+      ooo_head_ = 0;
     }
   } else if (data.seq > rcv_nxt_) {
-    out_of_order_.insert(data.seq);
+    hold_out_of_order(data.seq);
   }
   // data.seq < rcv_nxt_: spurious retransmission; still ACK it.
 
   // Delayed ACKs apply only to clean in-order, unmarked data; gaps,
   // duplicates and CE marks are acknowledged immediately.
-  if (options_.delayed_acks && in_order && !was_ce && out_of_order_.empty()) {
+  if (options_.delayed_acks && in_order && !was_ce && !has_gap()) {
     ++unacked_segments_;
     if (unacked_segments_ < options_.ack_every) {
       pending_sent_at_ = data.sent_at;

@@ -8,14 +8,21 @@
 // feedback. SACK is intentionally absent — the evaluated steady-state
 // behaviour does not depend on it, and NewReno partial-ACK recovery handles
 // multi-drop windows.
+//
+// Both endpoints hand packets on through borrowed net::PacketSink
+// references (the sender's data to the bottleneck, the receiver's ACKs to
+// the reverse path); neither runs a type-erased callback per packet. The
+// receiver counts its in-order delivered bytes itself (goodput).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <set>
+#include <vector>
 
 #include "net/packet.hpp"
+#include "net/packet_sink.hpp"
 #include "sim/simulator.hpp"
 #include "sim/timer.hpp"
 #include "tcp/congestion_control.hpp"
@@ -39,10 +46,8 @@ class TcpSender {
   TcpSender(pi2::sim::Simulator& sim, Config config,
             std::unique_ptr<CongestionControl> cc);
 
-  /// Where data packets go (the bottleneck queue).
-  void set_output(std::function<void(net::Packet)> output) {
-    output_ = std::move(output);
-  }
+  /// Where data packets go (the bottleneck queue). Borrowed.
+  void set_output(net::PacketSink& output) { output_ = &output; }
 
   /// Invoked when the last segment of a finite flow is cumulatively ACKed.
   void set_completion_callback(std::function<void()> cb) {
@@ -83,7 +88,7 @@ class TcpSender {
   pi2::sim::Simulator& sim_;
   Config config_;
   std::unique_ptr<CongestionControl> cc_;
-  std::function<void(net::Packet)> output_;
+  net::PacketSink* output_ = nullptr;
   std::function<void()> on_complete_;
 
   bool running_ = false;
@@ -137,32 +142,35 @@ class TcpReceiver {
         }) {}
 
   /// Where ACKs go (the reverse-path delay pipe back to the sender).
-  void set_ack_path(std::function<void(net::Packet)> path) {
-    ack_path_ = std::move(path);
-  }
-
-  /// Observer for every in-order delivered segment (goodput accounting).
-  void set_delivery_probe(std::function<void(const net::Packet&)> probe) {
-    delivery_probe_ = std::move(probe);
-  }
+  /// Borrowed.
+  void set_ack_path(net::PacketSink& path) { ack_path_ = &path; }
 
   /// Data input from the network.
   void on_data(const net::Packet& data);
 
   [[nodiscard]] std::int64_t rcv_nxt() const { return rcv_nxt_; }
   [[nodiscard]] std::int64_t ce_received() const { return ce_received_; }
+  /// Bytes delivered in order so far (goodput): each segment counts the
+  /// size of the packet whose arrival delivered it.
+  [[nodiscard]] std::int64_t delivered_bytes() const { return delivered_bytes_; }
 
  private:
   void emit_ack(bool ce_echo, pi2::sim::Time data_sent_at);
+  [[nodiscard]] bool has_gap() const { return ooo_head_ < out_of_order_.size(); }
+  void hold_out_of_order(std::int64_t seq);
 
   pi2::sim::Simulator& sim_;
   std::int32_t flow_;
   Options options_;
-  std::function<void(net::Packet)> ack_path_;
-  std::function<void(const net::Packet&)> delivery_probe_;
+  net::PacketSink* ack_path_ = nullptr;
 
   std::int64_t rcv_nxt_ = 0;
-  std::set<std::int64_t> out_of_order_;
+  std::int64_t delivered_bytes_ = 0;
+  /// Segments received beyond a hole: sorted, distinct, all > rcv_nxt_,
+  /// live from index ooo_head_ on. Arrivals usually append; the hole
+  /// filling pops from the front.
+  std::vector<std::int64_t> out_of_order_;
+  std::size_t ooo_head_ = 0;
   bool ece_latched_ = false;  // Classic ECN: echo until CWR seen
   std::int64_t ce_received_ = 0;
 

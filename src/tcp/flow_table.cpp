@@ -16,6 +16,9 @@ std::int32_t FlowTable::add_tcp(CcType cc, pi2::sim::Duration base_rtt,
   const auto id = static_cast<std::int32_t>(kind_.size());
   half_rtt_.push_back(base_rtt / 2);
   kind_.push_back(Kind::kTcp);
+  senders_.push_back(sender.get());
+  receivers_.push_back(receiver.get());
+  udp_delivered_bytes_.push_back(0);
   Cold& cold = cold_.emplace_back();
   cold.cc = cc;
   cold.sender = std::move(sender);
@@ -28,6 +31,9 @@ std::int32_t FlowTable::add_udp(pi2::sim::Duration base_rtt,
   const auto id = static_cast<std::int32_t>(kind_.size());
   half_rtt_.push_back(base_rtt / 2);
   kind_.push_back(Kind::kUdp);
+  senders_.push_back(nullptr);
+  receivers_.push_back(nullptr);
+  udp_delivered_bytes_.push_back(0);
   Cold& cold = cold_.emplace_back();
   cold.udp = std::move(udp);
   return id;
@@ -38,18 +44,6 @@ void FlowTable::set_all_base_rtt(pi2::sim::Duration rtt) {
   for (pi2::sim::Duration& h : half_rtt_) h = half;
 }
 
-TcpSender* FlowTable::sender(std::int32_t flow) {
-  return cold_[static_cast<std::size_t>(flow)].sender.get();
-}
-
-const TcpSender* FlowTable::sender(std::int32_t flow) const {
-  return cold_[static_cast<std::size_t>(flow)].sender.get();
-}
-
-TcpReceiver* FlowTable::receiver(std::int32_t flow) {
-  return cold_[static_cast<std::size_t>(flow)].receiver.get();
-}
-
 UdpSender* FlowTable::udp(std::int32_t flow) {
   return cold_[static_cast<std::size_t>(flow)].udp.get();
 }
@@ -58,8 +52,10 @@ CcType FlowTable::cc(std::int32_t flow) const {
   return cold_[static_cast<std::size_t>(flow)].cc;
 }
 
-stats::RateMeter& FlowTable::goodput(std::int32_t flow) {
-  return cold_[static_cast<std::size_t>(flow)].goodput;
+std::int64_t FlowTable::delivered_bytes(std::int32_t flow) const {
+  const TcpReceiver* receiver = receivers_[static_cast<std::size_t>(flow)];
+  return receiver != nullptr ? receiver->delivered_bytes()
+                             : udp_delivered_bytes_[static_cast<std::size_t>(flow)];
 }
 
 std::int64_t& FlowTable::bytes_at_stats_start(std::int32_t flow) {

@@ -24,7 +24,7 @@ void UdpSender::tick() {
   packet.ecn = config_.ecn;
   packet.sent_at = sim_.now();
   ++packets_sent_;
-  if (output_) output_(packet);
+  if (output_ != nullptr) output_->receive(packet);
   const double interval_s =
       static_cast<double>(config_.packet_bytes) * 8.0 / config_.rate_bps;
   sim_.arm(next_packet_, sim_.now() + from_seconds(interval_s));

@@ -3,9 +3,9 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 
 #include "net/packet.hpp"
+#include "net/packet_sink.hpp"
 #include "sim/simulator.hpp"
 
 namespace pi2::tcp {
@@ -21,9 +21,8 @@ class UdpSender {
 
   UdpSender(pi2::sim::Simulator& sim, Config config) : sim_(sim), config_(config) {}
 
-  void set_output(std::function<void(net::Packet)> output) {
-    output_ = std::move(output);
-  }
+  /// Where packets go (the bottleneck queue). Borrowed.
+  void set_output(net::PacketSink& output) { output_ = &output; }
 
   void start();
   void stop();
@@ -35,7 +34,7 @@ class UdpSender {
 
   pi2::sim::Simulator& sim_;
   Config config_;
-  std::function<void(net::Packet)> output_;
+  net::PacketSink* output_ = nullptr;
   bool running_ = false;
   std::int64_t packets_sent_ = 0;
   pi2::sim::MemberEvent<UdpSender, &UdpSender::tick> next_packet_{

@@ -116,6 +116,134 @@ class LinkSampler {
       pi2::sim::EventKind::kSampler, this};
 };
 
+/// Resolved routes: the queue after link `li` on a packet's route.
+struct Routes {
+  std::deque<LinkRuntime>& links;
+  std::vector<std::vector<std::uint32_t>> links_of_route;
+  std::vector<std::uint32_t> route_of_flow;
+
+  /// nullptr after the route's final hop.
+  [[nodiscard]] net::BottleneckLink* next(const net::Packet& packet,
+                                          std::uint32_t li) const {
+    const std::vector<std::uint32_t>& route =
+        links_of_route[route_of_flow[static_cast<std::size_t>(packet.flow)]];
+    std::size_t hop = 0;
+    while (hop < route.size() && route[hop] != li) ++hop;
+    return hop + 1 < route.size() ? links[route[hop + 1]].link.get() : nullptr;
+  }
+};
+
+/// The half-RTT propagation pipes of every flow: a data and an ACK pipe per
+/// half-RTT bucket.
+struct Buckets {
+  std::deque<net::DelayPipe> data;  // deque: stable refs as buckets appear
+  std::deque<net::DelayPipe> ack;
+  std::vector<std::size_t> of_flow;
+};
+
+/// A packet leaving link `li`: accounts its busy interval and sojourn, then
+/// propagates it the link's delay to the next queue on its route, or, after
+/// the final hop, its flow's current half-RTT to the receiver (so RTT-step
+/// faults apply to each packet sent after the step).
+class LinkExit final : public net::PacketSink {
+ public:
+  LinkExit(LinkRuntime& rt, const pi2::sim::Simulator& sim, Time stats_start,
+           const tcp::FlowTable& flows, const Routes& routes,
+           net::DelayPipe& hop_pipe, Buckets& buckets, std::uint32_t li)
+      : rt_(rt), sim_(sim), stats_start_(stats_start), flows_(flows),
+        routes_(routes), hop_pipe_(hop_pipe), buckets_(buckets), li_(li) {}
+
+  void receive(const net::Packet& packet) override {
+    const Time now = sim_.now();
+    const Time started = rt_.link->tx_started();
+    rt_.util_meter.add_busy(started, now);
+    rt_.packet_busy_s += to_seconds(now - started);
+    if (now >= stats_start_) {
+      rt_.out.qdelay_ms_packets.add(to_millis(now - packet.enqueued_at));
+    }
+    if (!flows_.contains(packet.flow)) return;
+    rt_.pkt_bytes_this_tick += packet.size;
+    rt_.total_meter.add_bytes(now, packet.size);
+    if (routes_.next(packet, li_) != nullptr) {
+      hop_pipe_.send(packet);
+      return;
+    }
+    buckets_.data[buckets_.of_flow[static_cast<std::size_t>(packet.flow)]].send(
+        packet, flows_.half_rtt(packet.flow));
+  }
+
+ private:
+  LinkRuntime& rt_;
+  const pi2::sim::Simulator& sim_;
+  Time stats_start_;
+  const tcp::FlowTable& flows_;
+  const Routes& routes_;
+  net::DelayPipe& hop_pipe_;
+  Buckets& buckets_;
+  std::uint32_t li_;
+};
+
+/// A packet at the end of link `li`'s propagation delay: it joins the next
+/// queue on its route.
+class HopExit final : public net::PacketSink {
+ public:
+  HopExit(const Routes& routes, std::uint32_t li) : routes_(routes), li_(li) {}
+
+  void receive(const net::Packet& packet) override {
+    routes_.next(packet, li_)->send(packet);
+  }
+
+ private:
+  const Routes& routes_;
+  std::uint32_t li_;
+};
+
+/// A data packet reaching its destination.
+class DataDelivery final : public net::PacketSink {
+ public:
+  explicit DataDelivery(tcp::FlowTable& flows) : flows_(flows) {}
+
+  void receive(const net::Packet& packet) override {
+    if (flows_.kind(packet.flow) == tcp::FlowTable::Kind::kUdp) {
+      flows_.count_udp_delivery(packet.flow, packet.size);
+    } else {
+      flows_.receiver(packet.flow)->on_data(packet);
+    }
+  }
+
+ private:
+  tcp::FlowTable& flows_;
+};
+
+/// A receiver's ACK, sent back over its flow's current half-RTT.
+class AckPath final : public net::PacketSink {
+ public:
+  AckPath(const tcp::FlowTable& flows, Buckets& buckets)
+      : flows_(flows), buckets_(buckets) {}
+
+  void receive(const net::Packet& ack) override {
+    buckets_.ack[buckets_.of_flow[static_cast<std::size_t>(ack.flow)]].send(
+        ack, flows_.half_rtt(ack.flow));
+  }
+
+ private:
+  const tcp::FlowTable& flows_;
+  Buckets& buckets_;
+};
+
+/// An ACK reaching its sender.
+class AckDelivery final : public net::PacketSink {
+ public:
+  explicit AckDelivery(tcp::FlowTable& flows) : flows_(flows) {}
+
+  void receive(const net::Packet& ack) override {
+    flows_.sender(ack.flow)->on_ack(ack);
+  }
+
+ private:
+  tcp::FlowTable& flows_;
+};
+
 }  // namespace
 
 TopologyResult run_topology(const TopologyConfig& config) {
@@ -145,7 +273,9 @@ TopologyResult run_topology(const TopologyConfig& config) {
   // Routes resolved to link-index sequences. Global route numbering: tcp
   // routes first, then udp, then fluid; `route_of_flow` maps a flow id to
   // its route so the per-packet hop lookup is two dense array reads.
-  std::vector<std::vector<std::uint32_t>> route_links;
+  Routes routes{links, {}, {}};
+  std::vector<std::vector<std::uint32_t>>& route_links = routes.links_of_route;
+  std::vector<std::uint32_t>& route_of_flow = routes.route_of_flow;
   const auto resolve_path = [&config](const std::vector<std::string>& path) {
     std::vector<std::uint32_t> out;
     for (std::size_t i = 0; i + 1 < path.size(); ++i) {
@@ -163,97 +293,45 @@ TopologyResult run_topology(const TopologyConfig& config) {
   for (const FluidRoute& route : config.fluid_flows) {
     route_links.push_back(resolve_path(route.path));
   }
-  std::vector<std::uint32_t> route_of_flow;
 
-  // --- Wire each bottleneck's probes. --------------------------------------
+  // Optional observers of the primary bottleneck. The engine's own
+  // per-packet accounting (busy time, sojourn) runs in each LinkExit.
   if (config.trace != nullptr) config.trace->attach(*links[0].link);
-  for (LinkRuntime& rt : links) {
-    rt.link->add_busy_probe([&rt](Time from, Time to) {
-      rt.util_meter.add_busy(from, to);
-      rt.packet_busy_s += to_seconds(to - from);
-    });
-    rt.link->add_departure_probe(
-        [&rt, &sim, &config](const net::Packet& packet, Duration sojourn) {
-          if (sim.now() >= config.stats_start) {
-            rt.out.qdelay_ms_packets.add(to_millis(sojourn));
-          }
-          (void)packet;
-        });
-  }
-
-  // Delivery of a propagated packet to its endpoint (either side of the
-  // propagation hop schedules this).
-  auto deliver_data = [&flows, &sim](const net::Packet& packet) {
-    if (flows.kind(packet.flow) == tcp::FlowTable::Kind::kUdp) {
-      flows.goodput(packet.flow).add_bytes(sim.now(), packet.size);
-    } else {
-      flows.receiver(packet.flow)->on_data(packet);
-    }
-  };
-  auto deliver_ack = [&flows](const net::Packet& ack) {
-    flows.sender(ack.flow)->on_ack(ack);
-  };
 
   // Propagation runs through delay pipes, one event pending per pipe: a
   // data and an ACK pipe per half-RTT bucket, and one per link for the
   // hop to the next queue on a route. ack_quantum > 0 batches the bucket
-  // pipes' delivery onto that grid (ACK-clock batching).
-  std::deque<net::DelayPipe> data_pipes;  // deque: stable refs as buckets appear
-  std::deque<net::DelayPipe> ack_pipes;
+  // pipes' delivery onto that grid (ACK-clock batching). Every hop hands
+  // the packet on through a typed sink.
+  DataDelivery deliver_data{flows};
+  AckDelivery deliver_ack{flows};
+  Buckets buckets;
+  AckPath ack_path{flows, buckets};
+  std::vector<std::size_t>& bucket_of_flow = buckets.of_flow;
   std::unordered_map<std::int64_t, std::size_t> bucket_by_half_rtt;
-  std::vector<std::size_t> bucket_of_flow;
   auto bucket_for = [&](Duration half_rtt) {
     const auto [it, inserted] =
-        bucket_by_half_rtt.try_emplace(half_rtt.count(), data_pipes.size());
+        bucket_by_half_rtt.try_emplace(half_rtt.count(), buckets.data.size());
     if (inserted) {
-      data_pipes.emplace_back(sim, half_rtt, config.ack_quantum);
-      data_pipes.back().set_sink(deliver_data);
-      ack_pipes.emplace_back(sim, half_rtt, config.ack_quantum);
-      ack_pipes.back().set_sink(deliver_ack);
+      buckets.data.emplace_back(sim, half_rtt, config.ack_quantum);
+      buckets.data.back().set_sink(deliver_data);
+      buckets.ack.emplace_back(sim, half_rtt, config.ack_quantum);
+      buckets.ack.back().set_sink(deliver_ack);
     }
     return it->second;
   };
 
-  // The queue after link `li` on the packet's route; nullptr after the
-  // final hop.
-  const auto next_link = [&links, &route_links, &route_of_flow](
-                             const net::Packet& packet,
-                             std::uint32_t li) -> net::BottleneckLink* {
-    const std::vector<std::uint32_t>& route =
-        route_links[route_of_flow[static_cast<std::size_t>(packet.flow)]];
-    std::size_t hop = 0;
-    while (hop < route.size() && route[hop] != li) ++hop;
-    return hop + 1 < route.size() ? links[route[hop + 1]].link.get() : nullptr;
-  };
   std::deque<net::DelayPipe> hop_pipes;
+  std::deque<HopExit> hop_exits;
+  std::deque<LinkExit> link_exits;
   for (std::uint32_t li = 0; li < n_links; ++li) {
     hop_pipes.emplace_back(sim, config.links[li].delay);
-    hop_pipes.back().set_sink([next_link, li](net::Packet packet) {
-      next_link(packet, li)->send(std::move(packet));
-    });
+    hop_pipes.back().set_sink(hop_exits.emplace_back(routes, li));
   }
-
-  // Forward path. After an intermediate hop, the packet propagates the
-  // link's `delay` to the next queue on its route; after the *final* hop it
-  // propagates base_rtt/2 to the flow's receiver, and ACKs return after
-  // another base_rtt/2 (the dumbbell semantic — a one-link route degenerates
-  // to exactly the legacy path). The half-RTT is the flow's current one, so
-  // RTT-step faults apply to each packet sent after the step.
   for (std::uint32_t li = 0; li < n_links; ++li) {
-    LinkRuntime& rt = links[li];
-    rt.link->set_sink([&rt, &sim, &flows, &data_pipes, &hop_pipes,
-                       &bucket_of_flow, next_link, li](net::Packet packet) {
-      if (!flows.contains(packet.flow)) return;
-      rt.pkt_bytes_this_tick += packet.size;
-      rt.total_meter.add_bytes(sim.now(), packet.size);
-      if (next_link(packet, li) != nullptr) {
-        hop_pipes[li].send(std::move(packet));
-        return;
-      }
-      const Duration half_rtt = flows.half_rtt(packet.flow);
-      data_pipes[bucket_of_flow[static_cast<std::size_t>(packet.flow)]].send(
-          std::move(packet), half_rtt);
-    });
+    links[li].link->set_sink(link_exits.emplace_back(
+        links[li], sim, config.stats_start, flows, routes, hop_pipes[li],
+        buckets, li));
   }
 
   // --- Create flows. ------------------------------------------------------
@@ -272,18 +350,8 @@ TopologyResult run_topology(const TopologyConfig& config) {
     bucket_of_flow.push_back(bucket_for(spec.base_rtt / 2));
     route_of_flow.push_back(route);
 
-    net::BottleneckLink& first = *links[route_links[route][0]].link;
-    flows.sender(flow_id)->set_output(
-        [&first](net::Packet p) { first.send(std::move(p)); });
-    flows.receiver(flow_id)->set_delivery_probe(
-        [&flows, flow_id, &sim](const net::Packet& p) {
-          flows.goodput(flow_id).add_bytes(sim.now(), p.size);
-        });
-    flows.receiver(flow_id)->set_ack_path(
-        [&ack_pipes, &bucket_of_flow, &flows, flow_id](net::Packet ack) {
-          ack_pipes[bucket_of_flow[static_cast<std::size_t>(flow_id)]].send(
-              std::move(ack), flows.half_rtt(flow_id));
-        });
+    flows.sender(flow_id)->set_output(*links[route_links[route][0]].link);
+    flows.receiver(flow_id)->set_ack_path(ack_path);
 
     if (spec.segments > 0) {
       flows.sender(flow_id)->set_completion_callback([&result, &sim, flow_id] {
@@ -309,9 +377,7 @@ TopologyResult run_topology(const TopologyConfig& config) {
     const std::int32_t flow_id = flows.add_udp(spec.base_rtt, std::move(udp));
     bucket_of_flow.push_back(bucket_for(spec.base_rtt / 2));
     route_of_flow.push_back(route);
-    net::BottleneckLink& first = *links[route_links[route][0]].link;
-    flows.udp(flow_id)->set_output(
-        [&first](net::Packet p) { first.send(std::move(p)); });
+    flows.udp(flow_id)->set_output(*links[route_links[route][0]].link);
     sim.at(spec.start, [&flows, flow_id] { flows.udp(flow_id)->start(); });
     if (spec.stop < pi2::sim::kTimeInfinity) {
       sim.at(spec.stop, [&flows, flow_id] { flows.udp(flow_id)->stop(); });
@@ -651,7 +717,7 @@ TopologyResult run_topology(const TopologyConfig& config) {
     }
     for (std::int32_t f = 0; f < static_cast<std::int32_t>(flows.size());
          ++f) {
-      flows.bytes_at_stats_start(f) = flows.goodput(f).total_bytes();
+      flows.bytes_at_stats_start(f) = flows.delivered_bytes(f);
     }
   });
 
@@ -722,8 +788,7 @@ TopologyResult run_topology(const TopologyConfig& config) {
     fr.cc = flows.cc(f);
     fr.is_udp = flows.kind(f) == tcp::FlowTable::Kind::kUdp;
     if (stats_span_s > 0.0) {
-      const auto bytes =
-          flows.goodput(f).total_bytes() - flows.bytes_at_stats_start(f);
+      const auto bytes = flows.delivered_bytes(f) - flows.bytes_at_stats_start(f);
       fr.goodput_mbps = static_cast<double>(bytes) * 8.0 / stats_span_s / 1e6;
     }
     if (const tcp::TcpSender* sender = flows.sender(f)) {

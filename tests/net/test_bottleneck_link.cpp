@@ -34,7 +34,8 @@ TEST(BottleneckLink, DeliversAtSerializationRate) {
   // 12 kbit packet at 12 kb/s -> exactly 1 s per packet.
   BottleneckLink link{sim, config_with(12000.0), std::make_unique<FifoTailDrop>()};
   std::vector<Time> deliveries;
-  link.set_sink([&](Packet) { deliveries.push_back(sim.now()); });
+  CallbackSink rx_sink{[&](Packet) { deliveries.push_back(sim.now()); }};
+  link.set_sink(rx_sink);
   link.send(packet_of(0, 1500));
   link.send(packet_of(0, 1500));
   sim.run();
@@ -47,7 +48,8 @@ TEST(BottleneckLink, PreservesFifoOrder) {
   Simulator sim;
   BottleneckLink link{sim, config_with(1e6), std::make_unique<FifoTailDrop>()};
   std::vector<std::int64_t> seqs;
-  link.set_sink([&](Packet p) { seqs.push_back(p.seq); });
+  CallbackSink rx_sink{[&](Packet p) { seqs.push_back(p.seq); }};
+  link.set_sink(rx_sink);
   for (int i = 0; i < 10; ++i) {
     Packet p = packet_of(0);
     p.seq = i;
@@ -62,7 +64,8 @@ TEST(BottleneckLink, TailDropsWhenBufferFull) {
   Simulator sim;
   BottleneckLink link{sim, config_with(1e6, 5), std::make_unique<FifoTailDrop>()};
   int delivered = 0;
-  link.set_sink([&](Packet) { ++delivered; });
+  CallbackSink rx_sink{[&](Packet) { ++delivered; }};
+  link.set_sink(rx_sink);
   for (int i = 0; i < 10; ++i) link.send(packet_of(0));
   sim.run();
   // One in transmission + 5 buffered; the rest tail-dropped.
@@ -84,7 +87,8 @@ TEST(BottleneckLink, RateChangeAppliesToNextTransmission) {
   Simulator sim;
   BottleneckLink link{sim, config_with(12000.0), std::make_unique<FifoTailDrop>()};
   std::vector<Time> deliveries;
-  link.set_sink([&](Packet) { deliveries.push_back(sim.now()); });
+  CallbackSink rx_sink{[&](Packet) { deliveries.push_back(sim.now()); }};
+  link.set_sink(rx_sink);
   link.send(packet_of(0, 1500));  // 1 s at 12 kb/s
   link.send(packet_of(0, 1500));
   sim.at(from_seconds(0.5), [&] { link.set_rate_bps(24000.0); });
@@ -97,8 +101,12 @@ TEST(BottleneckLink, RateChangeAppliesToNextTransmission) {
 TEST(BottleneckLink, BusyProbeCoversTransmissions) {
   Simulator sim;
   BottleneckLink link{sim, config_with(12000.0), std::make_unique<FifoTailDrop>()};
+  // Each departure ends the busy interval that began at tx_started().
   double busy_s = 0.0;
-  link.add_busy_probe([&](Time a, Time b) { busy_s += pi2::sim::to_seconds(b - a); });
+  CallbackSink rx_sink{[&](const Packet&) {
+    busy_s += pi2::sim::to_seconds(sim.now() - link.tx_started());
+  }};
+  link.set_sink(rx_sink);
   link.send(packet_of(0, 1500));
   link.send(packet_of(0, 1500));
   sim.run();
@@ -143,7 +151,8 @@ TEST(BottleneckLink, AqmDropVerdictDiscards) {
   Simulator sim;
   BottleneckLink link{sim, config_with(1e6), std::make_unique<AlwaysDrop>()};
   int delivered = 0;
-  link.set_sink([&](Packet) { ++delivered; });
+  CallbackSink rx_sink{[&](Packet) { ++delivered; }};
+  link.set_sink(rx_sink);
   link.send(packet_of(0));
   sim.run();
   EXPECT_EQ(delivered, 0);
@@ -154,7 +163,8 @@ TEST(BottleneckLink, AqmMarkVerdictSetsCe) {
   Simulator sim;
   BottleneckLink link{sim, config_with(1e6), std::make_unique<AlwaysMark>()};
   Ecn seen = Ecn::kNotEct;
-  link.set_sink([&](Packet p) { seen = p.ecn; });
+  CallbackSink rx_sink{[&](Packet p) { seen = p.ecn; }};
+  link.set_sink(rx_sink);
   Packet p = packet_of(0);
   p.ecn = Ecn::kEct0;
   link.send(p);
@@ -167,7 +177,8 @@ TEST(BottleneckLink, DequeueDropSkipsToNextPacket) {
   Simulator sim;
   BottleneckLink link{sim, config_with(1e6), std::make_unique<DropOddAtDequeue>()};
   std::vector<std::int64_t> seqs;
-  link.set_sink([&](Packet p) { seqs.push_back(p.seq); });
+  CallbackSink rx_sink{[&](Packet p) { seqs.push_back(p.seq); }};
+  link.set_sink(rx_sink);
   for (int i = 0; i < 6; ++i) {
     Packet p = packet_of(0);
     p.seq = i;
@@ -194,7 +205,8 @@ TEST(DelayPipe, DelaysDeliveryByExactAmount) {
   Simulator sim;
   DelayPipe pipe{sim, from_seconds(0.05)};
   Time delivered{};
-  pipe.set_sink([&](Packet) { delivered = sim.now(); });
+  CallbackSink rx_sink{[&](Packet) { delivered = sim.now(); }};
+  pipe.set_sink(rx_sink);
   sim.at(from_seconds(1.0), [&] { pipe.send(Packet{}); });
   sim.run();
   EXPECT_EQ(delivered, from_seconds(1.05));
@@ -204,7 +216,8 @@ TEST(DelayPipe, PreservesOrderForEqualDelays) {
   Simulator sim;
   DelayPipe pipe{sim, from_seconds(0.01)};
   std::vector<std::int64_t> seqs;
-  pipe.set_sink([&](Packet p) { seqs.push_back(p.seq); });
+  CallbackSink rx_sink{[&](Packet p) { seqs.push_back(p.seq); }};
+  pipe.set_sink(rx_sink);
   for (int i = 0; i < 5; ++i) {
     Packet p;
     p.seq = i;

@@ -29,7 +29,8 @@ Trace delivery_trace(bool per_packet, std::uint64_t seed) {
   std::mt19937_64 rng{seed};
   Trace trace;
   DelayPipe pipe{sim, Duration{40}};
-  pipe.set_sink([&](Packet p) { trace.emplace_back(sim.now(), p.seq); });
+  CallbackSink rx_sink{[&](Packet p) { trace.emplace_back(sim.now(), p.seq); }};
+  pipe.set_sink(rx_sink);
   Duration delay{40};
   std::int64_t next_id = 0;
   for (int i = 0; i < 300; ++i) {
@@ -75,7 +76,8 @@ TEST(DelayPipe, ShorterDelayOvertakesTheHead) {
   Simulator sim;
   DelayPipe pipe{sim, from_millis(50)};
   Trace trace;
-  pipe.set_sink([&](Packet p) { trace.emplace_back(sim.now(), p.seq); });
+  CallbackSink rx_sink{[&](Packet p) { trace.emplace_back(sim.now(), p.seq); }};
+  pipe.set_sink(rx_sink);
   Packet a;
   a.seq = 1;
   pipe.send(a);
@@ -90,7 +92,8 @@ TEST(DelayPipe, HeapHoldsOneEntryPerPipe) {
   Simulator sim;
   DelayPipe pipe{sim, from_millis(20)};
   int delivered = 0;
-  pipe.set_sink([&](Packet) { ++delivered; });
+  CallbackSink rx_sink{[&](Packet) { ++delivered; }};
+  pipe.set_sink(rx_sink);
   for (int i = 0; i < 1000; ++i) {
     sim.at(Time{from_millis(1) * i / 100}, [&] { pipe.send(Packet{}); });
   }
@@ -108,12 +111,13 @@ TEST(DelayPipe, QuantumDeliversOneEventPerQuantumInArrivalOrder) {
   DelayPipe pipe{sim, delay, from_millis(10)};
   std::vector<std::int64_t> order;
   std::vector<Time> at;
-  pipe.set_sink([&](Packet p) {
+  CallbackSink rx_sink{[&](Packet p) {
     // Never earlier than the exact due time.
     EXPECT_GE(sim.now(), p.sent_at + delay) << "packet " << p.seq;
     order.push_back(p.seq);
     at.push_back(sim.now());
-  });
+  }};
+  pipe.set_sink(rx_sink);
   for (int i = 0; i < 20; ++i) {
     sim.at(from_millis(i), [&, i] {
       Packet p;
@@ -142,7 +146,8 @@ TEST(DelayPipe, QuantumBatchKeepsItsPlaceAmongSameInstantEvents) {
   Simulator sim;
   DelayPipe pipe{sim, from_millis(5), from_millis(10)};
   std::vector<int> order;
-  pipe.set_sink([&](Packet p) { order.push_back(static_cast<int>(p.seq)); });
+  CallbackSink rx_sink{[&](Packet p) { order.push_back(static_cast<int>(p.seq)); }};
+  pipe.set_sink(rx_sink);
   sim.at(from_millis(10), [&] { order.push_back(-1); });
   Packet p;
   p.seq = 1;

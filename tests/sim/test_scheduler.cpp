@@ -108,8 +108,9 @@ TEST(Scheduler, CountsExecutedEvents) {
 /// A source that records its firings and runs an optional hook.
 class TestSource final : public EventSource {
  public:
-  explicit TestSource(std::function<void()> hook = {})
-      : EventSource(EventKind::kMonitor), hook_(std::move(hook)) {}
+  explicit TestSource(std::function<void()> hook = {},
+                      EventKind kind = EventKind::kMonitor)
+      : EventSource(kind), hook_(std::move(hook)) {}
   int fired = 0;
 
  private:
@@ -220,14 +221,24 @@ TEST(Scheduler, SourceMayOutliveItsScheduler) {
 
 /// Random interleavings of source arms (first arm, re-arm sooner, re-arm
 /// later), disarms and closure schedules/cancels, at the top level and from
-/// inside fire hooks, with many same-instant ties. Every operation is
-/// mirrored into a std::set ordered by (due, seq); the scheduler must
-/// execute exactly the set's order.
+/// inside fire hooks, with many same-instant ties. The sources' kinds cover
+/// both heaps (per-packet kinds and timer kinds), so ties fall within and
+/// across them. Every operation is mirrored into a std::set ordered by
+/// (due, seq); the scheduler must execute exactly the set's order.
 class OrderHarness {
  public:
   explicit OrderHarness(std::uint64_t seed) : rng_(seed) {
+    // Even ids draw a per-packet kind, odd ids a timer kind.
+    constexpr std::array<EventKind, 3> kPacketKinds{
+        EventKind::kLinkTx, EventKind::kPipe, EventKind::kUdp};
+    constexpr std::array<EventKind, 6> kTimerKinds{
+        EventKind::kRto,       EventKind::kDelayedAck, EventKind::kAqmTick,
+        EventKind::kFluidTick, EventKind::kSampler,    EventKind::kMonitor};
     for (int id = 0; id < kSources; ++id) {
-      sources_.push_back(std::make_unique<TestSource>([this, id] { on_fire(id); }));
+      const EventKind kind = id % 2 == 0 ? kPacketKinds[rng_() % kPacketKinds.size()]
+                                         : kTimerKinds[rng_() % kTimerKinds.size()];
+      sources_.push_back(
+          std::make_unique<TestSource>([this, id] { on_fire(id); }, kind));
     }
   }
 
@@ -337,6 +348,56 @@ class OrderHarness {
   std::set<Key> model_;
   std::map<int, std::pair<std::int64_t, std::uint64_t>> key_of_;
 };
+
+TEST(Scheduler, KindsSplitIntoPacketAndTimerHeaps) {
+  EXPECT_TRUE(is_packet_event(EventKind::kLinkTx));
+  EXPECT_TRUE(is_packet_event(EventKind::kPipe));
+  EXPECT_TRUE(is_packet_event(EventKind::kUdp));
+  for (const EventKind kind :
+       {EventKind::kRto, EventKind::kDelayedAck, EventKind::kAqmTick,
+        EventKind::kFluidTick, EventKind::kSampler, EventKind::kMonitor,
+        EventKind::kClosure}) {
+    EXPECT_FALSE(is_packet_event(kind)) << event_kind_name(kind);
+  }
+}
+
+TEST(Scheduler, CrossClassTiesFollowSeq) {
+  // Same-instant sources on both heaps, armed out of seq order (reserved
+  // numbers), must run in seq order whichever heap holds them; so must a
+  // source armed from inside a hook under a number reserved earlier.
+  Scheduler s;
+  std::vector<int> order;
+  const auto hook = [&order](int id) { return [&order, id] { order.push_back(id); }; };
+  TestSource link{hook(0), EventKind::kLinkTx};
+  TestSource rto{hook(1), EventKind::kRto};
+  TestSource pipe{hook(2), EventKind::kPipe};
+  TestSource tick{hook(3), EventKind::kAqmTick};
+  TestSource udp{hook(4), EventKind::kUdp};
+  std::uint64_t late_seq = 0;
+  TestSource late{hook(5), EventKind::kPipe};
+  TestSource first{[&] {
+                     order.push_back(6);
+                     s.arm(late, Time{10}, late_seq);
+                   },
+                   EventKind::kDelayedAck};
+  std::vector<std::uint64_t> seqs;
+  for (int i = 0; i < 8; ++i) seqs.push_back(s.reserve_seq());
+  s.arm(udp, Time{10}, seqs[7]);
+  s.arm(tick, Time{10}, seqs[5]);
+  s.arm(pipe, Time{10}, seqs[3]);
+  late_seq = seqs[4];
+  s.arm(rto, Time{10}, seqs[2]);
+  s.arm(link, Time{10}, seqs[1]);
+  s.arm(first, Time{10}, seqs[0]);
+  s.schedule_at(Time{10}, seqs[6], [&order] { order.push_back(7); });
+  // An earlier instant on the timer heap beats every packet-heap tie.
+  TestSource earlier{hook(8), EventKind::kSampler};
+  s.arm(earlier, Time{9}, s.reserve_seq());
+  EXPECT_EQ(s.heap_size(), 8u);
+  while (!s.empty()) s.run_next();
+  EXPECT_EQ(order, (std::vector<int>{8, 6, 0, 1, 2, 5, 3, 7, 4}));
+  EXPECT_EQ(s.executed(), 9u);
+}
 
 TEST(Scheduler, SourceHeapMatchesReferenceOrder) {
   for (std::uint64_t seed = 0; seed < 64; ++seed) {

@@ -2,8 +2,73 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <random>
+#include <vector>
+
 namespace pi2::stats {
 namespace {
+
+/// Quantile of a sorted copy, by the sampler's interpolation formula.
+double reference_quantile(std::vector<double> v, double q) {
+  std::sort(v.begin(), v.end());
+  const double rank = q * static_cast<double>(v.size() - 1);
+  const auto lo = static_cast<std::size_t>(rank);
+  const std::size_t hi = std::min(lo + 1, v.size() - 1);
+  const double frac = rank - static_cast<double>(lo);
+  return v[lo] * (1.0 - frac) + v[hi] * frac;
+}
+
+TEST(PercentileSampler, SelectionMatchesSortedReference) {
+  // quantile() selects order statistics without sorting; every answer must
+  // equal the sorted-copy reference bit for bit, through interleaved adds,
+  // cdf_at() calls (which sort) and restores.
+  constexpr double kQs[] = {0.0, 0.01, 0.25, 0.5, 0.99, 1.0};
+  for (std::uint64_t seed = 0; seed < 32; ++seed) {
+    std::mt19937_64 rng{seed};
+    PercentileSampler s;
+    std::vector<double> model;
+    for (int step = 0; step < 400; ++step) {
+      switch (rng() % 8) {
+        case 0: {  // cdf_at sorts the buffer
+          if (model.empty()) break;
+          const double x = static_cast<double>(rng() % 40) / 4.0;
+          const auto le = std::count_if(model.begin(), model.end(),
+                                        [x](double v) { return v <= x; });
+          EXPECT_EQ(s.cdf_at(x),
+                    static_cast<double>(le) / static_cast<double>(model.size()));
+          break;
+        }
+        case 1: {  // restore an unsorted snapshot
+          if (rng() % 4 != 0) break;
+          std::shuffle(model.begin(), model.end(), rng);
+          s.restore(static_cast<std::int64_t>(model.size()), 0.0, model);
+          break;
+        }
+        case 2:
+        case 3: {
+          if (model.empty()) break;
+          const double q = kQs[rng() % std::size(kQs)];
+          ASSERT_EQ(std::bit_cast<std::uint64_t>(s.quantile(q)),
+                    std::bit_cast<std::uint64_t>(reference_quantile(model, q)))
+              << "seed " << seed << " step " << step << " q " << q;
+          break;
+        }
+        default: {  // few distinct values: many duplicates
+          const int n = 1 + static_cast<int>(rng() % 5);
+          for (int i = 0; i < n; ++i) {
+            const double x = static_cast<double>(rng() % 40) / 4.0;
+            s.add(x);
+            model.push_back(x);
+          }
+          break;
+        }
+      }
+    }
+  }
+}
 
 TEST(PercentileSampler, EmptyReturnsZero) {
   PercentileSampler s;

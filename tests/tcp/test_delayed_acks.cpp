@@ -25,7 +25,8 @@ TEST(DelayedAcks, AcksEverySecondSegment) {
   options.delayed_acks = true;
   TcpReceiver receiver{sim, 0, options};
   int acks = 0;
-  receiver.set_ack_path([&](Packet) { ++acks; });
+  net::CallbackSink ack_sink{[&](Packet) { ++acks; }};
+  receiver.set_ack_path(ack_sink);
   for (int i = 0; i < 10; ++i) receiver.on_data(data(i));
   EXPECT_EQ(acks, 5);
 }
@@ -36,7 +37,8 @@ TEST(DelayedAcks, TimerFlushesOddSegment) {
   options.delayed_acks = true;
   TcpReceiver receiver{sim, 0, options};
   std::int64_t last_ack = -1;
-  receiver.set_ack_path([&](Packet a) { last_ack = a.ack_seq; });
+  net::CallbackSink ack_sink{[&](Packet a) { last_ack = a.ack_seq; }};
+  receiver.set_ack_path(ack_sink);
   receiver.on_data(data(0));  // held back
   EXPECT_EQ(last_ack, -1);
   sim.run_until(from_millis(50));  // past the 40 ms delack timeout
@@ -49,7 +51,8 @@ TEST(DelayedAcks, OutOfOrderAckedImmediately) {
   options.delayed_acks = true;
   TcpReceiver receiver{sim, 0, options};
   int acks = 0;
-  receiver.set_ack_path([&](Packet) { ++acks; });
+  net::CallbackSink ack_sink{[&](Packet) { ++acks; }};
+  receiver.set_ack_path(ack_sink);
   receiver.on_data(data(1));  // gap -> immediate dup ACK
   EXPECT_EQ(acks, 1);
   receiver.on_data(data(2));  // still a gap
@@ -65,10 +68,11 @@ TEST(DelayedAcks, CeMarkedAckedImmediately) {
   TcpReceiver receiver{sim, 0, options};
   int acks = 0;
   bool last_echo = false;
-  receiver.set_ack_path([&](Packet a) {
+  net::CallbackSink ack_sink{[&](Packet a) {
     ++acks;
     last_echo = a.ce_echo;
-  });
+  }};
+  receiver.set_ack_path(ack_sink);
   receiver.on_data(data(0, Ecn::kCe));
   EXPECT_EQ(acks, 1);
   EXPECT_TRUE(last_echo);
@@ -78,7 +82,8 @@ TEST(DelayedAcks, DisabledMeansAckPerSegment) {
   Simulator sim{1};
   TcpReceiver receiver{sim, 0};
   int acks = 0;
-  receiver.set_ack_path([&](Packet) { ++acks; });
+  net::CallbackSink ack_sink{[&](Packet) { ++acks; }};
+  receiver.set_ack_path(ack_sink);
   for (int i = 0; i < 7; ++i) receiver.on_data(data(i));
   EXPECT_EQ(acks, 7);
 }
@@ -94,12 +99,14 @@ TEST(DelayedAcks, EndToEndTransferStillCompletes) {
   TcpReceiver receiver{sim, 0, options};
   bool completed = false;
   sender.set_completion_callback([&] { completed = true; });
-  sender.set_output([&](Packet p) {
+  net::CallbackSink out_sink{[&](Packet p) {
     sim.after(from_millis(10), [&receiver, p] { receiver.on_data(p); });
-  });
-  receiver.set_ack_path([&](Packet a) {
+  }};
+  sender.set_output(out_sink);
+  net::CallbackSink ack_sink{[&](Packet a) {
     sim.after(from_millis(10), [&sender, a] { sender.on_ack(a); });
-  });
+  }};
+  receiver.set_ack_path(ack_sink);
   sender.start();
   sim.run_until(from_millis(60000));
   EXPECT_TRUE(completed);
@@ -120,13 +127,15 @@ TEST(DelayedAcks, HalvesAckTrafficWithoutSlowingGrowth) {
     options.delayed_acks = delack;
     TcpReceiver receiver{sim, 0, options};
     std::int64_t acks = 0;
-    sender.set_output([&sim, &receiver](Packet p) {
+    net::CallbackSink out_sink{[&sim, &receiver](Packet p) {
       sim.after(from_millis(10), [&receiver, p] { receiver.on_data(p); });
-    });
-    receiver.set_ack_path([&sim, &sender, &acks](Packet a) {
+    }};
+    sender.set_output(out_sink);
+    net::CallbackSink ack_sink{[&sim, &sender, &acks](Packet a) {
       ++acks;
       sim.after(from_millis(10), [&sender, a] { sender.on_ack(a); });
-    });
+    }};
+    receiver.set_ack_path(ack_sink);
     sender.start();
     sim.run_until(from_millis(400));
     return std::pair{acks, sender.cc().cwnd()};

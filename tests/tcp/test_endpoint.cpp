@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <functional>
 #include <memory>
+#include <random>
 #include <set>
+#include <vector>
 
 #include "sim/simulator.hpp"
 #include "tcp/cubic.hpp"
@@ -34,20 +38,8 @@ class Harness {
     // start cannot double itself into millions of in-flight segments.
     config.max_cwnd = 5000.0;
     sender_ = std::make_unique<TcpSender>(sim_, config, std::move(cc));
-    sender_->set_output([this](Packet p) {
-      ++data_sent_;
-      if (drop_seqs_.erase(p.seq) > 0 && p.retransmit == false) {
-        ++dropped_;
-        return;  // lost on the forward path
-      }
-      if (mark_all_ && p.ecn != Ecn::kNotEct) p.ecn = Ecn::kCe;
-      sim_.after(from_millis(10), [this, p] { receiver_.on_data(p); });
-    });
-    receiver_.set_ack_path([this](Packet a) {
-      last_ack_ = a;
-      sim_.after(from_millis(10), [this, a] { sender_->on_ack(a); });
-    });
-    receiver_.set_delivery_probe([this](const Packet&) { ++delivered_; });
+    sender_->set_output(output_);
+    receiver_.set_ack_path(ack_path_);
   }
 
   Simulator& sim() { return sim_; }
@@ -57,7 +49,9 @@ class Harness {
   void drop_first_transmission_of(std::int64_t seq) { drop_seqs_.insert(seq); }
   void mark_everything(bool on) { mark_all_ = on; }
 
-  std::int64_t delivered() const { return delivered_; }
+  std::int64_t delivered() const {
+    return receiver_.delivered_bytes() / net::kDefaultMss;
+  }
   std::int64_t data_sent() const { return data_sent_; }
   const Packet& last_ack() const { return last_ack_; }
 
@@ -67,10 +61,22 @@ class Harness {
   TcpReceiver receiver_;
   std::set<std::int64_t> drop_seqs_;
   bool mark_all_ = false;
-  std::int64_t delivered_ = 0;
   std::int64_t data_sent_ = 0;
   std::int64_t dropped_ = 0;
   Packet last_ack_;
+  net::CallbackSink output_{[this](Packet p) {
+    ++data_sent_;
+    if (drop_seqs_.erase(p.seq) > 0 && p.retransmit == false) {
+      ++dropped_;
+      return;  // lost on the forward path
+    }
+    if (mark_all_ && p.ecn != Ecn::kNotEct) p.ecn = Ecn::kCe;
+    sim_.after(from_millis(10), [this, p] { receiver_.on_data(p); });
+  }};
+  net::CallbackSink ack_path_{[this](const Packet& a) {
+    last_ack_ = a;
+    sim_.after(from_millis(10), [this, a] { sender_->on_ack(a); });
+  }};
 };
 
 TEST(TcpEndpoint, TransfersFiniteFlowCompletely) {
@@ -207,7 +213,8 @@ TEST(TcpEndpoint, DctcpPacketsCarryEct1) {
   Harness h{make_dctcp()};
   Ecn seen = Ecn::kNotEct;
   // Re-wire output to observe the codepoint.
-  h.sender().set_output([&](Packet p) { seen = p.ecn; });
+  net::CallbackSink out_sink{[&](Packet p) { seen = p.ecn; }};
+  h.sender().set_output(out_sink);
   h.sender().start();
   h.sim().run_until(from_millis(1));
   EXPECT_EQ(seen, Ecn::kEct1);
@@ -217,7 +224,8 @@ TEST(TcpEndpoint, ReorderingIsAbsorbedByReceiver) {
   Simulator sim{1};
   TcpReceiver receiver{sim, 0};
   std::int64_t acked = -1;
-  receiver.set_ack_path([&](Packet a) { acked = a.ack_seq; });
+  net::CallbackSink ack_sink{[&](Packet a) { acked = a.ack_seq; }};
+  receiver.set_ack_path(ack_sink);
   Packet p;
   p.flow = 0;
   p.seq = 1;
@@ -231,17 +239,136 @@ TEST(TcpEndpoint, ReorderingIsAbsorbedByReceiver) {
 TEST(TcpEndpoint, DuplicateDataIsAckedButNotRedelivered) {
   Simulator sim{1};
   TcpReceiver receiver{sim, 0};
-  int deliveries = 0;
   std::int64_t acked = -1;
-  receiver.set_delivery_probe([&](const Packet&) { ++deliveries; });
-  receiver.set_ack_path([&](Packet a) { acked = a.ack_seq; });
+  net::CallbackSink ack_sink{[&](Packet a) { acked = a.ack_seq; }};
+  receiver.set_ack_path(ack_sink);
   Packet p;
   p.flow = 0;
   p.seq = 0;
   receiver.on_data(p);
   receiver.on_data(p);  // duplicate
-  EXPECT_EQ(deliveries, 1);
+  EXPECT_EQ(receiver.delivered_bytes(), p.size);
   EXPECT_EQ(acked, 1);
+}
+
+/// The receiver as it was with a std::set out-of-order store, ACK logic
+/// included (delayed-ACK timer firings aside), as an oracle for the
+/// contiguous store.
+class SetReceiver {
+ public:
+  explicit SetReceiver(bool delayed_acks) : delayed_acks_(delayed_acks) {}
+
+  void on_data(const Packet& data) {
+    const bool was_ce = data.ecn == Ecn::kCe;
+    if (was_ce) ece_latched_ = true;
+    if (data.cwr) ece_latched_ = false;
+    const bool in_order = data.seq == rcv_nxt_;
+    if (in_order) {
+      ++rcv_nxt_;
+      delivered_bytes += data.size;
+      while (!out_of_order_.empty() && *out_of_order_.begin() == rcv_nxt_) {
+        out_of_order_.erase(out_of_order_.begin());
+        ++rcv_nxt_;
+        delivered_bytes += data.size;
+      }
+    } else if (data.seq > rcv_nxt_) {
+      out_of_order_.insert(data.seq);
+    }
+    if (delayed_acks_ && in_order && !was_ce && out_of_order_.empty()) {
+      if (++unacked_ < 2) return;
+    }
+    unacked_ = 0;
+    Packet ack;
+    ack.flow = data.flow;
+    ack.is_ack = true;
+    ack.size = net::kAckBytes;
+    ack.ack_seq = rcv_nxt_;
+    ack.ece = ece_latched_;
+    ack.ce_echo = was_ce;
+    ack.sent_at = data.sent_at;
+    acks.push_back(ack);
+  }
+
+  std::vector<Packet> acks;
+  std::int64_t delivered_bytes = 0;
+
+ private:
+  bool delayed_acks_;
+  std::int64_t rcv_nxt_ = 0;
+  std::set<std::int64_t> out_of_order_;
+  bool ece_latched_ = false;
+  int unacked_ = 0;
+};
+
+TEST(TcpEndpoint, OutOfOrderStoreMatchesSetReference) {
+  // Random arrival orders: windows of segments shuffled, some lost and
+  // retransmitted later, some duplicated or re-sent after delivery.
+  for (std::uint64_t seed = 0; seed < 64; ++seed) {
+    std::mt19937_64 rng{seed};
+    std::vector<Packet> arrivals;
+    std::vector<std::int64_t> lost;
+    const std::int64_t total = 300;
+    for (std::int64_t base = 0; base < total; base += 16) {
+      std::vector<std::int64_t> window;
+      for (std::int64_t seq = base; seq < std::min(base + 16, total); ++seq) {
+        if (rng() % 8 == 0) {
+          lost.push_back(seq);
+        } else {
+          window.push_back(seq);
+        }
+        if (rng() % 10 == 0) window.push_back(seq);  // duplicate
+      }
+      if (!lost.empty() && rng() % 3 == 0) {  // a retransmission lands
+        window.push_back(lost.front());
+        lost.erase(lost.begin());
+      }
+      if (rng() % 4 == 0 && base > 0) {
+        window.push_back(static_cast<std::int64_t>(rng() % static_cast<std::uint64_t>(base)));
+      }
+      std::shuffle(window.begin(), window.end(), rng);
+      for (const std::int64_t seq : window) {
+        Packet p;
+        p.flow = 0;
+        p.seq = seq;
+        p.ecn = rng() % 6 == 0 ? Ecn::kCe : Ecn::kEct0;
+        p.cwr = rng() % 9 == 0;
+        p.sent_at = Time{static_cast<std::int64_t>(arrivals.size())};
+        arrivals.push_back(p);
+      }
+    }
+    for (const std::int64_t seq : lost) {
+      Packet p;
+      p.flow = 0;
+      p.seq = seq;
+      p.retransmit = true;
+      p.sent_at = Time{static_cast<std::int64_t>(arrivals.size())};
+      arrivals.push_back(p);
+    }
+    for (const bool delayed : {false, true}) {
+      Simulator sim{1};
+      TcpReceiver::Options options;
+      options.delayed_acks = delayed;
+      TcpReceiver receiver{sim, 0, options};
+      std::vector<Packet> acks;
+      net::CallbackSink ack_sink{[&](const Packet& a) { acks.push_back(a); }};
+      receiver.set_ack_path(ack_sink);
+      SetReceiver reference{delayed};
+      for (const Packet& p : arrivals) {
+        receiver.on_data(p);
+        reference.on_data(p);
+      }
+      ASSERT_EQ(acks.size(), reference.acks.size()) << "seed " << seed;
+      for (std::size_t i = 0; i < acks.size(); ++i) {
+        const Packet& a = acks[i];
+        const Packet& b = reference.acks[i];
+        ASSERT_TRUE(a.ack_seq == b.ack_seq && a.ece == b.ece &&
+                    a.ce_echo == b.ce_echo && a.sent_at == b.sent_at)
+            << "seed " << seed << " delayed " << delayed << " ack " << i;
+      }
+      EXPECT_EQ(receiver.rcv_nxt(), total) << "seed " << seed;
+      EXPECT_EQ(receiver.delivered_bytes(), reference.delivered_bytes);
+    }
+  }
 }
 
 TEST(TcpEndpoint, RtoRecoversTotalLossOfWindow) {
@@ -270,7 +397,8 @@ TEST(TcpEndpoint, MaxCwndCapsInflight) {
   config.max_cwnd = 4.0;
   TcpSender sender{sim, config, make_reno()};
   std::int64_t sent = 0;
-  sender.set_output([&](Packet) { ++sent; });
+  net::CallbackSink out_sink{[&](Packet) { ++sent; }};
+  sender.set_output(out_sink);
   sender.start();
   sim.run_until(from_millis(50));
   EXPECT_EQ(sent, 4);

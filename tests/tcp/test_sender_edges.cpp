@@ -2,7 +2,10 @@
 // completion under loss, idempotent lifecycle.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <memory>
+#include <vector>
 
 #include "sim/simulator.hpp"
 #include "tcp/endpoint.hpp"
@@ -21,7 +24,8 @@ TEST(SenderEdges, RtoBacksOffExponentiallyInBlackhole) {
   config.flow = 0;
   TcpSender sender{sim, config, make_reno()};
   std::vector<pi2::sim::Time> sends;
-  sender.set_output([&](Packet) { sends.push_back(sim.now()); });
+  net::CallbackSink out_sink{[&](Packet) { sends.push_back(sim.now()); }};
+  sender.set_output(out_sink);
   sender.start();
   sim.run_until(from_millis(30000));
   // Initial window, then one retransmission per RTO; gaps must grow.
@@ -36,6 +40,43 @@ TEST(SenderEdges, RtoBacksOffExponentiallyInBlackhole) {
   }
 }
 
+TEST(SenderEdges, RtoBackoffTimesMatchLdexp) {
+  // One segment in flight. Its ACK after an odd RTT seeds srtt/rttvar, then
+  // every packet is lost: each retransmission goes out as its RTO fires, and
+  // the firing times must equal the std::ldexp backoff bit for bit.
+  Simulator sim{1};
+  TcpSender::Config config;
+  config.flow = 0;
+  config.max_cwnd = 1.0;
+  TcpSender sender{sim, config, make_reno()};
+  std::vector<pi2::sim::Time> sends;
+  net::CallbackSink out_sink{[&](Packet) { sends.push_back(sim.now()); }};
+  sender.set_output(out_sink);
+  const pi2::sim::Time acked_at = pi2::sim::from_seconds(0.0937123);
+  sim.at(acked_at, [&sender] {
+    Packet ack;
+    ack.flow = 0;
+    ack.is_ack = true;
+    ack.ack_seq = 1;
+    ack.sent_at = pi2::sim::Time{0};
+    sender.on_ack(ack);
+  });
+  sender.start();
+  sim.run_until(pi2::sim::from_seconds(120.0));
+  // sends: seq 0 at t=0, seq 1 at the ACK, then one per timeout.
+  ASSERT_GE(sends.size(), 10u);
+  ASSERT_EQ(sends[1], acked_at);
+  const double sample = pi2::sim::to_seconds(acked_at);
+  const double base =
+      std::max(sample + 4.0 * (sample / 2.0), pi2::sim::to_seconds(kMinRto));
+  pi2::sim::Time expected = acked_at + pi2::sim::from_seconds(base);
+  for (int k = 1; k <= 8; ++k) {
+    EXPECT_EQ(sends[static_cast<std::size_t>(k) + 1], expected) << "timeout " << k;
+    expected += pi2::sim::from_seconds(std::ldexp(base, std::min(k, 6)));
+  }
+  EXPECT_GE(sender.timeouts(), 8);
+}
+
 TEST(SenderEdges, BackoffResetsOnProgress) {
   Simulator sim{1};
   TcpSender::Config config;
@@ -43,14 +84,16 @@ TEST(SenderEdges, BackoffResetsOnProgress) {
   TcpSender sender{sim, config, make_reno()};
   bool blackhole = true;
   TcpReceiver receiver{sim, 0};
-  receiver.set_ack_path([&](Packet a) {
+  net::CallbackSink ack_sink{[&](Packet a) {
     sim.after(from_millis(10), [&sender, a] { sender.on_ack(a); });
-  });
-  sender.set_output([&](Packet p) {
+  }};
+  receiver.set_ack_path(ack_sink);
+  net::CallbackSink out_sink{[&](Packet p) {
     if (!blackhole) {
       sim.after(from_millis(10), [&receiver, p] { receiver.on_data(p); });
     }
-  });
+  }};
+  sender.set_output(out_sink);
   sender.start();
   sim.run_until(from_millis(5000));
   const auto timeouts_during_blackhole = sender.timeouts();
@@ -68,7 +111,8 @@ TEST(SenderEdges, AckBeyondRewoundSndNxtDoesNotResendOldData) {
   config.flow = 0;
   TcpSender sender{sim, config, make_reno()};
   std::vector<std::int64_t> sent_seqs;
-  sender.set_output([&](Packet p) { sent_seqs.push_back(p.seq); });
+  net::CallbackSink out_sink{[&](Packet p) { sent_seqs.push_back(p.seq); }};
+  sender.set_output(out_sink);
   sender.start();                      // sends 0..9
   sim.run_until(from_millis(1500));    // RTO fires, go-back-N to 0
   ASSERT_GE(sender.timeouts(), 1);
@@ -93,7 +137,8 @@ TEST(SenderEdges, StartIsIdempotent) {
   config.flow = 0;
   TcpSender sender{sim, config, make_reno()};
   int sends = 0;
-  sender.set_output([&](Packet) { ++sends; });
+  net::CallbackSink out_sink{[&](Packet) { ++sends; }};
+  sender.set_output(out_sink);
   sender.start();
   sender.start();
   sim.run_until(from_millis(1));
@@ -105,7 +150,8 @@ TEST(SenderEdges, StopPreventsRtoFiring) {
   TcpSender::Config config;
   config.flow = 0;
   TcpSender sender{sim, config, make_reno()};
-  sender.set_output([](Packet) {});
+  net::CallbackSink out_sink{[](Packet) {}};
+  sender.set_output(out_sink);
   sender.start();
   sender.stop();
   sim.run_until(from_millis(10000));
@@ -122,13 +168,15 @@ TEST(SenderEdges, FiniteFlowCompletesDespiteLossOfLastSegment) {
   bool completed = false;
   sender.set_completion_callback([&] { completed = true; });
   int drops_left = 1;
-  sender.set_output([&](Packet p) {
+  net::CallbackSink out_sink{[&](Packet p) {
     if (p.seq == 19 && !p.retransmit && drops_left-- > 0) return;  // tail loss
     sim.after(from_millis(10), [&receiver, p] { receiver.on_data(p); });
-  });
-  receiver.set_ack_path([&](Packet a) {
+  }};
+  sender.set_output(out_sink);
+  net::CallbackSink ack_sink{[&](Packet a) {
     sim.after(from_millis(10), [&sender, a] { sender.on_ack(a); });
-  });
+  }};
+  receiver.set_ack_path(ack_sink);
   sender.start();
   sim.run_until(from_millis(30000));
   // Tail loss cannot produce 3 dup ACKs; only the RTO can recover it.
@@ -145,12 +193,14 @@ TEST(SenderEdges, AcksAfterCompletionAreIgnored) {
   TcpReceiver receiver{sim, 0};
   int completions = 0;
   sender.set_completion_callback([&] { ++completions; });
-  sender.set_output([&](Packet p) {
+  net::CallbackSink out_sink{[&](Packet p) {
     sim.after(from_millis(10), [&receiver, p] { receiver.on_data(p); });
-  });
-  receiver.set_ack_path([&](Packet a) {
+  }};
+  sender.set_output(out_sink);
+  net::CallbackSink ack_sink{[&](Packet a) {
     sim.after(from_millis(10), [&sender, a] { sender.on_ack(a); });
-  });
+  }};
+  receiver.set_ack_path(ack_sink);
   sender.start();
   sim.run_until(from_millis(5000));
   ASSERT_EQ(completions, 1);
@@ -173,17 +223,19 @@ TEST(SenderEdges, RtoFiresAtLatestDeadline) {
   TcpReceiver receiver{sim, 0};
   bool blackhole = false;
   pi2::sim::Time last_rearm{};
-  sender.set_output([&](Packet p) {
+  net::CallbackSink out_sink{[&](Packet p) {
     if (blackhole) return;
     sim.after(from_millis(10), [&receiver, p] { receiver.on_data(p); });
-  });
-  receiver.set_ack_path([&](Packet a) {
+  }};
+  sender.set_output(out_sink);
+  net::CallbackSink ack_sink{[&](Packet a) {
     sim.after(from_millis(10), [&, a] {
       if (blackhole) return;
       if (a.ack_seq > sender.snd_una()) last_rearm = sim.now();
       sender.on_ack(a);
     });
-  });
+  }};
+  receiver.set_ack_path(ack_sink);
   sender.start();
   sim.run_until(from_millis(2000));
   ASSERT_GT(sender.snd_una(), 100);

@@ -17,7 +17,8 @@ TEST(UdpSender, SendsAtConfiguredRate) {
   config.packet_bytes = 1500;
   UdpSender udp{sim, config};
   std::int64_t bytes = 0;
-  udp.set_output([&](net::Packet p) { bytes += p.size; });
+  net::CallbackSink out_sink{[&](net::Packet p) { bytes += p.size; }};
+  udp.set_output(out_sink);
   udp.start();
   sim.run_until(from_seconds(10.0));
   // 6 Mb/s for 10 s = 7.5 MB.
@@ -30,7 +31,8 @@ TEST(UdpSender, EvenlySpacedPackets) {
   config.rate_bps = 1.2e6;  // 1500 B -> 10 ms spacing
   UdpSender udp{sim, config};
   std::vector<pi2::sim::Time> times;
-  udp.set_output([&](net::Packet) { times.push_back(sim.now()); });
+  net::CallbackSink out_sink{[&](net::Packet) { times.push_back(sim.now()); }};
+  udp.set_output(out_sink);
   udp.start();
   sim.run_until(from_seconds(0.1));
   ASSERT_GE(times.size(), 3u);
@@ -43,7 +45,8 @@ TEST(UdpSender, StopHaltsAndStartResumesIdempotently) {
   Simulator sim;
   UdpSender udp{sim, UdpSender::Config{}};
   int sent = 0;
-  udp.set_output([&](net::Packet) { ++sent; });
+  net::CallbackSink out_sink{[&](net::Packet) { ++sent; }};
+  udp.set_output(out_sink);
   udp.start();
   udp.start();  // idempotent: no double timers
   sim.run_until(from_seconds(0.01));
@@ -60,7 +63,8 @@ TEST(UdpSender, PacketsCarryConfiguredEcnAndFlow) {
   config.ecn = net::Ecn::kEct1;
   UdpSender udp{sim, config};
   net::Packet seen;
-  udp.set_output([&](net::Packet p) { seen = p; });
+  net::CallbackSink out_sink{[&](net::Packet p) { seen = p; }};
+  udp.set_output(out_sink);
   udp.start();
   sim.run_until(from_seconds(0.001));
   EXPECT_EQ(seen.flow, 7);
@@ -74,7 +78,8 @@ TEST(UdpSender, OddRatePacingIntervalIsExactBitMath) {
   config.packet_bytes = 576;  // 576 B at 1 Mb/s -> 4.608 ms spacing
   UdpSender udp{sim, config};
   std::vector<pi2::sim::Time> times;
-  udp.set_output([&](net::Packet) { times.push_back(sim.now()); });
+  net::CallbackSink out_sink{[&](net::Packet) { times.push_back(sim.now()); }};
+  udp.set_output(out_sink);
   udp.start();
   sim.run_until(from_seconds(0.05));
   ASSERT_GE(times.size(), 4u);
@@ -92,11 +97,12 @@ TEST(UdpSender, PacketBytesSetsSizeAndPreservesBitRate) {
   UdpSender udp{sim, config};
   std::int64_t bytes = 0;
   std::int64_t packets = 0;
-  udp.set_output([&](net::Packet p) {
+  net::CallbackSink out_sink{[&](net::Packet p) {
     EXPECT_EQ(p.size, 200);
     bytes += p.size;
     ++packets;
-  });
+  }};
+  udp.set_output(out_sink);
   udp.start();
   sim.run_until(from_seconds(5.0));
   EXPECT_NEAR(static_cast<double>(bytes) * 8.0 / 5.0, 2e6, 2e6 * 0.01);
@@ -110,7 +116,8 @@ TEST(UdpSender, RestartAfterStopResumesWithContinuedSequence) {
   config.rate_bps = 1.2e6;  // 10 ms spacing
   UdpSender udp{sim, config};
   std::vector<std::int64_t> seqs;
-  udp.set_output([&](net::Packet p) { seqs.push_back(p.seq); });
+  net::CallbackSink out_sink{[&](net::Packet p) { seqs.push_back(p.seq); }};
+  udp.set_output(out_sink);
   udp.start();
   sim.run_until(from_seconds(0.05));
   udp.stop();
@@ -132,7 +139,8 @@ TEST(UdpSender, SpacingAccumulatesNoDrift) {
   config.rate_bps = 1.2e6;  // exactly 10 ms per 1500 B packet
   UdpSender udp{sim, config};
   std::int64_t packets = 0;
-  udp.set_output([&](net::Packet) { ++packets; });
+  net::CallbackSink out_sink{[&](net::Packet) { ++packets; }};
+  udp.set_output(out_sink);
   udp.start();
   sim.run_until(from_seconds(10.0));
   // Ticks at 0, 10 ms, ..., < 10 s: exactly 1000 sends if the schedule does
@@ -144,7 +152,8 @@ TEST(UdpSender, SequenceNumbersIncrease) {
   Simulator sim;
   UdpSender udp{sim, UdpSender::Config{}};
   std::vector<std::int64_t> seqs;
-  udp.set_output([&](net::Packet p) { seqs.push_back(p.seq); });
+  net::CallbackSink out_sink{[&](net::Packet p) { seqs.push_back(p.seq); }};
+  udp.set_output(out_sink);
   udp.start();
   sim.run_until(from_seconds(0.02));
   ASSERT_GE(seqs.size(), 2u);
