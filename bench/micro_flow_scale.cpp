@@ -22,8 +22,7 @@
 // --smoke caps the grid at N ≤ 10³ and shortens the runs (CI); the gate
 // still extrapolates both sides to 10⁵, which is fair because the fluid
 // tier's cost is N-independent by construction (one ODE state and one tick
-// event per spec). run_benchmarks.sh merges the --json records into
-// BENCH_sweep.json.
+// event per spec). Run it by hand; --json keeps the per-N records.
 #include <chrono>
 #include <cstdio>
 #include <string>

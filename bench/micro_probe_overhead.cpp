@@ -10,8 +10,8 @@
 //    on per-packet probe cost, not the budget metric), and
 //  - the raw ProbeBus fan-out cost per departure event at 0/1/4 subscribers.
 //
-// run_benchmarks.sh runs this binary and records the dumbbell
-// telemetry/baseline ratio alongside the sweep records in BENCH_sweep.json.
+// Run it by hand; the dumbbell telemetry/baseline ratio is the number to
+// compare across changes.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>

@@ -5,8 +5,8 @@
 // patterns: one-shot closures scheduled and drained, a re-armed sim::Timer
 // (the RTO on every ACK) and a periodic event source (the AQM, fluid and
 // sampling ticks), the last also with many idle RTO timers armed on the
-// other heap. bench/run_benchmarks.sh records these rows in
-// BENCH_sweep.json.
+// other heap. Run it by hand to compare scheduler changes; perfbench/ is
+// the maintained end-to-end benchmark.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>

@@ -49,6 +49,7 @@
 #include "campaign/merge.hpp"
 #include "campaign/spec.hpp"
 #include "campaign_templates.hpp"
+#include "runner/journaled_run.hpp"
 #include "sweep.hpp"
 #include "topology/topology.hpp"
 
@@ -621,6 +622,16 @@ int run_list(const campaign::Expansion& x) {
   return 0;
 }
 
+/// A point's result and, for a fresh run under --telemetry, its recorder.
+struct PointOutcome {
+  scenario::RunResult result;
+  std::shared_ptr<telemetry::Recorder> recorder;
+};
+
+/// Every mode that renders points: a serial or shard run, its --resume,
+/// and --merge, which replays every point from the shard journals and runs
+/// none. All of them journal through runner::run_journaled and render
+/// through the one consume below.
 int run_campaign(const Grid& g, const CampaignCli& cli) {
   const campaign::Expansion& x = g.x;
   const Options& opts = g.opts;
@@ -632,179 +643,145 @@ int run_campaign(const Grid& g, const CampaignCli& cli) {
           : campaign::ShardRange{0, x.points.size()};
   const std::size_t n = range.hi - range.lo;
 
-  durable::ShutdownController::install();
-  const std::string journal_file = campaign_journal_path(x, cli, opts);
+  // A serial run and a merge both claim the whole grid as shard 1/1, so the
+  // merged journal is byte-identical to a serial run's.
+  const runner::JournalTarget target{
+      .path = campaign_journal_path(x, cli, opts),
+      .key = x.digest,
+      .shard = durable::ShardInfo{.present = true, .campaign = x.name,
+                                  .digest = x.digest, .index = cli.shard_index,
+                                  .count = cli.shard_count, .lo = range.lo,
+                                  .hi = range.hi}};
 
-  // --resume: the lenient loader drops the torn tail a SIGKILL leaves; the
-  // writer below reopens *fresh* and the consume loop re-appends every valid
-  // point in index order, so the resumed journal is compacted — the strict
-  // merge loader accepts it, and its bytes match an uninterrupted run's.
-  std::vector<const std::string*> replay_payload(n, nullptr);
-  std::vector<std::unique_ptr<scenario::RunResult>> replay(n);
-  durable::LoadedJournal loaded;
-  if (opts.resume) {
-    loaded = durable::load_journal(journal_file, x.digest);
-    if (loaded.exists && !loaded.header_ok) {
-      std::fprintf(stderr,
-                   "resume: journal %s is from a different campaign "
-                   "(header %016llx, expected %016llx); ignoring it\n",
-                   journal_file.c_str(),
-                   static_cast<unsigned long long>(loaded.header_key),
-                   static_cast<unsigned long long>(x.digest));
+  // --resume replays what the lenient load recovers. The merge validates the
+  // shard set, then decodes every payload strictly: an undecodable one
+  // refuses the merge before anything is written.
+  const auto key = [&](std::size_t j) { return x.points[range.lo + j].key; };
+  runner::Replays replays;
+  std::size_t merged_shards = 0;
+  if (cli.merge) {
+    campaign::MergeResult merged;
+    const durable::Status status =
+        campaign::merge_shards(x, cli.merge_paths, merged);
+    if (!status.ok()) {
+      std::fprintf(stderr, "pi2_campaign: merge: %s\n",
+                   status.message().c_str());
+      return status_exit(status);
     }
-    if (loaded.dropped > 0) {
+    if (merged.interrupted > 0) {
       std::fprintf(stderr,
-                   "resume: dropped %zu torn/corrupt journal record(s); "
-                   "affected points re-run\n",
-                   loaded.dropped);
+                   "merge: note: %zu interruption marker(s) across shards "
+                   "(coverage is complete, so they are historical)\n",
+                   merged.interrupted);
     }
-    if (loaded.header_ok) {
-      std::size_t replayed = 0;
-      for (std::size_t j = 0; j < n; ++j) {
-        const auto it = loaded.points.find(x.points[range.lo + j].key);
-        if (it == loaded.points.end()) continue;
-        auto result = std::make_unique<scenario::RunResult>();
-        if (durable::decode_result(it->second, *result).ok()) {
-          replay[j] = std::move(result);
-          replay_payload[j] = &it->second;
-          ++replayed;
-        } else {
-          std::fprintf(stderr,
-                       "resume: undecodable payload for point %zu; "
-                       "re-running\n",
-                       range.lo + j);
-        }
+    merged_shards = merged.shards;
+    for (std::size_t i = 0; i < n; ++i) {
+      scenario::RunResult result;
+      const durable::Status decode =
+          durable::decode_result(merged.payloads[i], result);
+      if (!decode.ok()) {
+        std::fprintf(stderr,
+                     "pi2_campaign: merge: point %zu payload undecodable: %s\n",
+                     i, decode.message().c_str());
+        return status_exit(durable::Status::corrupt(decode.message()));
       }
-      std::fprintf(stderr, "resume: replaying %zu of %zu point(s) from %s%s\n",
-                   replayed, n, journal_file.c_str(),
-                   loaded.interrupted > 0 ? " (previous run was interrupted)"
-                                          : "");
     }
-  }
-
-  durable::JournalWriter journal{journal_file, x.digest,
-                                 /*keep_existing=*/false};
-  if (!journal.healthy()) {
-    std::fprintf(stderr,
-                 "warning: run journal unavailable (%s); this campaign will "
-                 "not be resumable or mergeable\n",
-                 journal.status().message().c_str());
-  } else {
-    (void)journal.append_shard({.present = true, .campaign = x.name,
-                                .digest = x.digest, .index = cli.shard_index,
-                                .count = cli.shard_count, .lo = range.lo,
-                                .hi = range.hi});
+    replays.assign(merged.payloads.begin(), merged.payloads.end());
+  } else if (opts.resume) {
+    replays = runner::load_replays(target, n, key);
   }
 
   OutputSinks out{opts};
-  const runner::ParallelRunner pool{opts.jobs};
   const bool telemetry_on = !opts.telemetry_dir.empty();
   telemetry::MetricsRegistry aggregate_registry;
   telemetry::SectionProfile aggregate_profile;
-  std::size_t replayed_count = 0;
-  for (const auto& r : replay) {
-    if (r != nullptr) ++replayed_count;
-  }
-
-  struct PointOutcome {
-    scenario::RunResult result;
-    std::shared_ptr<telemetry::Recorder> recorder;
-  };
-
   std::mutex error_mutex;
   std::vector<std::string> last_error(n);
-  std::size_t interrupted_points = 0;
 
-  const runner::RunReport report = pool.run_ordered_guarded<PointOutcome>(
-      n,
-      [&](std::size_t j) {
-        if (replay[j] != nullptr) {
-          PointOutcome outcome;
-          outcome.result = *replay[j];
-          return outcome;
-        }
-        try {
-          detail::maybe_inject(opts, range.lo + j);
-          PointOutcome outcome;
-          if (telemetry_on) {
-            outcome.recorder = std::make_shared<telemetry::Recorder>(
-                detail::point_recorder_config(opts, range.lo + j));
-          }
-          outcome.result = run_point(def, g, x.points[range.lo + j],
-                                     outcome.recorder.get());
-          return outcome;
-        } catch (const std::exception& ex) {
-          const std::lock_guard<std::mutex> lock{error_mutex};
-          last_error[j] = ex.what();
-          throw;
-        }
-      },
-      [&](std::size_t j, runner::TaskStatus status, PointOutcome* outcome) {
-        const campaign::CampaignPoint& p = x.points[range.lo + j];
-        if (status == runner::TaskStatus::kInterrupted) {
-          ++interrupted_points;
-          return;
-        }
-        if (status != runner::TaskStatus::kOk || outcome == nullptr) {
-          std::string message;
-          if (status == runner::TaskStatus::kTimeout) {
-            message = "wall-clock deadline exceeded (--deadline-s " +
-                      std::to_string(opts.deadline_s) + ")";
-          } else {
-            const std::lock_guard<std::mutex> lock{error_mutex};
-            message = last_error[j].empty() ? "unknown error" : last_error[j];
-          }
-          out.healthy = false;
-          def.failed(g, out, p, status, message);
-          return;
-        }
-        // Journal before consume; replayed points re-append their original
-        // bytes (the compaction), fresh points their own encoding.
-        if (journal.healthy()) {
-          (void)journal.append_point(
-              p.key, replay_payload[j] != nullptr
-                         ? *replay_payload[j]
-                         : durable::encode_result(outcome->result));
-        }
-        std::string manifest_path;
-        if (outcome->recorder != nullptr) {
-          manifest_path = outcome->recorder->manifest_path();
-          std::printf("# telemetry: %s\n", manifest_path.c_str());
-          aggregate_registry.merge_from(outcome->recorder->registry());
-          aggregate_profile.merge_from(outcome->recorder->profile());
-          outcome->recorder.reset();
-        } else if (telemetry_on && replay[j] != nullptr) {
-          manifest_path = opts.telemetry_dir + "/" +
-                          detail::point_run_id(range.lo + j) +
-                          ".manifest.json";
-        }
-        if (!def.consume(g, out, p, outcome->result, manifest_path)) {
-          out.healthy = false;
-        }
-      },
+  const runner::JournaledUnits<PointOutcome> units{
+      .count = n,
+      .key = key,
+      .produce =
+          [&](std::size_t j) {
+            try {
+              detail::maybe_inject(opts, range.lo + j);
+              PointOutcome outcome;
+              if (telemetry_on) {
+                outcome.recorder = std::make_shared<telemetry::Recorder>(
+                    detail::point_recorder_config(opts, range.lo + j));
+              }
+              outcome.result = run_point(def, g, x.points[range.lo + j],
+                                         outcome.recorder.get());
+              return outcome;
+            } catch (const std::exception& ex) {
+              const std::lock_guard<std::mutex> lock{error_mutex};
+              last_error[j] = ex.what();
+              throw;
+            }
+          },
+      .encode =
+          [](const PointOutcome& outcome) {
+            return durable::encode_result(outcome.result);
+          },
+      .decode =
+          [](const std::string& payload, PointOutcome& outcome) {
+            return durable::decode_result(payload, outcome.result).ok();
+          },
+      .consume =
+          [&](std::size_t j, runner::TaskStatus status, PointOutcome* outcome) {
+            const campaign::CampaignPoint& p = x.points[range.lo + j];
+            if (status == runner::TaskStatus::kInterrupted) return;
+            if (outcome == nullptr) {
+              std::string message;
+              if (status == runner::TaskStatus::kTimeout) {
+                message = "wall-clock deadline exceeded (--deadline-s " +
+                          std::to_string(opts.deadline_s) + ")";
+              } else {
+                const std::lock_guard<std::mutex> lock{error_mutex};
+                message =
+                    last_error[j].empty() ? "unknown error" : last_error[j];
+              }
+              out.healthy = false;
+              def.failed(g, out, p, status, message);
+              return;
+            }
+            // A replayed point has no recorder: the run that journaled it
+            // wrote its telemetry under the same deterministic run id.
+            std::string manifest_path;
+            if (outcome->recorder != nullptr) {
+              manifest_path = outcome->recorder->manifest_path();
+              std::printf("# telemetry: %s\n", manifest_path.c_str());
+              aggregate_registry.merge_from(outcome->recorder->registry());
+              aggregate_profile.merge_from(outcome->recorder->profile());
+              outcome->recorder.reset();
+            } else if (telemetry_on) {
+              manifest_path = opts.telemetry_dir + "/" +
+                              detail::point_run_id(range.lo + j) +
+                              ".manifest.json";
+            }
+            if (!def.consume(g, out, p, outcome->result, manifest_path)) {
+              out.healthy = false;
+            }
+          }};
+
+  const runner::JournaledReport report = runner::run_journaled(
+      runner::ParallelRunner{opts.jobs}, target, units, std::move(replays),
       detail::guard_options(opts));
-
-  if (durable::ShutdownController::requested()) {
-    if (journal.healthy()) {
-      (void)journal.append_interrupted(
-          "signal " +
-          std::to_string(durable::ShutdownController::signal_number()));
-    }
-    out.json.abort();
-    std::fprintf(stderr,
-                 "campaign: interrupted — %zu point(s) unfinished; re-run "
-                 "with --resume to finish (journal: %s)\n",
-                 interrupted_points, journal_file.c_str());
-    return durable::ShutdownController::kExitInterrupted;
+  if (report.interrupted) return durable::ShutdownController::kExitInterrupted;
+  // The merged journal is the merge's product: without it the merge fails.
+  if (cli.merge && !report.journal.ok()) {
+    std::fprintf(stderr, "pi2_campaign: merge: journal write failed: %s\n",
+                 report.journal.message().c_str());
+    return status_exit(report.journal);
   }
   out.json.commit();
 
-  if (telemetry_on) {
-    if (replayed_count > 0) {
+  if (telemetry_on && !cli.merge) {
+    if (report.replayed > 0) {
       std::fprintf(stderr,
                    "campaign: %zu replayed point(s) have no fresh telemetry; "
                    "skipping sweep_aggregate.prom\n",
-                   replayed_count);
+                   report.replayed);
     } else {
       telemetry::PrometheusExporter aggregate{opts.telemetry_dir +
                                               "/sweep_aggregate.prom"};
@@ -814,88 +791,20 @@ int run_campaign(const Grid& g, const CampaignCli& cli) {
     }
   }
 
-  std::printf("# points ok: %zu/%zu\n", report.ok_count(),
-              report.status.size());
+  if (!cli.merge) {
+    std::printf("# points ok: %zu/%zu\n", report.run.ok_count(),
+                report.run.status.size());
+  }
   // The cross-point summaries need the whole grid; a shard leaves them to
   // --merge.
   if (!cli.has_shard && def.finish != nullptr && !def.finish(out)) {
     out.healthy = false;
   }
-  return report.all_ok() && out.healthy ? 0 : 1;
-}
-
-int run_merge(const Grid& g, const CampaignCli& cli) {
-  const campaign::Expansion& x = g.x;
-  const Options& opts = g.opts;
-  campaign::MergeResult merged;
-  const durable::Status status =
-      campaign::merge_shards(x, cli.merge_paths, merged);
-  if (!status.ok()) {
-    std::fprintf(stderr, "pi2_campaign: merge: %s\n",
-                 status.message().c_str());
-    return status_exit(status);
+  if (cli.merge) {
+    std::printf("# merged %zu shard journal(s), %zu point(s) -> %s\n",
+                merged_shards, n, target.path.c_str());
   }
-  if (merged.interrupted > 0) {
-    std::fprintf(stderr,
-                 "merge: note: %zu interruption marker(s) across shards "
-                 "(coverage is complete, so they are historical)\n",
-                 merged.interrupted);
-  }
-
-  // The merged journal: header + shard 1/1 + every point in global index
-  // order — byte-identical to what a serial run writes.
-  const std::string journal_file = campaign_journal_path(x, cli, opts);
-  durable::JournalWriter journal{journal_file, x.digest,
-                                 /*keep_existing=*/false};
-  if (!journal.healthy()) {
-    std::fprintf(stderr, "pi2_campaign: merge: cannot write %s: %s\n",
-                 journal_file.c_str(), journal.status().message().c_str());
-    return status_exit(journal.status());
-  }
-  durable::Status write = journal.append_shard(
-      {.present = true, .campaign = x.name, .digest = x.digest,
-       .hi = x.points.size()});
-  for (std::size_t i = 0; i < x.points.size() && write.ok(); ++i) {
-    write = journal.append_point(x.points[i].key, merged.payloads[i]);
-  }
-  if (!write.ok()) {
-    std::fprintf(stderr, "pi2_campaign: merge: journal write failed: %s\n",
-                 write.message().c_str());
-    return status_exit(write);
-  }
-
-  // Replay the merged payloads through the identical consume path, so the
-  // table and --json match a serial run of the same spec. Manifest paths are
-  // reconstructed from the point index exactly as --resume does: the shards
-  // wrote their telemetry under the same deterministic per-point run ids.
-  const TemplateDef& def = def_of(x.template_id);
-  OutputSinks out{opts};
-  const bool telemetry_on = !opts.telemetry_dir.empty();
-  for (std::size_t i = 0; i < x.points.size(); ++i) {
-    scenario::RunResult result;
-    const durable::Status decode =
-        durable::decode_result(merged.payloads[i], result);
-    if (!decode.ok()) {
-      out.json.abort();
-      std::fprintf(stderr,
-                   "pi2_campaign: merge: point %zu payload undecodable: %s\n",
-                   i, decode.message().c_str());
-      return status_exit(durable::Status::corrupt(decode.message()));
-    }
-    std::string manifest_path;
-    if (telemetry_on) {
-      manifest_path = opts.telemetry_dir + "/" + detail::point_run_id(i) +
-                      ".manifest.json";
-    }
-    if (!def.consume(g, out, x.points[i], result, manifest_path)) {
-      out.healthy = false;
-    }
-  }
-  out.json.commit();
-  if (def.finish != nullptr && !def.finish(out)) out.healthy = false;
-  std::printf("# merged %zu shard journal(s), %zu point(s) -> %s\n",
-              merged.shards, x.points.size(), journal_file.c_str());
-  return out.healthy ? 0 : 1;
+  return report.run.all_ok() && out.healthy ? 0 : 1;
 }
 
 }  // namespace
@@ -949,17 +858,19 @@ int main(int argc, char** argv) {
     return 0;
   }
   if (cli.list) return run_list(x);
-  if (cli.merge) return run_merge(g, cli);
 
-  print_header(("Campaign " + x.name).c_str(),
-               campaign::to_string(x.template_id), opts);
-  if (cli.has_shard) {
-    const campaign::ShardRange range = campaign::shard_range(
-        x.points.size(), cli.shard_index, cli.shard_count);
-    std::printf("# shard %zu/%zu: points [%zu, %zu) of %zu\n",
-                cli.shard_index, cli.shard_count, range.lo, range.hi,
-                x.points.size());
+  // A merge prints only the stitched rows and its summary.
+  if (!cli.merge) {
+    print_header(("Campaign " + x.name).c_str(),
+                 campaign::to_string(x.template_id), opts);
+    if (cli.has_shard) {
+      const campaign::ShardRange range = campaign::shard_range(
+          x.points.size(), cli.shard_index, cli.shard_count);
+      std::printf("# shard %zu/%zu: points [%zu, %zu) of %zu\n",
+                  cli.shard_index, cli.shard_count, range.lo, range.hi,
+                  x.points.size());
+    }
+    def_of(x.template_id).header(x);
   }
-  def_of(x.template_id).header(x);
   return run_campaign(g, cli);
 }

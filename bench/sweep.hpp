@@ -54,8 +54,8 @@ inline const char* aqm_label(scenario::AqmType aqm) {
 using durable::json_escape;
 
 /// Streams one machine-readable record per sweep point as a JSON array.
-/// Used by --json to make runs comparable across PRs (BENCH_sweep.json);
-/// pi2_campaign writes every template's records through it.
+/// Used by --json to make runs comparable across revisions; pi2_campaign
+/// writes every template's records through it.
 /// Every record carries a "status" field ("ok" / "failed" / "timeout");
 /// failed and timed-out points get a reduced record with the error message
 /// instead of measurements, so downstream tooling can tell a missing point

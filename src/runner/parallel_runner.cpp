@@ -18,21 +18,6 @@ const char* to_string(TaskStatus status) {
   return "?";
 }
 
-std::string AggregateError::build_message(
-    const std::vector<TaskFailure>& failures) {
-  std::string msg = std::to_string(failures.size()) + " task(s) failed:";
-  for (const TaskFailure& f : failures) {
-    msg += " [" + std::to_string(f.index) + " " + to_string(f.status) + "] " +
-           f.message + ";";
-  }
-  if (!msg.empty() && msg.back() == ';') msg.pop_back();
-  return msg;
-}
-
-AggregateError::AggregateError(std::vector<TaskFailure> failures)
-    : std::runtime_error(build_message(failures)),
-      failures_(std::move(failures)) {}
-
 ParallelRunner::ParallelRunner(unsigned jobs) : jobs_(jobs) {
   if (jobs_ == 0) jobs_ = std::thread::hardware_concurrency();
   if (jobs_ == 0) jobs_ = 1;
@@ -351,26 +336,6 @@ RunReport ParallelRunner::run_guarded(
         return std::function<void()>{};
       },
       consume, options);
-}
-
-void ParallelRunner::run(std::size_t count,
-                         const std::function<void(std::size_t)>& work,
-                         const std::function<void(std::size_t)>& consume) const {
-  bool halted = false;
-  GuardOptions strict;
-  strict.retry.max_attempts = 1;
-  RunReport report = run_guarded(
-      count, work,
-      [&](std::size_t i, TaskStatus status) {
-        if (halted) return;
-        if (status == TaskStatus::kOk) {
-          consume(i);
-        } else {
-          halted = true;  // strict semantics: consumption stops here
-        }
-      },
-      strict);
-  if (!report.all_ok()) throw AggregateError(std::move(report.failures));
 }
 
 }  // namespace pi2::runner

@@ -14,16 +14,13 @@
 //  - Tasks must not share mutable state; each derives its randomness from
 //    Rng::derive_seed(base_seed, index), never from a shared generator.
 //
-// Failure hardening (run_guarded / run_ordered_guarded): a multi-hour sweep
-// must not lose every finished point because one point threw or wedged.
-// Guarded runs catch per-task exceptions, retry failed or stuck tasks under
-// a configurable durable::RetryPolicy (attempt count, per-attempt wall-clock
-// deadline, exponential backoff with deterministic jitter), honor an
-// optional cancellation flag for graceful shutdown, and return a RunReport
-// with a terminal TaskStatus per index instead of aborting. The strict
-// run()/run_ordered() entry points keep throwing, but aggregate *every*
-// worker exception into one AggregateError rather than dropping all but the
-// first.
+// Failure hardening: a multi-hour sweep must not lose every finished point
+// because one point threw or wedged. Every run is guarded: it catches
+// per-task exceptions, retries failed or stuck tasks under a configurable
+// durable::RetryPolicy (attempt count, per-attempt wall-clock deadline,
+// exponential backoff with deterministic jitter), honors an optional
+// cancellation flag for graceful shutdown, and returns a RunReport with a
+// terminal TaskStatus per index instead of aborting.
 //
 // With jobs() == 1 (or count == 1) and no deadline, no threads are spawned
 // at all and the tasks run inline, which doubles as the reference serial
@@ -35,7 +32,6 @@
 #include <cstddef>
 #include <functional>
 #include <optional>
-#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -73,21 +69,6 @@ struct RunReport {
   }
 };
 
-/// Thrown by the strict entry points; carries *every* failed task, not just
-/// the first. Derives from std::runtime_error so existing catch sites and
-/// tests keep working; what() lists each failed index and message.
-class AggregateError : public std::runtime_error {
- public:
-  explicit AggregateError(std::vector<TaskFailure> failures);
-  [[nodiscard]] const std::vector<TaskFailure>& failures() const {
-    return failures_;
-  }
-
- private:
-  static std::string build_message(const std::vector<TaskFailure>& failures);
-  std::vector<TaskFailure> failures_;
-};
-
 struct GuardOptions {
   /// Unified retry policy (attempts, per-attempt deadline, backoff).
   ///
@@ -117,36 +98,12 @@ class ParallelRunner {
   /// Worker count this runner fans out to.
   [[nodiscard]] unsigned jobs() const { return jobs_; }
 
-  /// Strict API: executes `work(i)` for every i in [0, count), then
-  /// `consume(i)` in index order on the calling thread. `work` runs
-  /// concurrently for distinct indices and must not touch shared mutable
-  /// state; `consume` never runs concurrently with itself. Consumption
-  /// stops at the first failed index; every worker still drains, and all
-  /// failures are rethrown together as AggregateError.
-  void run(std::size_t count, const std::function<void(std::size_t)>& work,
-           const std::function<void(std::size_t)>& consume) const;
-
-  /// Typed convenience over run(): `produce(i)` builds a Result on a
-  /// worker; `consume` receives them in index order. Each buffered result
-  /// is destroyed right after consumption, so peak memory is bounded by the
-  /// completion skew.
-  template <typename Result>
-  void run_ordered(
-      std::size_t count, const std::function<Result(std::size_t)>& produce,
-      const std::function<void(std::size_t, Result&&)>& consume) const {
-    std::vector<std::optional<Result>> results(count);
-    run(
-        count, [&](std::size_t i) { results[i].emplace(produce(i)); },
-        [&](std::size_t i) {
-          consume(i, std::move(*results[i]));
-          results[i].reset();
-        });
-  }
-
-  /// Hardened API: like run(), but failures degrade instead of aborting.
-  /// `consume(i, status)` runs for *every* index in order once that index
-  /// is terminal — the caller decides how to render failed points. Returns
-  /// the full report; never throws for task failures.
+  /// Executes `work(i)` for every i in [0, count); failures degrade
+  /// instead of aborting. `work` runs concurrently for distinct indices and
+  /// must not touch shared mutable state. `consume(i, status)` runs for
+  /// *every* index in order, on the calling thread, once that index is
+  /// terminal — the caller decides how to render failed points. Returns the
+  /// full report; never throws for task failures.
   ///
   /// With a deadline set, a stuck attempt may still be executing `work`
   /// while its retry runs on another thread, so `work` must be pure per

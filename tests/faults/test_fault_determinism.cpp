@@ -86,12 +86,16 @@ RunDigest digest(const scenario::RunResult& r) {
 std::vector<RunDigest> run_points(unsigned jobs, std::size_t count) {
   std::vector<RunDigest> digests(count);
   runner::ParallelRunner pool{jobs};
-  pool.run_ordered<scenario::RunResult>(
-      count,
-      [](std::size_t i) {
-        return run_dumbbell(faulted_config(sim::Rng::derive_seed(7, i)));
-      },
-      [&](std::size_t i, scenario::RunResult&& r) { digests[i] = digest(r); });
+  const runner::RunReport report =
+      pool.run_ordered_guarded<scenario::RunResult>(
+          count,
+          [](std::size_t i) {
+            return run_dumbbell(faulted_config(sim::Rng::derive_seed(7, i)));
+          },
+          [&](std::size_t i, runner::TaskStatus, scenario::RunResult* r) {
+            if (r != nullptr) digests[i] = digest(*r);
+          });
+  EXPECT_TRUE(report.all_ok());
   return digests;
 }
 

@@ -19,11 +19,11 @@
 // (fsync'd), SIGINT/SIGTERM stop the batch at a case boundary (exit 75),
 // and --resume replays journaled outcomes instead of re-running the cases —
 // the batch-level oracles (seed independence, --jobs invariance) still run
-// over the combined set.
+// over the combined set. Batch and resume journal through
+// runner::run_journaled, as pi2_campaign does, so a resumed journal is
+// compacted to the bytes of an uninterrupted run's.
 #include <cstdio>
 #include <cstdlib>
-#include <map>
-#include <memory>
 #include <set>
 #include <string>
 #include <vector>
@@ -32,11 +32,10 @@
 #include "check/fuzzer.hpp"
 #include "check/oracles.hpp"
 #include "check/shrinker.hpp"
-#include "durable/journal.hpp"
 #include "durable/shutdown.hpp"
 #include "durable/status.hpp"
 #include "durable/wire.hpp"
-#include "runner/parallel_runner.hpp"
+#include "runner/journaled_run.hpp"
 #include "sim/rng.hpp"
 
 namespace {
@@ -401,113 +400,75 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(camp_cases),
       static_cast<unsigned long long>(args.seed));
 
-  durable::ShutdownController::install();
-  const std::uint64_t campaign = fuzz_campaign_key(args);
-  const std::string journal_file =
-      args.journal_path.empty() ? "check_fuzz.journal" : args.journal_path;
+  const runner::JournalTarget target{
+      .path = args.journal_path.empty() ? "check_fuzz.journal"
+                                        : args.journal_path,
+      .key = fuzz_campaign_key(args),
+      .tool = "check_fuzz",
+      .unit = "case"};
 
-  const runner::ParallelRunner pool{args.jobs};
   // Task layout: dumbbell cases occupy [0, cases), topology cases
   // [cases, cases + topo_cases) and campaign cases the final slice, each
   // with sub-batch-local indices.
-  const auto task_key = [&](std::uint64_t i) {
-    if (i < args.cases) return fuzz_case_key(args, i);
-    if (i < args.cases + topo_cases) {
-      return fuzz_topo_case_key(args, i - args.cases);
-    }
-    return fuzz_campaign_case_key(args, i - args.cases - topo_cases);
-  };
   std::vector<check::CaseOutcome> outcomes(total_cases);
-  std::vector<bool> replayed(total_cases, false);
-  bool journal_keep = false;
-  if (args.resume) {
-    const durable::LoadedJournal loaded =
-        durable::load_journal(journal_file, campaign);
-    if (loaded.exists && !loaded.header_ok) {
-      std::fprintf(stderr,
-                   "resume: journal %s is from a different batch; ignoring\n",
-                   journal_file.c_str());
-    }
-    if (loaded.header_ok) {
-      journal_keep = true;
-      std::size_t count = 0;
-      for (std::uint64_t i = 0; i < total_cases; ++i) {
-        const auto it = loaded.points.find(task_key(i));
-        if (it == loaded.points.end()) continue;
-        if (decode_outcome(it->second, outcomes[i])) {
-          replayed[i] = true;
-          ++count;
-        }
-      }
-      std::fprintf(stderr, "resume: replaying %zu of %llu case(s) from %s\n",
-                   count, static_cast<unsigned long long>(total_cases),
-                   journal_file.c_str());
-    }
-  }
-  durable::JournalWriter journal{journal_file, campaign, journal_keep};
+  const runner::JournaledUnits<check::CaseOutcome> units{
+      .count = total_cases,
+      .key =
+          [&](std::size_t i) {
+            if (i < args.cases) return fuzz_case_key(args, i);
+            if (i < args.cases + topo_cases) {
+              return fuzz_topo_case_key(args, i - args.cases);
+            }
+            return fuzz_campaign_case_key(args, i - args.cases - topo_cases);
+          },
+      .produce =
+          [&](std::size_t i) {
+            if (i < args.cases) {
+              auto config = fuzzer.make_config(i);
+              config.stop = durable::ShutdownController::flag();
+              return check::run_case_oracles(config, i,
+                                             oracle_options(args, i, "case"));
+            }
+            if (i < args.cases + topo_cases) {
+              const std::uint64_t j = i - args.cases;
+              auto config = fuzzer.make_topology_config(j);
+              config.stop = durable::ShutdownController::flag();
+              return check::run_topology_case_oracles(
+                  config, j, oracle_options(args, i, "topo"));
+            }
+            const std::uint64_t j = i - args.cases - topo_cases;
+            return check::run_campaign_case_oracles(
+                campaign_case_seed(args, j), j,
+                oracle_options(args, i, "campaign"));
+          },
+      .encode = encode_outcome,
+      .decode = decode_outcome,
+      .consume =
+          [&](std::size_t i, runner::TaskStatus status,
+              check::CaseOutcome* outcome) {
+            if (outcome != nullptr) {
+              outcomes[i] = *outcome;
+              if (args.verbose) {
+                std::printf("case %zu %s\n", i,
+                            outcome->ok() ? "ok" : "FAILED");
+              }
+            } else if (status != runner::TaskStatus::kInterrupted) {
+              outcomes[i].index = i < args.cases ? i
+                                  : i < args.cases + topo_cases
+                                      ? i - args.cases
+                                      : i - args.cases - topo_cases;
+              outcomes[i].failures.push_back(
+                  {"harness", std::string("case crashed or timed out: ") +
+                                  runner::to_string(status)});
+            }
+          }};
 
-  runner::GuardOptions guard;
-  guard.cancel = durable::ShutdownController::flag();
-  std::size_t interrupted_cases = 0;
-
-  const auto report = pool.run_ordered_guarded<check::CaseOutcome>(
-      total_cases,
-      [&](std::size_t i) {
-        if (replayed[i]) return outcomes[i];
-        if (i < args.cases) {
-          auto config = fuzzer.make_config(i);
-          config.stop = durable::ShutdownController::flag();
-          return check::run_case_oracles(config, i,
-                                         oracle_options(args, i, "case"));
-        }
-        if (i < args.cases + topo_cases) {
-          const std::uint64_t j = i - args.cases;
-          auto config = fuzzer.make_topology_config(j);
-          config.stop = durable::ShutdownController::flag();
-          return check::run_topology_case_oracles(
-              config, j, oracle_options(args, i, "topo"));
-        }
-        const std::uint64_t j = i - args.cases - topo_cases;
-        return check::run_campaign_case_oracles(
-            campaign_case_seed(args, j), j,
-            oracle_options(args, i, "campaign"));
-      },
-      [&](std::size_t i, runner::TaskStatus status, check::CaseOutcome* outcome) {
-        if (status == runner::TaskStatus::kOk && outcome != nullptr) {
-          outcomes[i] = *outcome;
-          if (!replayed[i] && journal.healthy()) {
-            (void)journal.append_point(task_key(i), encode_outcome(outcomes[i]));
-          }
-          if (args.verbose) {
-            std::printf("case %zu %s\n", i,
-                        outcome->ok() ? "ok" : "FAILED");
-          }
-        } else if (status == runner::TaskStatus::kInterrupted) {
-          ++interrupted_cases;
-        } else {
-          outcomes[i].index = i < args.cases ? i
-                              : i < args.cases + topo_cases
-                                  ? i - args.cases
-                                  : i - args.cases - topo_cases;
-          outcomes[i].failures.push_back(
-              {"harness", std::string("case crashed or timed out: ") +
-                              runner::to_string(status)});
-        }
-      },
-      guard);
-
-  if (durable::ShutdownController::requested()) {
-    if (journal.healthy()) {
-      (void)journal.append_interrupted(
-          "signal " +
-          std::to_string(durable::ShutdownController::signal_number()));
-    }
-    std::fprintf(stderr,
-                 "check_fuzz: interrupted — %zu case(s) unfinished; re-run "
-                 "with --resume to finish (journal: %s)\n",
-                 interrupted_cases, journal_file.c_str());
-    return durable::ShutdownController::kExitInterrupted;
-  }
+  const runner::JournaledReport report = runner::run_journaled(
+      runner::ParallelRunner{args.jobs}, target, units,
+      args.resume ? runner::load_replays(target, total_cases, units.key)
+                  : runner::Replays{},
+      {});
+  if (report.interrupted) return durable::ShutdownController::kExitInterrupted;
 
   // Seed-stream independence at fuzz scale: distinct cases must have drawn
   // distinct per-case seeds (derive_seed collisions would silently halve

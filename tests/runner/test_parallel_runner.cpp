@@ -24,31 +24,35 @@ TEST(ParallelRunner, ConsumesInSubmissionOrder) {
   for (const unsigned jobs : {1u, 2u, 4u, 8u}) {
     ParallelRunner pool{jobs};
     std::vector<std::size_t> consumed;
-    pool.run(
+    const RunReport report = pool.run_guarded(
         100, [](std::size_t) {},
-        [&](std::size_t i) { consumed.push_back(i); });
+        [&](std::size_t i, TaskStatus) { consumed.push_back(i); });
     std::vector<std::size_t> expected(100);
     std::iota(expected.begin(), expected.end(), 0);
     EXPECT_EQ(consumed, expected) << "jobs=" << jobs;
+    EXPECT_TRUE(report.all_ok()) << "jobs=" << jobs;
   }
 }
 
 TEST(ParallelRunner, EveryTaskRunsExactlyOnce) {
   ParallelRunner pool{4};
   std::vector<std::atomic<int>> runs(500);
-  pool.run(
-      500, [&](std::size_t i) { runs[i].fetch_add(1); }, [](std::size_t) {});
+  (void)pool.run_guarded(
+      500, [&](std::size_t i) { runs[i].fetch_add(1); },
+      [](std::size_t, TaskStatus) {});
   for (const auto& r : runs) EXPECT_EQ(r.load(), 1);
 }
 
 TEST(ParallelRunner, RunOrderedDeliversProducedValues) {
   ParallelRunner pool{4};
   std::vector<std::uint64_t> out;
-  pool.run_ordered<std::uint64_t>(
+  (void)pool.run_ordered_guarded<std::uint64_t>(
       64, [](std::size_t i) { return static_cast<std::uint64_t>(i * i); },
-      [&](std::size_t i, std::uint64_t&& v) {
-        EXPECT_EQ(v, i * i);
-        out.push_back(v);
+      [&](std::size_t i, TaskStatus status, std::uint64_t* v) {
+        EXPECT_EQ(status, TaskStatus::kOk);
+        ASSERT_NE(v, nullptr);
+        EXPECT_EQ(*v, i * i);
+        out.push_back(*v);
       });
   EXPECT_EQ(out.size(), 64u);
 }
@@ -62,62 +66,23 @@ TEST(ParallelRunner, ParallelResultsMatchSerial) {
     for (int k = 0; k < 1000; ++k) acc += rng.uniform();
     return acc;
   };
-  std::vector<double> serial;
-  std::vector<double> parallel;
-  ParallelRunner{1}.run_ordered<double>(
-      50, simulate, [&](std::size_t, double&& v) { serial.push_back(v); });
-  ParallelRunner{4}.run_ordered<double>(
-      50, simulate, [&](std::size_t, double&& v) { parallel.push_back(v); });
-  EXPECT_EQ(serial, parallel);  // bitwise: no reduction-order effects
+  const auto run = [&](unsigned jobs) {
+    std::vector<double> values;
+    (void)ParallelRunner{jobs}.run_ordered_guarded<double>(
+        50, simulate, [&](std::size_t, TaskStatus, double* v) {
+          ASSERT_NE(v, nullptr);
+          values.push_back(*v);
+        });
+    return values;
+  };
+  EXPECT_EQ(run(1), run(4));  // bitwise: no reduction-order effects
 }
 
 TEST(ParallelRunner, ZeroTasksIsANoop) {
   ParallelRunner pool{4};
-  pool.run(
-      0, [](std::size_t) { FAIL(); }, [](std::size_t) { FAIL(); });
-}
-
-TEST(ParallelRunner, WorkerExceptionPropagatesToCaller) {
-  ParallelRunner pool{4};
-  std::atomic<int> consumed{0};
-  EXPECT_THROW(
-      pool.run(
-          32,
-          [](std::size_t i) {
-            if (i == 7) throw std::runtime_error("boom");
-          },
-          [&](std::size_t) { ++consumed; }),
-      std::runtime_error);
-  EXPECT_LE(consumed.load(), 7);  // consumption stops at the failed index
-}
-
-TEST(ParallelRunner, AggregateErrorCarriesEveryFailure) {
-  // The old behavior dropped all but the first worker exception; the
-  // aggregate must name every failed index with its own message.
-  for (const unsigned jobs : {1u, 4u}) {
-    ParallelRunner pool{jobs};
-    try {
-      pool.run(
-          32,
-          [](std::size_t i) {
-            if (i == 3 || i == 17 || i == 31) {
-              throw std::runtime_error("boom-" + std::to_string(i));
-            }
-          },
-          [](std::size_t) {});
-      FAIL() << "expected AggregateError, jobs=" << jobs;
-    } catch (const AggregateError& err) {
-      ASSERT_EQ(err.failures().size(), 3u) << "jobs=" << jobs;
-      EXPECT_EQ(err.failures()[0].index, 3u);
-      EXPECT_EQ(err.failures()[1].index, 17u);
-      EXPECT_EQ(err.failures()[2].index, 31u);
-      EXPECT_EQ(err.failures()[1].message, "boom-17");
-      const std::string what = err.what();
-      EXPECT_NE(what.find("boom-3"), std::string::npos);
-      EXPECT_NE(what.find("boom-17"), std::string::npos);
-      EXPECT_NE(what.find("boom-31"), std::string::npos);
-    }
-  }
+  const RunReport report = pool.run_guarded(
+      0, [](std::size_t) { FAIL(); }, [](std::size_t, TaskStatus) { FAIL(); });
+  EXPECT_TRUE(report.status.empty());
 }
 
 TEST(ParallelRunner, GuardedRunConsumesEveryIndexInOrder) {
