@@ -41,9 +41,6 @@ struct Options {
   double deadline_s = 0;
   /// Extra attempts for a failed or stuck point.
   int retries = 1;
-  /// Base delay (ms) before the first retry of a point; doubles per further
-  /// attempt, with deterministic seed-derived jitter (0 = retry immediately).
-  long long backoff_ms = 0;
   /// Resume from the run journal: completed grid points found in it are
   /// replayed (byte-identical output) instead of re-simulated. Requires the
   /// same grid/seed/duration flags as the interrupted run.
@@ -127,8 +124,6 @@ inline bool parse_option(int argc, char** argv, int& i, Options& opts) {
     flag_value(arg, value, opts.deadline_s);
   } else if (arg == "--retries") {
     flag_value(arg, value, opts.retries);
-  } else if (arg == "--backoff-ms") {
-    flag_value(arg, value, opts.backoff_ms);
   } else if (arg == "--journal") {
     opts.journal_path = value;
   } else if (arg == "--inject-fail") {
@@ -161,7 +156,7 @@ inline Options parse_options(int argc, char** argv) {
     if (arg == "--help" || arg == "-h") {
       std::printf(
           "usage: %s [--full] [--seed N] [--jobs N] [--json PATH] [--smoke]\n"
-          "          [--deadline-s S] [--retries N] [--backoff-ms MS]\n"
+          "          [--deadline-s S] [--retries N]\n"
           "          [--resume] [--journal PATH]\n"
           "  --full      paper-scale grid and durations (slower)\n"
           "  --seed N    RNG seed (default 1)\n"
@@ -179,8 +174,6 @@ inline Options parse_options(int argc, char** argv) {
           "  --deadline-s S  per-point wall-clock watchdog; a point past the\n"
           "              deadline is retried once, then reported `timeout`\n"
           "  --retries N retry budget per failed/stuck point (default 1)\n"
-          "  --backoff-ms MS  base retry backoff, doubling per attempt with\n"
-          "              deterministic seed-derived jitter (default 0)\n"
           "  --resume    replay completed points from the run journal and\n"
           "              only re-simulate the missing ones; the final output\n"
           "              is byte-identical to an uninterrupted run\n"

@@ -66,7 +66,7 @@ DumbbellConfig base_config(int n_background, const pi2::bench::Options& opts) {
   cfg.seed = opts.seed;
   cfg.aqm.type = pi2::scenario::AqmType::kPi2;
   cfg.aqm.ecn_drop_threshold = 1.0;
-  // Foreground: the fidelity tier. Two full packet flows, batched ACK clock.
+  // Foreground: the fidelity tier. Two full packet flows.
   pi2::scenario::TcpFlowSpec cubic;
   cubic.cc = pi2::tcp::CcType::kCubic;
   cubic.base_rtt = pi2::sim::from_millis(100);
@@ -75,7 +75,6 @@ DumbbellConfig base_config(int n_background, const pi2::bench::Options& opts) {
   dctcp.cc = pi2::tcp::CcType::kDctcp;
   dctcp.base_rtt = pi2::sim::from_millis(100);
   cfg.tcp_flows.push_back(dctcp);
-  cfg.ack_quantum = pi2::sim::from_millis(1);
   return cfg;
 }
 

@@ -211,11 +211,9 @@ inline void maybe_inject(const Options& opts, std::size_t i) {
 
 inline runner::GuardOptions guard_options(const Options& opts) {
   runner::GuardOptions guard;
-  guard.retry.attempt_deadline = std::chrono::milliseconds(
+  guard.attempt_deadline = std::chrono::milliseconds(
       static_cast<long long>(opts.deadline_s * 1000.0));
-  guard.retry.max_attempts = 1 + std::max(0, opts.retries);
-  guard.retry.backoff_base = std::chrono::milliseconds(opts.backoff_ms);
-  guard.retry.jitter_seed = opts.seed;
+  guard.max_attempts = 1 + std::max(0, opts.retries);
   guard.cancel = durable::ShutdownController::flag();
   return guard;
 }

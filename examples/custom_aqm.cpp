@@ -62,7 +62,7 @@ Outcome run_with(std::unique_ptr<net::QueueDiscipline> qdisc) {
   sc.flow = 0;
   sc.max_cwnd = 700;
   tcp::TcpSender sender{simulator, sc, tcp::make_dctcp()};
-  tcp::TcpReceiver receiver{simulator, 0};
+  tcp::TcpReceiver receiver{0};
   std::int64_t delivered = 0;
   sender.set_output(link);
   // 5 ms of propagation each way.

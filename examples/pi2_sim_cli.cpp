@@ -4,14 +4,19 @@
 //
 //   pi2_sim_cli --aqm pi2 --link 40 --rtt 10 --cubic 1 --dctcp 1
 //               --duration 60 --csv run.csv
+//
+// A malformed flag value or a configuration the simulator rejects is a
+// usage error: exit 17 with a message naming it.
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "durable/wire.hpp"
 #include "net/trace.hpp"
+#include "scenario/aqm_factory.hpp"
 #include "scenario/dumbbell.hpp"
 #include "stats/csv.hpp"
 #include "telemetry/recorder.hpp"
@@ -21,8 +26,8 @@ namespace {
 void usage(const char* argv0) {
   std::printf(
       "usage: %s [options]\n"
-      "  --aqm NAME        fifo|pie|bare-pie|pi|pi2|coupled-pi2|red|codel|curvy-red|step"
-      " (default pi2)\n"
+      "  --aqm NAME        fifo|pie|bare-pie|pi|pi2|coupled-pi2|red|codel|curvy-red|step|"
+      "dualpi2 (default pi2)\n"
       "  --link MBPS       bottleneck rate (default 10)\n"
       "  --rtt MS          base round-trip time (default 100)\n"
       "  --target MS       AQM delay target (default 20)\n"
@@ -45,16 +50,25 @@ void usage(const char* argv0) {
       argv0);
 }
 
-pi2::scenario::AqmType parse_aqm(const std::string& name) {
-  using pi2::scenario::AqmType;
-  for (const auto type :
-       {AqmType::kFifo, AqmType::kPie, AqmType::kBarePie, AqmType::kPi,
-        AqmType::kPi2, AqmType::kCoupledPi2, AqmType::kRed, AqmType::kCodel,
-        AqmType::kCurvyRed, AqmType::kStep}) {
-    if (name == pi2::scenario::to_string(type)) return type;
-  }
-  std::fprintf(stderr, "unknown AQM '%s'\n", name.c_str());
-  std::exit(2);
+constexpr int kUsageError = 17;
+
+[[noreturn]] void bad_value(const std::string& flag, const char* value) {
+  std::fprintf(stderr, "invalid value '%s' for %s\n", value, flag.c_str());
+  std::exit(kUsageError);
+}
+
+/// Parses the whole of `value` (a finite number) or exits naming the flag.
+template <typename T>
+T number(const std::string& flag, const char* value) {
+  T out{};
+  if (!pi2::durable::parse_decimal(value, out)) bad_value(flag, value);
+  return out;
+}
+
+pi2::scenario::AqmType parse_aqm(const std::string& flag, const char* value) {
+  const auto type = pi2::scenario::aqm_from_string(value);
+  if (!type) bad_value(flag, value);
+  return *type;
 }
 
 }  // namespace
@@ -90,35 +104,35 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     if (arg == "--aqm") {
-      cfg.aqm.type = parse_aqm(next());
+      cfg.aqm.type = parse_aqm(arg, next());
     } else if (arg == "--link") {
-      cfg.link_rate_bps = std::atof(next()) * 1e6;
+      cfg.link_rate_bps = number<double>(arg, next()) * 1e6;
     } else if (arg == "--rtt") {
-      rtt_ms = std::atof(next());
+      rtt_ms = number<double>(arg, next());
     } else if (arg == "--target") {
-      cfg.aqm.target = sim::from_millis(std::atof(next()));
+      cfg.aqm.target = sim::from_millis(number<double>(arg, next()));
     } else if (arg == "--reno") {
-      counts[0].n = std::atoi(next());
+      counts[0].n = number<int>(arg, next());
     } else if (arg == "--cubic") {
-      counts[1].n = std::atoi(next());
+      counts[1].n = number<int>(arg, next());
     } else if (arg == "--ecn-cubic") {
-      counts[2].n = std::atoi(next());
+      counts[2].n = number<int>(arg, next());
     } else if (arg == "--dctcp") {
-      counts[3].n = std::atoi(next());
+      counts[3].n = number<int>(arg, next());
     } else if (arg == "--scalable") {
-      counts[4].n = std::atoi(next());
+      counts[4].n = number<int>(arg, next());
     } else if (arg == "--relentless") {
-      counts[5].n = std::atoi(next());
+      counts[5].n = number<int>(arg, next());
     } else if (arg == "--udp-mbps") {
-      udp_mbps.push_back(std::atof(next()));
+      udp_mbps.push_back(number<double>(arg, next()));
     } else if (arg == "--duration") {
-      duration_s = std::atof(next());
+      duration_s = number<double>(arg, next());
     } else if (arg == "--warmup") {
-      warmup_s = std::atof(next());
+      warmup_s = number<double>(arg, next());
     } else if (arg == "--k") {
-      cfg.aqm.coupling_k = std::atof(next());
+      cfg.aqm.coupling_k = number<double>(arg, next());
     } else if (arg == "--seed") {
-      cfg.seed = std::strtoull(next(), nullptr, 10);
+      cfg.seed = number<std::uint64_t>(arg, next());
     } else if (arg == "--csv") {
       csv_path = next();
     } else if (arg == "--trace") {
@@ -126,7 +140,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--telemetry") {
       telemetry_dir = next();
     } else if (arg == "--telemetry-interval") {
-      telemetry_interval_s = std::atof(next());
+      telemetry_interval_s = number<double>(arg, next());
     } else {
       usage(argv[0]);
       return arg == "--help" || arg == "-h" ? 0 : 2;
@@ -175,6 +189,10 @@ int main(int argc, char** argv) {
     cfg.recorder = recorder.get();
   }
 
+  if (const std::string error = cfg.validate(); !error.empty()) {
+    std::fprintf(stderr, "invalid configuration: %s\n", error.c_str());
+    return kUsageError;
+  }
   const auto r = scenario::run_dumbbell(cfg);
 
   std::printf("aqm=%s link=%.1fMbps rtt=%.0fms duration=%.0fs\n",

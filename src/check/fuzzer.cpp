@@ -191,12 +191,6 @@ scenario::DumbbellConfig ScenarioFuzzer::make_config(std::uint64_t index) const 
     cfg.fluid_dt = from_millis(pick(rng, kFluidDtMs));
   }
 
-  // Batched ACK clock: exercised on a fraction of cases so the batching
-  // path faces the full oracle suite too.
-  if (chance(rng, 0.25)) {
-    cfg.ack_quantum = from_millis(rng.uniform(0.1, 2.0));
-  }
-
   const int rate_changes = static_cast<int>(rng.uniform_below(3));
   for (int i = 0; i < rate_changes; ++i) {
     scenario::RateChange change;
@@ -240,7 +234,6 @@ topology::TopologyConfig ScenarioFuzzer::make_topology_config(
   for (int i = 0; i <= hops; ++i) {
     cfg.nodes.push_back(std::string("n").append(std::to_string(i)));
   }
-  bool any_rtt_fault = false;
   for (int i = 0; i < hops; ++i) {
     topology::LinkSpec link;
     link.from = cfg.nodes[static_cast<std::size_t>(i)];
@@ -266,9 +259,6 @@ topology::TopologyConfig ScenarioFuzzer::make_topology_config(
     }
     if (options_.allow_faults && chance(rng, 0.4)) {
       draw_faults(rng, duration_s, link.faults);
-      for (const faults::FaultEvent& event : link.faults.events) {
-        if (event.kind == faults::FaultKind::kRttStep) any_rtt_fault = true;
-      }
     }
     cfg.links.push_back(std::move(link));
   }
@@ -342,13 +332,6 @@ topology::TopologyConfig ScenarioFuzzer::make_topology_config(
     cfg.fluid_dt = from_millis(pick(rng, kFluidDtMs));
   }
 
-  // The batched ACK clock cannot coexist with per-link RTT steps in a
-  // multi-link topology (validate() rejects it), so only quantize when no
-  // link drew one.
-  if (!any_rtt_fault && chance(rng, 0.2)) {
-    cfg.ack_quantum = from_millis(rng.uniform(0.1, 2.0));
-  }
-
   if (std::string error = cfg.validate(); !error.empty()) {
     throw std::logic_error(
         "ScenarioFuzzer produced an invalid topology (case " +
@@ -367,12 +350,12 @@ std::string ScenarioFuzzer::describe(const scenario::DumbbellConfig& config) {
   char buf[256];
   std::snprintf(buf, sizeof buf,
                 "aqm=%s link=%.3gMbps buf=%lld dur=%.2fs tcp=%d udp=%d "
-                "fluid=%g ack_q=%.2gms rate_changes=%zu faults=%zu seed=%llu",
+                "fluid=%g rate_changes=%zu faults=%zu seed=%llu",
                 std::string(scenario::to_string(config.aqm.type)).c_str(),
                 config.link_rate_bps / 1e6,
                 static_cast<long long>(config.buffer_packets),
                 to_seconds(config.duration), tcp, udp, fluid,
-                to_millis(config.ack_quantum), config.rate_changes.size(),
+                config.rate_changes.size(),
                 config.faults.events.size(),
                 static_cast<unsigned long long>(config.seed));
   return buf;
@@ -397,11 +380,10 @@ std::string ScenarioFuzzer::describe(const topology::TopologyConfig& config) {
   for (const auto& link : config.links) fault_events += link.faults.events.size();
   char buf[320];
   std::snprintf(buf, sizeof buf,
-                "links=%zu [%s] dur=%.2fs tcp=%d udp=%d fluid=%g ack_q=%.2gms "
-                "faults=%zu seed=%llu",
+                "links=%zu [%s] dur=%.2fs tcp=%d udp=%d fluid=%g faults=%zu "
+                "seed=%llu",
                 config.links.size(), links.c_str(),
-                to_seconds(config.duration), tcp, udp, fluid,
-                to_millis(config.ack_quantum), fault_events,
+                to_seconds(config.duration), tcp, udp, fluid, fault_events,
                 static_cast<unsigned long long>(config.seed));
   return buf;
 }

@@ -12,13 +12,11 @@ using pi2::sim::to_seconds;
 
 FluidFlowEnsemble::FluidFlowEnsemble(pi2::sim::Simulator& sim, Config config)
     : sim_(sim), config_(config) {
-  if (!(config_.dt_s > 0.0) || !std::isfinite(config_.dt_s)) {
-    throw std::invalid_argument("FluidFlowEnsemble: dt_s must be finite and > 0");
+  if (!(config_.dt_s > 0.0 && config_.dt_s <= kMaxLagS)) {
+    throw std::invalid_argument(
+        "FluidFlowEnsemble: dt_s must lie in (0, kMaxLagS]");
   }
-  if (!(config_.max_lag_s >= config_.dt_s)) {
-    throw std::invalid_argument("FluidFlowEnsemble: max_lag_s must be >= dt_s");
-  }
-  hist_len_ = static_cast<std::size_t>(config_.max_lag_s / config_.dt_s) + 1;
+  hist_len_ = static_cast<std::size_t>(kMaxLagS / config_.dt_s) + 1;
 }
 
 std::size_t FluidFlowEnsemble::add_spec(const FluidFlowSpec& spec) {
@@ -85,7 +83,7 @@ void FluidFlowEnsemble::advance(SpecState& s, double now_s, double p_classic,
 
   // Delayed terms at t - R(t), clamped to both the spec's own lifetime and
   // the ring depth.
-  const double lag = std::min({r, now_s - s.spec.start_s, config_.max_lag_s});
+  const double lag = std::min({r, now_s - s.spec.start_s, kMaxLagS});
   const auto lag_steps = std::min(
       static_cast<std::size_t>(lag / config_.dt_s), hist_len_ - 1);
   const std::size_t lag_idx = (ticks_ + hist_len_ - lag_steps) % hist_len_;

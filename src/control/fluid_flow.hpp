@@ -72,10 +72,11 @@ class FluidFlowEnsemble {
     /// Euler step and tick period: one scheduler event per dt regardless of
     /// spec count or N.
     double dt_s = 1e-3;
-    /// Depth of the per-spec history rings for the delayed terms
-    /// W(t-R), p(t-R), R(t-R); lags beyond this clamp to the oldest entry.
-    double max_lag_s = 2.0;
   };
+
+  /// Depth of the per-spec history rings for the delayed terms
+  /// W(t-R), p(t-R), R(t-R); lags beyond this clamp to the oldest entry.
+  static constexpr double kMaxLagS = 2.0;
 
   /// Live signals read at every tick. All three must be set before start().
   struct Sources {

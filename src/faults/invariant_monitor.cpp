@@ -23,7 +23,7 @@ void InvariantMonitor::tick() {
 
 void InvariantMonitor::fail(const char* check, std::string detail) {
   ++total_violations_;
-  if (violations_.size() < config_.max_reports) {
+  if (violations_.size() < kMaxReports) {
     violations_.push_back({sim_.now(), check, std::move(detail)});
   }
 }

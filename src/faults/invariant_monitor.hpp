@@ -39,10 +39,11 @@ class InvariantMonitor {
  public:
   struct Config {
     pi2::sim::Duration interval = pi2::sim::from_millis(100);
-    /// Reports are capped so a persistent violation cannot eat the heap;
-    /// total_violations() keeps counting past the cap.
-    std::size_t max_reports = 64;
   };
+
+  /// Reports are capped so a persistent violation cannot eat the heap;
+  /// total_violations() keeps counting past the cap.
+  static constexpr std::size_t kMaxReports = 64;
 
   InvariantMonitor(pi2::sim::Simulator& sim, const net::BottleneckLink& link)
       : InvariantMonitor(sim, link, Config{}) {}

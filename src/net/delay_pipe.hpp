@@ -9,11 +9,6 @@
 // head moves the armed source in place. Delivery is one virtual call on the
 // pipe's PacketSink (a borrowed reference that must outlive the pipe's
 // pending deliveries).
-//
-// quantum > 0 rounds due times up to the quantum grid (ACK-clock batching):
-// a packet whose rounded due time matches a batch still in the pipe joins
-// it, in arrival order and under the batch's seq, and each batch is
-// delivered by one event, never before any of its packets' exact due times.
 #pragma once
 
 #include <algorithm>
@@ -29,9 +24,8 @@ namespace pi2::net {
 
 class DelayPipe {
  public:
-  DelayPipe(pi2::sim::Simulator& sim, pi2::sim::Duration delay,
-            pi2::sim::Duration quantum = {})
-      : sim_(sim), delay_(delay), quantum_(quantum) {}
+  DelayPipe(pi2::sim::Simulator& sim, pi2::sim::Duration delay)
+      : sim_(sim), delay_(delay) {}
 
   DelayPipe(const DelayPipe&) = delete;
   DelayPipe& operator=(const DelayPipe&) = delete;
@@ -46,13 +40,10 @@ class DelayPipe {
 
   /// Delivers `packet` to the sink after `delay` instead of the pipe's own.
   void send(const Packet& packet, pi2::sim::Duration delay) {
-    const pi2::sim::Time due = quantize(sim_.now() + delay);
+    const pi2::sim::Time due = sim_.now() + delay;
     std::size_t pos = size_;
     while (pos > 0 && at(pos - 1).due > due) --pos;
-    const bool joins = quantum_.count() > 0 && pos > 0 &&
-                       at(pos - 1).due == due && at(pos - 1).seq != flushing_;
-    const std::uint64_t seq = joins ? at(pos - 1).seq : sim_.reserve_seq();
-    insert(pos, Entry{due, seq, packet});
+    insert(pos, Entry{due, sim_.reserve_seq(), packet});
     if (pos == 0) arm_head();
   }
 
@@ -62,15 +53,6 @@ class DelayPipe {
     std::uint64_t seq;
     Packet packet;
   };
-  static constexpr std::uint64_t kNoBatch = ~std::uint64_t{0};
-
-  [[nodiscard]] pi2::sim::Time quantize(pi2::sim::Time due) const {
-    if (quantum_.count() <= 0) return due;
-    // Round up: a batch must never deliver before its packets' exact due
-    // times (that would hand a receiver a packet from its own future).
-    const std::int64_t q = quantum_.count();
-    return pi2::sim::Time{(due.count() + q - 1) / q * q};
-  }
 
   /// Ring buffer of capacity 2^k; index 0 is the head. (std::deque frees
   /// and reallocates a block every few packets; that ran ~8% slower.)
@@ -95,30 +77,23 @@ class DelayPipe {
     sim_.arm(head_event_, head.due, head.seq);
   }
 
-  /// Delivers the head packet, or the head batch, then re-arms for the next
-  /// head unless a send from inside the sink already did.
+  /// Delivers the head packet, then re-arms for the next head unless a
+  /// send from inside the sink already did.
   void fire() {
-    flushing_ = at(0).seq;
-    do {
-      // A copy: the sink may send into this pipe and move the ring.
-      const Packet packet = at(0).packet;
-      head_ = (head_ + 1) & (ring_.size() - 1);
-      --size_;
-      if (sink_ != nullptr) sink_->receive(packet);
-    } while (size_ > 0 && at(0).seq == flushing_);
-    flushing_ = kNoBatch;
+    // A copy: the sink may send into this pipe and move the ring.
+    const Packet packet = at(0).packet;
+    head_ = (head_ + 1) & (ring_.size() - 1);
+    --size_;
+    if (sink_ != nullptr) sink_->receive(packet);
     if (size_ > 0 && !head_event_.armed()) arm_head();
   }
 
   pi2::sim::Simulator& sim_;
   pi2::sim::Duration delay_;
-  pi2::sim::Duration quantum_;
   PacketSink* sink_ = nullptr;
   std::vector<Entry> ring_;
   std::size_t head_ = 0;
   std::size_t size_ = 0;
-  /// Batch being delivered; packets sent meanwhile must not join it.
-  std::uint64_t flushing_ = kNoBatch;
   pi2::sim::MemberEvent<DelayPipe, &DelayPipe::fire> head_event_{
       pi2::sim::EventKind::kPipe, this};
 };

@@ -53,19 +53,6 @@ std::string deadline_message(std::chrono::milliseconds deadline, int attempts) {
 
 constexpr const char* kCancelledMessage = "cancelled before completion";
 
-/// Sleeps `delay` in small slices, returning early once `cancel` is set so
-/// a backoff never delays a graceful shutdown.
-void interruptible_sleep(std::chrono::milliseconds delay,
-                         const std::atomic<bool>* cancel) {
-  constexpr std::chrono::milliseconds kSlice{50};
-  while (delay.count() > 0) {
-    if (cancel != nullptr && cancel->load(std::memory_order_acquire)) return;
-    const auto chunk = std::min(delay, kSlice);
-    std::this_thread::sleep_for(chunk);
-    delay -= chunk;
-  }
-}
-
 }  // namespace
 
 RunReport ParallelRunner::run_guarded_commit(
@@ -75,8 +62,8 @@ RunReport ParallelRunner::run_guarded_commit(
     const GuardOptions& options) const {
   RunReport report;
   if (count == 0) return report;
-  const int max_attempts = std::max(1, options.retry.max_attempts);
-  const auto deadline = options.retry.attempt_deadline;
+  const int max_attempts = std::max(1, options.max_attempts);
+  const auto deadline = options.attempt_deadline;
   const bool watchdog_enabled = deadline.count() > 0;
   const auto workers =
       static_cast<unsigned>(std::min<std::size_t>(jobs_, count));
@@ -89,7 +76,7 @@ RunReport ParallelRunner::run_guarded_commit(
 
   if (workers <= 1 && !watchdog_enabled) {
     // Reference serial execution: no threads, no buffering. Retries run
-    // back-to-back (after their backoff) on the calling thread.
+    // back-to-back on the calling thread.
     for (std::size_t i = 0; i < count; ++i) {
       TaskStatus status = TaskStatus::kFailed;
       std::string message;
@@ -98,14 +85,6 @@ RunReport ParallelRunner::run_guarded_commit(
           status = TaskStatus::kInterrupted;
           if (message.empty()) message = kCancelledMessage;
           break;
-        }
-        if (attempt > 1) {
-          interruptible_sleep(options.retry.backoff_before(i, attempt - 1),
-                              options.cancel);
-          if (cancelled()) {
-            status = TaskStatus::kInterrupted;
-            break;
-          }
         }
         try {
           std::function<void()> commit = work(i);
@@ -187,7 +166,6 @@ RunReport ParallelRunner::run_guarded_commit(
     for (;;) {
       std::size_t i;
       std::uint32_t my_generation;
-      std::chrono::milliseconds backoff{0};
       {
         std::unique_lock<std::mutex> lock(s.mutex);
         for (;;) {
@@ -205,15 +183,8 @@ RunReport ParallelRunner::run_guarded_commit(
         s.state[i] = Cell::kRunning;
         ++s.attempts[i];
         my_generation = ++s.generation[i];
-        if (s.attempts[i] > 1) {
-          backoff = options.retry.backoff_before(i, s.attempts[i] - 1);
-        }
-        // The deadline clock starts when the attempt actually begins, after
-        // any backoff sleep.
-        s.started[i] = std::chrono::steady_clock::now() + backoff;
+        s.started[i] = std::chrono::steady_clock::now();
       }
-
-      if (backoff.count() > 0) interruptible_sleep(backoff, options.cancel);
 
       std::function<void()> commit;
       std::string message;

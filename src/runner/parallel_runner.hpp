@@ -16,11 +16,10 @@
 //
 // Failure hardening: a multi-hour sweep must not lose every finished point
 // because one point threw or wedged. Every run is guarded: it catches
-// per-task exceptions, retries failed or stuck tasks under a configurable
-// durable::RetryPolicy (attempt count, per-attempt wall-clock deadline,
-// exponential backoff with deterministic jitter), honors an optional
-// cancellation flag for graceful shutdown, and returns a RunReport with a
-// terminal TaskStatus per index instead of aborting.
+// per-task exceptions, retries failed or stuck tasks at once (up to an
+// attempt count, with an optional per-attempt wall-clock deadline), honors
+// an optional cancellation flag for graceful shutdown, and returns a
+// RunReport with a terminal TaskStatus per index instead of aborting.
 //
 // With jobs() == 1 (or count == 1) and no deadline, no threads are spawned
 // at all and the tasks run inline, which doubles as the reference serial
@@ -35,8 +34,6 @@
 #include <string>
 #include <utility>
 #include <vector>
-
-#include "durable/retry.hpp"
 
 namespace pi2::runner {
 
@@ -70,17 +67,14 @@ struct RunReport {
 };
 
 struct GuardOptions {
-  /// Unified retry policy (attempts, per-attempt deadline, backoff).
-  ///
-  /// `retry.attempt_deadline` drives the watchdog: zero = no watchdog; a
-  /// task whose attempt exceeds the deadline is marked stuck, its result
-  /// (if the attempt eventually finishes) is discarded and a retry is
-  /// dispatched if any attempts remain, on a fresh thread so a wedged
-  /// worker cannot starve it. `retry.backoff_*` delays each retry with a
-  /// deterministic, seed-derived jitter — never wall-clock randomness — so
-  /// guarded runs stay reproducible. The default policy (2 attempts, no
-  /// deadline, no backoff) matches the runner's historical "one retry".
-  durable::RetryPolicy retry{};
+  /// Total attempts per task (first try included); 1 = no retries. A
+  /// failed attempt is retried at once.
+  int max_attempts = 2;
+  /// Per-attempt deadline; zero = no watchdog. A task whose attempt
+  /// exceeds it is marked stuck, its result (if the attempt eventually
+  /// finishes) is discarded and a retry is dispatched if any attempts
+  /// remain, on a fresh thread so a wedged worker cannot starve it.
+  std::chrono::milliseconds attempt_deadline{0};
   /// Optional cancellation flag (graceful shutdown). Once it reads true, no
   /// new task or retry attempt starts: pending tasks go terminal with
   /// TaskStatus::kInterrupted (consume still runs for them, in order), and

@@ -54,9 +54,6 @@ std::string DumbbellConfig::validate() const {
   if (fluid_dt <= pi2::sim::Duration{0}) {
     return bad_field("fluid_dt", "be > 0 seconds", to_seconds(fluid_dt));
   }
-  if (ack_quantum < pi2::sim::Duration{0}) {
-    return bad_field("ack_quantum", "be >= 0 seconds", to_seconds(ack_quantum));
-  }
   for (std::size_t i = 0; i < rate_changes.size(); ++i) {
     const std::string where = "rate_changes[" + std::to_string(i) + "].";
     if (std::string e = validate_rate_change(rate_changes[i], where);

@@ -109,13 +109,6 @@ struct DumbbellConfig {
   /// Integration/tick period of the fluid tier (one scheduler event per
   /// tick, shared by all fluid specs).
   pi2::sim::Duration fluid_dt = pi2::sim::from_millis(1);
-  /// ACK-clock batching quantum. 0 (default) delivers every packet at its
-  /// exact propagation due time. > 0 batches the half-RTT delay pipes:
-  /// packets from all flows in the same RTT bucket whose delivery falls in
-  /// the same quantum are delivered by one scheduler event. Delivery is
-  /// deferred to the end of the quantum (≤ one quantum of added latency);
-  /// keep it well under base_rtt (e.g. 1 ms at 100 ms RTT).
-  pi2::sim::Duration ack_quantum{0};
   pi2::sim::Time duration{std::chrono::seconds{100}};
   /// Aggregate statistics (percentiles, means) cover [stats_start, duration);
   /// time series cover the whole run.

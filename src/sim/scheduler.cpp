@@ -8,8 +8,8 @@ namespace pi2::sim {
 
 std::string_view event_kind_name(EventKind kind) {
   static constexpr std::string_view kNames[] = {
-      "link_tx",    "pipe",    "rto", "delayed_ack", "aqm_tick",
-      "fluid_tick", "sampler", "udp", "monitor",     "closure"};
+      "link_tx", "pipe", "rto",     "aqm_tick", "fluid_tick",
+      "sampler", "udp",  "monitor", "closure"};
   static_assert(std::size(kNames) == kEventKinds, "one name per EventKind");
   return kNames[static_cast<std::size_t>(kind)];
 }

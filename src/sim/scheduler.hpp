@@ -52,7 +52,6 @@ enum class EventKind : std::uint8_t {
   kLinkTx,      ///< a link's transmission completion
   kPipe,        ///< a delay pipe's head delivery
   kRto,         ///< a sender's retransmission timer
-  kDelayedAck,  ///< a receiver's delayed-ACK timer
   kAqmTick,     ///< an AQM's periodic probability update
   kFluidTick,   ///< the fluid tier's integration step
   kSampler,     ///< periodic statistics and telemetry sampling

@@ -183,8 +183,6 @@ void TcpSender::on_ack(const net::Packet& ack) {
 }
 
 void TcpReceiver::emit_ack(bool ce_echo, Time data_sent_at) {
-  delack_timer_.cancel();
-  unacked_segments_ = 0;
   net::Packet ack;
   ack.flow = flow_;
   ack.is_ack = true;
@@ -238,17 +236,6 @@ void TcpReceiver::on_data(const net::Packet& data) {
     hold_out_of_order(data.seq);
   }
   // data.seq < rcv_nxt_: spurious retransmission; still ACK it.
-
-  // Delayed ACKs apply only to clean in-order, unmarked data; gaps,
-  // duplicates and CE marks are acknowledged immediately.
-  if (options_.delayed_acks && in_order && !was_ce && !has_gap()) {
-    ++unacked_segments_;
-    if (unacked_segments_ < options_.ack_every) {
-      pending_sent_at_ = data.sent_at;
-      delack_timer_.arm(sim_.now() + options_.delack_timeout);
-      return;
-    }
-  }
   emit_ack(was_ce, data.sent_at);
 }
 

@@ -120,26 +120,9 @@ class TcpSender {
 
 class TcpReceiver {
  public:
-  struct Options {
-    /// Delayed ACKs (RFC 1122): acknowledge every 2nd in-order segment, or
-    /// after `delack_timeout`. Out-of-order data and CE-marked segments are
-    /// ACKed immediately (duplicate-ACK loss detection and DCTCP's accurate
-    /// feedback both require it). Default off: one ACK per segment, which
-    /// matches the window laws of Appendix A exactly.
-    bool delayed_acks = false;
-    int ack_every = 2;
-    pi2::sim::Duration delack_timeout = pi2::sim::from_millis(40);
-  };
-
-  TcpReceiver(pi2::sim::Simulator& sim, std::int32_t flow)
-      : TcpReceiver(sim, flow, Options{}) {}
-  TcpReceiver(pi2::sim::Simulator& sim, std::int32_t flow, Options options)
-      : sim_(sim),
-        flow_(flow),
-        options_(options),
-        delack_timer_(sim, pi2::sim::EventKind::kDelayedAck, [this] {
-          emit_ack(/*ce_echo=*/false, pending_sent_at_);
-        }) {}
+  /// One ACK per arriving segment, which matches the window laws of
+  /// Appendix A exactly.
+  explicit TcpReceiver(std::int32_t flow) : flow_(flow) {}
 
   /// Where ACKs go (the reverse-path delay pipe back to the sender).
   /// Borrowed.
@@ -159,9 +142,7 @@ class TcpReceiver {
   [[nodiscard]] bool has_gap() const { return ooo_head_ < out_of_order_.size(); }
   void hold_out_of_order(std::int64_t seq);
 
-  pi2::sim::Simulator& sim_;
   std::int32_t flow_;
-  Options options_;
   net::PacketSink* ack_path_ = nullptr;
 
   std::int64_t rcv_nxt_ = 0;
@@ -173,11 +154,6 @@ class TcpReceiver {
   std::size_t ooo_head_ = 0;
   bool ece_latched_ = false;  // Classic ECN: echo until CWR seen
   std::int64_t ce_received_ = 0;
-
-  // Delayed-ACK state.
-  int unacked_segments_ = 0;
-  pi2::sim::Timer delack_timer_;
-  pi2::sim::Time pending_sent_at_{};
 };
 
 }  // namespace pi2::tcp

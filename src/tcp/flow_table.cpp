@@ -39,11 +39,6 @@ std::int32_t FlowTable::add_udp(pi2::sim::Duration base_rtt,
   return id;
 }
 
-void FlowTable::set_all_base_rtt(pi2::sim::Duration rtt) {
-  const pi2::sim::Duration half = rtt / 2;
-  for (pi2::sim::Duration& h : half_rtt_) h = half;
-}
-
 UdpSender* FlowTable::udp(std::int32_t flow) {
   return cold_[static_cast<std::size_t>(flow)].udp.get();
 }

@@ -74,9 +74,7 @@ class FlowTable {
   [[nodiscard]] pi2::sim::Duration base_rtt(std::int32_t flow) const {
     return half_rtt(flow) * 2;
   }
-  /// Fault-injected RTT step: applies to every flow.
-  void set_all_base_rtt(pi2::sim::Duration rtt);
-  /// RTT step scoped to one flow (per-link faults in multi-link topologies).
+  /// Fault-injected RTT step of one flow.
   void set_base_rtt(std::int32_t flow, pi2::sim::Duration rtt) {
     half_rtt_[static_cast<std::size_t>(flow)] = rtt / 2;
   }

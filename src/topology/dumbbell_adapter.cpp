@@ -28,7 +28,6 @@ TopologyConfig from_dumbbell(const scenario::DumbbellConfig& config) {
   }
 
   topo.fluid_dt = config.fluid_dt;
-  topo.ack_quantum = config.ack_quantum;
   topo.duration = config.duration;
   topo.stats_start = config.stats_start;
   topo.seed = config.seed;

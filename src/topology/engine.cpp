@@ -300,9 +300,8 @@ TopologyResult run_topology(const TopologyConfig& config) {
 
   // Propagation runs through delay pipes, one event pending per pipe: a
   // data and an ACK pipe per half-RTT bucket, and one per link for the
-  // hop to the next queue on a route. ack_quantum > 0 batches the bucket
-  // pipes' delivery onto that grid (ACK-clock batching). Every hop hands
-  // the packet on through a typed sink.
+  // hop to the next queue on a route. Every hop hands the packet on
+  // through a typed sink.
   DataDelivery deliver_data{flows};
   AckDelivery deliver_ack{flows};
   Buckets buckets;
@@ -313,9 +312,9 @@ TopologyResult run_topology(const TopologyConfig& config) {
     const auto [it, inserted] =
         bucket_by_half_rtt.try_emplace(half_rtt.count(), buckets.data.size());
     if (inserted) {
-      buckets.data.emplace_back(sim, half_rtt, config.ack_quantum);
+      buckets.data.emplace_back(sim, half_rtt);
       buckets.data.back().set_sink(deliver_data);
-      buckets.ack.emplace_back(sim, half_rtt, config.ack_quantum);
+      buckets.ack.emplace_back(sim, half_rtt);
       buckets.ack.back().set_sink(deliver_ack);
     }
     return it->second;
@@ -343,7 +342,7 @@ TopologyResult run_topology(const TopologyConfig& config) {
     if (spec.segments > 0) sc.total_segments = spec.segments;
     auto sender = std::make_unique<tcp::TcpSender>(
         sim, sc, tcp::make_congestion_control(spec.cc));
-    auto receiver = std::make_unique<tcp::TcpReceiver>(sim, sc.flow);
+    auto receiver = std::make_unique<tcp::TcpReceiver>(sc.flow);
     const std::int32_t flow_id =
         flows.add_tcp(spec.cc, spec.base_rtt, std::move(sender),
                       std::move(receiver));
@@ -524,28 +523,22 @@ TopologyResult run_topology(const TopologyConfig& config) {
                 : pi2::sim::Rng::derive_seed(config.seed, 0x1170ull + li);
     rt.injector = std::make_unique<faults::FaultInjector>(
         sim, config.links[li].faults, injector_seed);
-    if (single_link) {
-      rt.injector->set_rtt_setter(
-          [&flows](Duration rtt) { flows.set_all_base_rtt(rtt); });
-    } else {
-      // Per-link RTT step: applies to the flows routed across this link.
-      // Each such flow moves to the pipes of its new half-RTT, so a pipe
-      // never mixes delays and its sends stay O(1). validate() rejects
-      // ack_quantum > 0 here, so the move cannot split a batch.
-      rt.injector->set_rtt_setter([&flows, &route_links, &route_of_flow,
-                                   &bucket_of_flow, &bucket_for,
-                                   li](Duration rtt) {
-        for (std::int32_t f = 0; f < static_cast<std::int32_t>(flows.size());
-             ++f) {
-          const std::vector<std::uint32_t>& route =
-              route_links[route_of_flow[static_cast<std::size_t>(f)]];
-          if (std::find(route.begin(), route.end(), li) != route.end()) {
-            flows.set_base_rtt(f, rtt);
-            bucket_of_flow[static_cast<std::size_t>(f)] = bucket_for(rtt / 2);
-          }
+    // RTT step: applies to the flows routed across this link (every flow
+    // of a single-link run). Each such flow moves to the pipes of its new
+    // half-RTT, so a pipe never mixes delays and its sends stay O(1).
+    rt.injector->set_rtt_setter([&flows, &route_links, &route_of_flow,
+                                 &bucket_of_flow, &bucket_for,
+                                 li](Duration rtt) {
+      for (std::int32_t f = 0; f < static_cast<std::int32_t>(flows.size());
+           ++f) {
+        const std::vector<std::uint32_t>& route =
+            route_links[route_of_flow[static_cast<std::size_t>(f)]];
+        if (std::find(route.begin(), route.end(), li) != route.end()) {
+          flows.set_base_rtt(f, rtt);
+          bucket_of_flow[static_cast<std::size_t>(f)] = bucket_for(rtt / 2);
         }
-      });
-    }
+      }
+    });
     rt.injector->attach(*rt.link);
   }
 

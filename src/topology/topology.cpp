@@ -149,24 +149,6 @@ std::string TopologyConfig::validate() const {
   if (fluid_dt <= pi2::sim::Duration{0}) {
     return bad_field("fluid_dt", "be > 0 seconds", to_seconds(fluid_dt));
   }
-  if (ack_quantum < pi2::sim::Duration{0}) {
-    return bad_field("ack_quantum", "be >= 0 seconds", to_seconds(ack_quantum));
-  }
-  if (links.size() > 1 && ack_quantum > pi2::sim::Duration{0}) {
-    // Batched ACK-clock pipes are bucketed by half-RTT across *all* flows,
-    // so a per-link RTT step cannot move one flow's bucket without moving
-    // every flow that shares it; the exact per-flow path needs quantum 0.
-    for (const LinkSpec& link : links) {
-      for (const faults::FaultEvent& event : link.faults.events) {
-        if (event.kind == faults::FaultKind::kRttStep) {
-          return bad_field(
-              "ack_quantum",
-              "be 0 when a multi-link topology schedules rtt-step faults",
-              to_seconds(ack_quantum));
-        }
-      }
-    }
-  }
   for (std::size_t i = 0; i < tcp_flows.size(); ++i) {
     const std::string where = "tcp_flows[" + std::to_string(i) + "].";
     if (std::string e = validate_path(*this, tcp_flows[i].path, where);

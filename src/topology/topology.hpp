@@ -94,9 +94,6 @@ struct TopologyConfig {
   /// Integration/tick period of the fluid tier (one ensemble per link that
   /// carries fluid routes).
   pi2::sim::Duration fluid_dt = pi2::sim::from_millis(1);
-  /// ACK-clock batching quantum (see DumbbellConfig::ack_quantum). Applies
-  /// to the final propagation hop and the ACK return path.
-  pi2::sim::Duration ack_quantum{0};
   pi2::sim::Time duration{std::chrono::seconds{100}};
   pi2::sim::Time stats_start{std::chrono::seconds{0}};
   std::uint64_t seed = 1;

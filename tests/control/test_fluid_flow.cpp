@@ -188,7 +188,7 @@ TEST(FluidFlowEnsemble, StateBytesPerSpecAmortizeOverCount) {
 TEST(FluidFlowEnsemble, RejectsInvalidSpecsAndConfig) {
   Simulator sim;
   EXPECT_THROW((FluidFlowEnsemble{sim, {.dt_s = 0.0}}), std::invalid_argument);
-  EXPECT_THROW((FluidFlowEnsemble{sim, {.dt_s = 1e-3, .max_lag_s = 0.0}}),
+  EXPECT_THROW((FluidFlowEnsemble{sim, {.dt_s = 2 * FluidFlowEnsemble::kMaxLagS}}),
                std::invalid_argument);
 
   FluidFlowEnsemble ensemble{sim, {}};

@@ -140,14 +140,14 @@ TEST(InvariantMonitor, StartSamplesPeriodically) {
 TEST(InvariantMonitor, ReportCapsStoredViolationsButCountsAll) {
   Fixture f;
   f.aqm->classic_prob = std::numeric_limits<double>::quiet_NaN();
-  InvariantMonitor::Config cfg;
-  cfg.max_reports = 2;
-  InvariantMonitor monitor{f.sim, f.link, cfg};
-  for (int i = 0; i < 5; ++i) monitor.check_now();
-  EXPECT_EQ(monitor.violations().size(), 2u);
-  EXPECT_EQ(monitor.total_violations(), 5u);
+  InvariantMonitor monitor{f.sim, f.link};
+  constexpr std::size_t kChecks = InvariantMonitor::kMaxReports + 3;
+  for (std::size_t i = 0; i < kChecks; ++i) monitor.check_now();
+  EXPECT_EQ(monitor.violations().size(), InvariantMonitor::kMaxReports);
+  EXPECT_EQ(monitor.total_violations(), kChecks);
   const std::string report = monitor.report();
-  EXPECT_NE(report.find("5 total"), std::string::npos) << report;
+  EXPECT_NE(report.find(std::to_string(kChecks) + " total"), std::string::npos)
+      << report;
   EXPECT_NE(report.find("prob-classic"), std::string::npos) << report;
 }
 

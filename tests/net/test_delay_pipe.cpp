@@ -105,62 +105,5 @@ TEST(DelayPipe, HeapHoldsOneEntryPerPipe) {
   EXPECT_EQ(sim.scheduler().cancelled(), 0u);
 }
 
-TEST(DelayPipe, QuantumDeliversOneEventPerQuantumInArrivalOrder) {
-  Simulator sim;
-  const Duration delay = from_millis(25);
-  DelayPipe pipe{sim, delay, from_millis(10)};
-  std::vector<std::int64_t> order;
-  std::vector<Time> at;
-  CallbackSink rx_sink{[&](Packet p) {
-    // Never earlier than the exact due time.
-    EXPECT_GE(sim.now(), p.sent_at + delay) << "packet " << p.seq;
-    order.push_back(p.seq);
-    at.push_back(sim.now());
-  }};
-  pipe.set_sink(rx_sink);
-  for (int i = 0; i < 20; ++i) {
-    sim.at(from_millis(i), [&, i] {
-      Packet p;
-      p.seq = i;
-      p.sent_at = sim.now();
-      pipe.send(p);
-    });
-  }
-  sim.run();
-  std::vector<std::int64_t> expected_order(20);
-  for (int i = 0; i < 20; ++i) expected_order[static_cast<std::size_t>(i)] = i;
-  EXPECT_EQ(order, expected_order);
-  // Exact dues 25..44 ms round up to the 30, 40 and 50 ms boundaries.
-  for (int i = 0; i < 20; ++i) {
-    const Time want = i <= 5 ? from_millis(30) : i <= 15 ? from_millis(40) : from_millis(50);
-    EXPECT_EQ(at[static_cast<std::size_t>(i)], want) << "packet " << i;
-  }
-  // 20 send events + one delivery event per quantum.
-  EXPECT_EQ(sim.events_executed(), 23u);
-}
-
-TEST(DelayPipe, QuantumBatchKeepsItsPlaceAmongSameInstantEvents) {
-  // A batch is ordered by the tie-break number of the packet that opened
-  // it: events scheduled for the batch's instant before that packet was
-  // sent run first, later ones after.
-  Simulator sim;
-  DelayPipe pipe{sim, from_millis(5), from_millis(10)};
-  std::vector<int> order;
-  CallbackSink rx_sink{[&](Packet p) { order.push_back(static_cast<int>(p.seq)); }};
-  pipe.set_sink(rx_sink);
-  sim.at(from_millis(10), [&] { order.push_back(-1); });
-  Packet p;
-  p.seq = 1;
-  pipe.send(p);  // due 5 ms, delivered at the 10 ms boundary
-  sim.at(from_millis(10), [&] { order.push_back(-2); });
-  sim.at(from_millis(2), [&] {
-    Packet q;
-    q.seq = 2;
-    pipe.send(q);  // joins the open batch
-  });
-  sim.run();
-  EXPECT_EQ(order, (std::vector<int>{-1, 1, 2, -2}));
-}
-
 }  // namespace
 }  // namespace pi2::net

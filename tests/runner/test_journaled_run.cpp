@@ -160,8 +160,8 @@ TEST_F(JournaledRun, FailedAndTimedOutUnitsGetNoRecord) {
       }};
   const JournaledReport report = run_journaled(
       ParallelRunner{2}, target(), u, {},
-      GuardOptions{.retry = {.max_attempts = 1,
-                             .attempt_deadline = std::chrono::milliseconds{50}}});
+      GuardOptions{.max_attempts = 1,
+                   .attempt_deadline = std::chrono::milliseconds{50}});
   ASSERT_EQ(statuses.size(), 6u);
   EXPECT_EQ(statuses[2], TaskStatus::kFailed);
   EXPECT_EQ(statuses[4], TaskStatus::kTimeout);

@@ -99,7 +99,7 @@ TEST(ParallelRunner, GuardedRunConsumesEveryIndexInOrder) {
           order.push_back(i);
           statuses.push_back(status);
         },
-        GuardOptions{.retry = {.max_attempts = 1}});
+        GuardOptions{.max_attempts = 1});
     std::vector<std::size_t> expected(16);
     std::iota(expected.begin(), expected.end(), 0);
     EXPECT_EQ(order, expected) << "jobs=" << jobs;
@@ -126,7 +126,7 @@ TEST(ParallelRunner, GuardedRetryRecoversFlakyTask) {
           }
         },
         [](std::size_t, TaskStatus) {},
-        GuardOptions{.retry = {.max_attempts = 2}});
+        GuardOptions{.max_attempts = 2});
     EXPECT_TRUE(report.all_ok()) << "jobs=" << jobs;
     attempts = 0;
   }
@@ -148,7 +148,7 @@ TEST(ParallelRunner, GuardedOrderedDeliversNullForFailedTasks) {
           EXPECT_EQ(*value, static_cast<int>(i) * 10);
         }
       },
-      GuardOptions{.retry = {.max_attempts = 1}});
+      GuardOptions{.max_attempts = 1});
   ASSERT_EQ(got_value.size(), 10u);
   for (std::size_t i = 0; i < 10; ++i) EXPECT_EQ(got_value[i], i != 4);
   ASSERT_EQ(report.failures.size(), 1u);
@@ -167,8 +167,8 @@ TEST(ParallelRunner, WatchdogTimesOutWedgedTaskAndKeepsOrder) {
         if (i == 3) std::this_thread::sleep_for(std::chrono::milliseconds{400});
       },
       [&](std::size_t i, TaskStatus) { order.push_back(i); },
-      GuardOptions{.retry = {.max_attempts = 2,
-                             .attempt_deadline = std::chrono::milliseconds{50}}});
+      GuardOptions{.max_attempts = 2,
+                   .attempt_deadline = std::chrono::milliseconds{50}});
   std::vector<std::size_t> expected(8);
   std::iota(expected.begin(), expected.end(), 0);
   EXPECT_EQ(order, expected);
@@ -239,14 +239,13 @@ TEST(ParallelRunner, FailedAttemptAfterCancelIsNotRetried) {
         throw std::runtime_error("failed during shutdown");
       },
       [](std::size_t, TaskStatus) {},
-      GuardOptions{.retry = {.max_attempts = 5}, .cancel = &cancel});
+      GuardOptions{.max_attempts = 5, .cancel = &cancel});
   EXPECT_EQ(attempts.load(), 1) << "no retries once shutdown is requested";
   EXPECT_FALSE(report.all_ok());
 }
 
-TEST(ParallelRunner, BackoffRetryRecoversARepeatedlyFailingTask) {
-  // Two failures, then success — within max_attempts = 3, with a real (but
-  // tiny) exponential backoff between attempts.
+TEST(ParallelRunner, RetryRecoversARepeatedlyFailingTask) {
+  // Two failures, then success — within max_attempts = 3.
   for (const unsigned jobs : {1u, 4u}) {
     ParallelRunner pool{jobs};
     std::atomic<int> attempts{0};
@@ -258,11 +257,7 @@ TEST(ParallelRunner, BackoffRetryRecoversARepeatedlyFailingTask) {
           }
         },
         [](std::size_t, TaskStatus) {},
-        GuardOptions{.retry = {.max_attempts = 3,
-                               .backoff_base = std::chrono::milliseconds{1},
-                               .backoff_multiplier = 2.0,
-                               .jitter_fraction = 0.1,
-                               .jitter_seed = 7}});
+        GuardOptions{.max_attempts = 3});
     EXPECT_TRUE(report.all_ok()) << "jobs=" << jobs;
     EXPECT_EQ(attempts.load(), 3) << "jobs=" << jobs;
     attempts = 0;
@@ -289,8 +284,8 @@ TEST(ParallelRunner, StaleResultFromTimedOutAttemptIsDiscarded) {
         EXPECT_EQ(status, TaskStatus::kOk);
         if (value != nullptr) seen = *value;
       },
-      GuardOptions{.retry = {.max_attempts = 2,
-                             .attempt_deadline = std::chrono::milliseconds{40}}});
+      GuardOptions{.max_attempts = 2,
+                   .attempt_deadline = std::chrono::milliseconds{40}});
   EXPECT_TRUE(report.all_ok());
   EXPECT_EQ(calls, 1);
   EXPECT_EQ(seen, 1);  // the retry's value, not the stale first attempt's

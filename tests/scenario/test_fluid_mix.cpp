@@ -1,5 +1,5 @@
-// Hybrid fluid/packet scenarios: determinism, conservation, coexistence,
-// and the batched ACK clock. These are the scenario-level guarantees the
+// Hybrid fluid/packet scenarios: determinism, conservation and
+// coexistence. These are the scenario-level guarantees the
 // flow-scale engine rests on — run_dumbbell() must stay a pure function of
 // its config whatever mix of engine tiers is active.
 #include <gtest/gtest.h>
@@ -103,63 +103,12 @@ TEST(FluidMix, MeanGoodputExcludesFluidSpecs) {
   EXPECT_GT(result.mean_goodput_mbps(tcp::CcType::kCubic), 0.0);
 }
 
-TEST(BatchedAckClock, FewerSchedulerEventsSameMacroBehaviour) {
-  // 20 packet flows, exact vs 1 ms-quantum ACK clock. Batching must cut
-  // scheduler events meaningfully while leaving the macroscopic outcome —
-  // aggregate goodput, utilization — in the same regime (delivery shifts by
-  // at most one quantum, so per-flow dynamics are not bit-identical).
-  DumbbellConfig cfg;
-  cfg.link_rate_bps = 20e6;
-  cfg.duration = from_seconds(4.0);
-  cfg.stats_start = from_seconds(1.0);
-  cfg.aqm.type = AqmType::kPi2;
-  TcpFlowSpec flows;
-  flows.cc = tcp::CcType::kCubic;
-  flows.count = 20;
-  flows.base_rtt = from_millis(40);
-  cfg.tcp_flows.push_back(flows);
-
-  const RunResult exact = run_dumbbell(cfg);
-  cfg.ack_quantum = from_millis(1);
-  const RunResult batched = run_dumbbell(cfg);
-
-  EXPECT_LT(static_cast<double>(batched.events_executed),
-            static_cast<double>(exact.events_executed) * 0.8)
-      << "batching saved <20% of scheduler events";
-
-  auto total_goodput = [](const RunResult& r) {
-    double sum = 0.0;
-    for (const auto& f : r.flows) sum += f.goodput_mbps;
-    return sum;
-  };
-  EXPECT_NEAR(total_goodput(batched), total_goodput(exact),
-              0.25 * total_goodput(exact));
-  EXPECT_NEAR(batched.utilization, exact.utilization, 0.2);
-  EXPECT_EQ(batched.clamped_events, 0u);
-}
-
-TEST(BatchedAckClock, BatchedRunIsDeterministic) {
-  DumbbellConfig cfg = mixed_config();
-  cfg.ack_quantum = from_millis(1);
-  const RunResult a = run_dumbbell(cfg);
-  const RunResult b = run_dumbbell(cfg);
-  EXPECT_EQ(a.events_executed, b.events_executed);
-  EXPECT_EQ(a.counters.forwarded, b.counters.forwarded);
-  ASSERT_EQ(a.flows.size(), b.flows.size());
-  for (std::size_t i = 0; i < a.flows.size(); ++i) {
-    EXPECT_EQ(a.flows[i].goodput_mbps, b.flows[i].goodput_mbps) << i;
-  }
-}
-
 TEST(FluidMix, ValidatesFluidFields) {
   DumbbellConfig cfg = mixed_config();
   cfg.fluid_flows[0].count = -1;
   EXPECT_NE(cfg.validate(), "");
   cfg = mixed_config();
   cfg.fluid_dt = pi2::sim::Duration{0};
-  EXPECT_NE(cfg.validate(), "");
-  cfg = mixed_config();
-  cfg.ack_quantum = -from_millis(1);
   EXPECT_NE(cfg.validate(), "");
   cfg = mixed_config();
   EXPECT_EQ(cfg.validate(), "");

@@ -43,10 +43,10 @@ TEST(SchedulerCounts, Fig15QuickPointIsChurnFree) {
   // engine's link sampler and the recorder's, 400 ticks each over 40 s.
   const std::map<std::string, std::uint64_t> expected = {
       {"sim.events.link_tx", 133247}, {"sim.events.pipe", 266394},
-      {"sim.events.rto", 411},        {"sim.events.delayed_ack", 0},
-      {"sim.events.aqm_tick", 1250},  {"sim.events.fluid_tick", 0},
-      {"sim.events.sampler", 800},    {"sim.events.udp", 0},
-      {"sim.events.monitor", 400},    {"sim.events.closure", 3},
+      {"sim.events.rto", 411},        {"sim.events.aqm_tick", 1250},
+      {"sim.events.fluid_tick", 0},   {"sim.events.sampler", 800},
+      {"sim.events.udp", 0},          {"sim.events.monitor", 400},
+      {"sim.events.closure", 3},
   };
   const auto& metrics = recorder.manifest().final_metrics;
   std::uint64_t sum = 0;

@@ -231,9 +231,9 @@ class OrderHarness {
     // Even ids draw a per-packet kind, odd ids a timer kind.
     constexpr std::array<EventKind, 3> kPacketKinds{
         EventKind::kLinkTx, EventKind::kPipe, EventKind::kUdp};
-    constexpr std::array<EventKind, 6> kTimerKinds{
-        EventKind::kRto,       EventKind::kDelayedAck, EventKind::kAqmTick,
-        EventKind::kFluidTick, EventKind::kSampler,    EventKind::kMonitor};
+    constexpr std::array<EventKind, 5> kTimerKinds{
+        EventKind::kRto, EventKind::kAqmTick, EventKind::kFluidTick,
+        EventKind::kSampler, EventKind::kMonitor};
     for (int id = 0; id < kSources; ++id) {
       const EventKind kind = id % 2 == 0 ? kPacketKinds[rng_() % kPacketKinds.size()]
                                          : kTimerKinds[rng_() % kTimerKinds.size()];
@@ -354,9 +354,8 @@ TEST(Scheduler, KindsSplitIntoPacketAndTimerHeaps) {
   EXPECT_TRUE(is_packet_event(EventKind::kPipe));
   EXPECT_TRUE(is_packet_event(EventKind::kUdp));
   for (const EventKind kind :
-       {EventKind::kRto, EventKind::kDelayedAck, EventKind::kAqmTick,
-        EventKind::kFluidTick, EventKind::kSampler, EventKind::kMonitor,
-        EventKind::kClosure}) {
+       {EventKind::kRto, EventKind::kAqmTick, EventKind::kFluidTick,
+        EventKind::kSampler, EventKind::kMonitor, EventKind::kClosure}) {
     EXPECT_FALSE(is_packet_event(kind)) << event_kind_name(kind);
   }
 }
@@ -379,7 +378,7 @@ TEST(Scheduler, CrossClassTiesFollowSeq) {
                      order.push_back(6);
                      s.arm(late, Time{10}, late_seq);
                    },
-                   EventKind::kDelayedAck};
+                   EventKind::kMonitor};
   std::vector<std::uint64_t> seqs;
   for (int i = 0; i < 8; ++i) seqs.push_back(s.reserve_seq());
   s.arm(udp, Time{10}, seqs[7]);

@@ -30,7 +30,7 @@ class Harness {
  public:
   explicit Harness(std::unique_ptr<CongestionControl> cc,
                    std::int64_t total_segments = -1)
-      : sim_(1), receiver_(sim_, 0) {
+      : sim_(1), receiver_(0) {
     TcpSender::Config config;
     config.flow = 0;
     config.total_segments = total_segments;
@@ -221,8 +221,7 @@ TEST(TcpEndpoint, DctcpPacketsCarryEct1) {
 }
 
 TEST(TcpEndpoint, ReorderingIsAbsorbedByReceiver) {
-  Simulator sim{1};
-  TcpReceiver receiver{sim, 0};
+  TcpReceiver receiver{0};
   std::int64_t acked = -1;
   net::CallbackSink ack_sink{[&](Packet a) { acked = a.ack_seq; }};
   receiver.set_ack_path(ack_sink);
@@ -237,8 +236,7 @@ TEST(TcpEndpoint, ReorderingIsAbsorbedByReceiver) {
 }
 
 TEST(TcpEndpoint, DuplicateDataIsAckedButNotRedelivered) {
-  Simulator sim{1};
-  TcpReceiver receiver{sim, 0};
+  TcpReceiver receiver{0};
   std::int64_t acked = -1;
   net::CallbackSink ack_sink{[&](Packet a) { acked = a.ack_seq; }};
   receiver.set_ack_path(ack_sink);
@@ -252,12 +250,9 @@ TEST(TcpEndpoint, DuplicateDataIsAckedButNotRedelivered) {
 }
 
 /// The receiver as it was with a std::set out-of-order store, ACK logic
-/// included (delayed-ACK timer firings aside), as an oracle for the
-/// contiguous store.
+/// included, as an oracle for the contiguous store.
 class SetReceiver {
  public:
-  explicit SetReceiver(bool delayed_acks) : delayed_acks_(delayed_acks) {}
-
   void on_data(const Packet& data) {
     const bool was_ce = data.ecn == Ecn::kCe;
     if (was_ce) ece_latched_ = true;
@@ -274,10 +269,6 @@ class SetReceiver {
     } else if (data.seq > rcv_nxt_) {
       out_of_order_.insert(data.seq);
     }
-    if (delayed_acks_ && in_order && !was_ce && out_of_order_.empty()) {
-      if (++unacked_ < 2) return;
-    }
-    unacked_ = 0;
     Packet ack;
     ack.flow = data.flow;
     ack.is_ack = true;
@@ -293,11 +284,9 @@ class SetReceiver {
   std::int64_t delivered_bytes = 0;
 
  private:
-  bool delayed_acks_;
   std::int64_t rcv_nxt_ = 0;
   std::set<std::int64_t> out_of_order_;
   bool ece_latched_ = false;
-  int unacked_ = 0;
 };
 
 TEST(TcpEndpoint, OutOfOrderStoreMatchesSetReference) {
@@ -344,31 +333,40 @@ TEST(TcpEndpoint, OutOfOrderStoreMatchesSetReference) {
       p.sent_at = Time{static_cast<std::int64_t>(arrivals.size())};
       arrivals.push_back(p);
     }
-    for (const bool delayed : {false, true}) {
-      Simulator sim{1};
-      TcpReceiver::Options options;
-      options.delayed_acks = delayed;
-      TcpReceiver receiver{sim, 0, options};
-      std::vector<Packet> acks;
-      net::CallbackSink ack_sink{[&](const Packet& a) { acks.push_back(a); }};
-      receiver.set_ack_path(ack_sink);
-      SetReceiver reference{delayed};
-      for (const Packet& p : arrivals) {
-        receiver.on_data(p);
-        reference.on_data(p);
-      }
-      ASSERT_EQ(acks.size(), reference.acks.size()) << "seed " << seed;
-      for (std::size_t i = 0; i < acks.size(); ++i) {
-        const Packet& a = acks[i];
-        const Packet& b = reference.acks[i];
-        ASSERT_TRUE(a.ack_seq == b.ack_seq && a.ece == b.ece &&
-                    a.ce_echo == b.ce_echo && a.sent_at == b.sent_at)
-            << "seed " << seed << " delayed " << delayed << " ack " << i;
-      }
-      EXPECT_EQ(receiver.rcv_nxt(), total) << "seed " << seed;
-      EXPECT_EQ(receiver.delivered_bytes(), reference.delivered_bytes);
+    TcpReceiver receiver{0};
+    std::vector<Packet> acks;
+    net::CallbackSink ack_sink{[&](const Packet& a) { acks.push_back(a); }};
+    receiver.set_ack_path(ack_sink);
+    SetReceiver reference;
+    for (const Packet& p : arrivals) {
+      receiver.on_data(p);
+      reference.on_data(p);
     }
+    ASSERT_EQ(acks.size(), reference.acks.size()) << "seed " << seed;
+    for (std::size_t i = 0; i < acks.size(); ++i) {
+      const Packet& a = acks[i];
+      const Packet& b = reference.acks[i];
+      ASSERT_TRUE(a.ack_seq == b.ack_seq && a.ece == b.ece &&
+                  a.ce_echo == b.ce_echo && a.sent_at == b.sent_at)
+          << "seed " << seed << " ack " << i;
+    }
+    EXPECT_EQ(receiver.rcv_nxt(), total) << "seed " << seed;
+    EXPECT_EQ(receiver.delivered_bytes(), reference.delivered_bytes);
   }
+}
+
+TEST(TcpEndpoint, AcksEverySegment) {
+  TcpReceiver receiver{0};
+  int acks = 0;
+  net::CallbackSink ack_sink{[&](Packet) { ++acks; }};
+  receiver.set_ack_path(ack_sink);
+  for (int i = 0; i < 7; ++i) {
+    Packet p;
+    p.flow = 0;
+    p.seq = i;
+    receiver.on_data(p);
+  }
+  EXPECT_EQ(acks, 7);
 }
 
 TEST(TcpEndpoint, RtoRecoversTotalLossOfWindow) {

@@ -83,7 +83,7 @@ TEST(SenderEdges, BackoffResetsOnProgress) {
   config.flow = 0;
   TcpSender sender{sim, config, make_reno()};
   bool blackhole = true;
-  TcpReceiver receiver{sim, 0};
+  TcpReceiver receiver{0};
   net::CallbackSink ack_sink{[&](Packet a) {
     sim.after(from_millis(10), [&sender, a] { sender.on_ack(a); });
   }};
@@ -164,7 +164,7 @@ TEST(SenderEdges, FiniteFlowCompletesDespiteLossOfLastSegment) {
   config.flow = 0;
   config.total_segments = 20;
   TcpSender sender{sim, config, make_reno()};
-  TcpReceiver receiver{sim, 0};
+  TcpReceiver receiver{0};
   bool completed = false;
   sender.set_completion_callback([&] { completed = true; });
   int drops_left = 1;
@@ -190,7 +190,7 @@ TEST(SenderEdges, AcksAfterCompletionAreIgnored) {
   config.flow = 0;
   config.total_segments = 5;
   TcpSender sender{sim, config, make_reno()};
-  TcpReceiver receiver{sim, 0};
+  TcpReceiver receiver{0};
   int completions = 0;
   sender.set_completion_callback([&] { ++completions; });
   net::CallbackSink out_sink{[&](Packet p) {
@@ -220,7 +220,7 @@ TEST(SenderEdges, RtoFiresAtLatestDeadline) {
   config.flow = 0;
   config.max_cwnd = 10;
   TcpSender sender{sim, config, make_reno()};
-  TcpReceiver receiver{sim, 0};
+  TcpReceiver receiver{0};
   bool blackhole = false;
   pi2::sim::Time last_rearm{};
   net::CallbackSink out_sink{[&](Packet p) {

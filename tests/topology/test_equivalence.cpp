@@ -61,7 +61,6 @@ TopologyConfig by_hand(const scenario::DumbbellConfig& dumbbell) {
     topo.fluid_flows.push_back({spec, {"snd", "rcv"}});
   }
   topo.fluid_dt = dumbbell.fluid_dt;
-  topo.ack_quantum = dumbbell.ack_quantum;
   topo.duration = dumbbell.duration;
   topo.stats_start = dumbbell.stats_start;
   topo.seed = dumbbell.seed;

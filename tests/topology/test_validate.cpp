@@ -157,17 +157,6 @@ TEST(TopologyValidate, PrefixesPerLinkFaultErrors) {
             "links[1].fault event #0 (rate-step): `rate_bps` must be > 0");
 }
 
-TEST(TopologyValidate, RejectsAckQuantumWithPerLinkRttFaults) {
-  auto cfg = valid_chain();
-  cfg.ack_quantum = pi2::sim::from_millis(1.0);
-  EXPECT_EQ(cfg.validate(), "");  // quantum alone is fine
-  cfg.links[1].faults.rtt_step(pi2::sim::from_seconds(0.1),
-                               pi2::sim::from_millis(20.0));
-  EXPECT_EQ(cfg.validate(),
-            "ack_quantum must be 0 when a multi-link topology schedules "
-            "rtt-step faults (got 0.001)");
-}
-
 TEST(TopologyValidate, RejectsShortPath) {
   auto cfg = valid_chain();
   cfg.tcp_flows[0].path = {"a"};
@@ -243,9 +232,6 @@ TEST(TopologyValidate, RejectsBadScalarFields) {
   cfg = valid_chain();
   cfg.fluid_dt = pi2::sim::Duration{0};
   EXPECT_EQ(cfg.validate(), "fluid_dt must be > 0 seconds (got 0)");
-  cfg = valid_chain();
-  cfg.ack_quantum = pi2::sim::from_millis(-1.0);
-  EXPECT_EQ(cfg.validate(), "ack_quantum must be >= 0 seconds (got -0.001)");
 }
 
 TEST(TopologyValidate, RunTopologyThrowsTheMessage) {
