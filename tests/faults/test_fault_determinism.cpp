@@ -9,40 +9,13 @@
 #include <cstdint>
 #include <vector>
 
+#include "faults/faulted_config.hpp"
 #include "runner/parallel_runner.hpp"
 #include "scenario/dumbbell.hpp"
 #include "sim/rng.hpp"
 
 namespace pi2::faults {
 namespace {
-
-using pi2::sim::from_millis;
-using pi2::sim::from_seconds;
-
-scenario::DumbbellConfig faulted_config(std::uint64_t seed) {
-  scenario::DumbbellConfig cfg;
-  cfg.link_rate_bps = 10e6;
-  cfg.duration = from_seconds(8);
-  cfg.stats_start = from_seconds(2);
-  cfg.seed = seed;
-  cfg.aqm.type = scenario::AqmType::kCoupledPi2;
-  scenario::TcpFlowSpec cubic;
-  cubic.cc = tcp::CcType::kCubic;
-  cubic.base_rtt = from_millis(30);
-  scenario::TcpFlowSpec dctcp;
-  dctcp.cc = tcp::CcType::kDctcp;
-  dctcp.base_rtt = from_millis(30);
-  cfg.tcp_flows = {cubic, dctcp};
-  // One event of every kind, overlapping windows included.
-  cfg.faults.rate_step(from_seconds(3), 4e6)
-      .rate_flap(from_seconds(4), from_seconds(6), 2e6, 10e6, from_millis(500))
-      .rtt_step(from_seconds(5), from_millis(60))
-      .burst_loss(from_seconds(2), 10)
-      .random_loss(from_seconds(2.5), from_seconds(3.5), 0.02)
-      .ecn_bleach(from_seconds(4), from_seconds(6), 0.3)
-      .reorder(from_seconds(6), from_seconds(7), 0.05, from_millis(2));
-  return cfg;
-}
 
 /// Everything observable about a run, compared bitwise (exact double
 /// equality on purpose).

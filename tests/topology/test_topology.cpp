@@ -216,5 +216,27 @@ TEST(FiniteFlows, CompleteOnATwoLinkRoute) {
   EXPECT_LT(result.flow_completion_s[3], 10.0);
 }
 
+// An RTT step moves both directions of a flow to the new half-RTT: a
+// one-segment flow started after a 20 -> 200 ms step needs the data's and
+// the ACK's new half-RTT, so it completes no earlier than one new RTT
+// after its start (data alone moved would complete after 110 ms).
+TEST(RttStep, FlowStartedAfterTheStepTakesTheNewRtt) {
+  scenario::DumbbellConfig cfg;
+  cfg.aqm.type = scenario::AqmType::kPi2;
+  cfg.duration = pi2::sim::from_seconds(3.0);
+  cfg.faults.rtt_step(pi2::sim::from_seconds(1.0), pi2::sim::from_millis(200));
+  scenario::TcpFlowSpec finite;
+  finite.cc = tcp::CcType::kCubic;
+  finite.base_rtt = pi2::sim::from_millis(20);
+  finite.start = pi2::sim::from_seconds(2.0);
+  finite.segments = 1;
+  cfg.tcp_flows.push_back(finite);
+
+  const TopologyResult result = run_topology(from_dumbbell(cfg));
+  ASSERT_EQ(result.flow_completion_s.size(), 1u);
+  EXPECT_GE(result.flow_completion_s[0] - 2.0, 0.200);
+  EXPECT_LT(result.flow_completion_s[0] - 2.0, 0.210);
+}
+
 }  // namespace
 }  // namespace pi2::topology
