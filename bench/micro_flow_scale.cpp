@@ -98,8 +98,7 @@ double fluid_bytes_per_flow(int n_background, const DumbbellConfig& cfg) {
 /// for the baseline.
 double packet_bytes_per_flow() {
   return static_cast<double>(sizeof(pi2::tcp::TcpSender) +
-                             sizeof(pi2::tcp::TcpReceiver) +
-                             sizeof(pi2::sim::Duration) + 1 /* Kind */ +
+                             sizeof(pi2::tcp::TcpReceiver) + 1 /* Kind */ +
                              2 * sizeof(void*) /* cold-entry bookkeeping */);
 }
 

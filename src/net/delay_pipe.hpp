@@ -5,10 +5,14 @@
 // per-packet event would have taken, so deliveries interleave with all
 // other events exactly as one event per packet would, while the heap holds
 // one entry per pipe and nothing captures a Packet. Sends land at the tail
-// in O(1) unless a shorter delay (an RTT step) moves them forward; a new
-// head moves the armed source in place. Delivery is one virtual call on the
-// pipe's PacketSink (a borrowed reference that must outlive the pipe's
-// pending deliveries).
+// in O(1) unless a shorter per-packet delay (the link's reorder hold) moves
+// them forward; a new head moves the armed source in place. Delivery is one
+// virtual call on the pipe's PacketSink (a borrowed reference that must
+// outlive the pipe's pending deliveries).
+//
+// A pipe is itself a PacketSink that delays what it receives by its own
+// delay, so a fixed-delay hop (a half-RTT bucket) is wired straight in as
+// a link's or receiver's output.
 #pragma once
 
 #include <algorithm>
@@ -22,13 +26,10 @@
 
 namespace pi2::net {
 
-class DelayPipe {
+class DelayPipe final : public PacketSink {
  public:
   DelayPipe(pi2::sim::Simulator& sim, pi2::sim::Duration delay)
       : sim_(sim), delay_(delay) {}
-
-  DelayPipe(const DelayPipe&) = delete;
-  DelayPipe& operator=(const DelayPipe&) = delete;
 
   /// Where delivered packets go. Borrowed; without a sink they vanish.
   void set_sink(PacketSink& sink) { sink_ = &sink; }
@@ -37,6 +38,7 @@ class DelayPipe {
   [[nodiscard]] std::size_t in_flight() const { return size_; }
 
   void send(const Packet& packet) { send(packet, delay_); }
+  void receive(const Packet& packet) override { send(packet); }
 
   /// Delivers `packet` to the sink after `delay` instead of the pipe's own.
   void send(const Packet& packet, pi2::sim::Duration delay) {
@@ -53,6 +55,7 @@ class DelayPipe {
     std::uint64_t seq;
     Packet packet;
   };
+  static_assert(sizeof(Entry) == 64);
 
   /// Ring buffer of capacity 2^k; index 0 is the head. (std::deque frees
   /// and reallocates a block every few packets; that ran ~8% slower.)

@@ -44,9 +44,11 @@ void Cubic::on_ack(std::int64_t newly_acked, Duration rtt, Time now,
   }
 
   // Cubic target one RTT into the future (standard implementation trick to
-  // keep growth ahead of the feedback loop).
+  // keep growth ahead of the feedback loop). The cube is two multiplies,
+  // not a libm pow() per ACK.
   const double t = to_seconds(now - epoch_start_) + to_seconds(rtt);
-  const double target = origin_ + params_.c * std::pow(t - k_, 3.0);
+  const double d = t - k_;
+  const double target = origin_ + params_.c * (d * d * d);
 
   double cnt;  // ACKs per +1 segment of growth
   if (target > cwnd_) {

@@ -10,11 +10,9 @@ namespace pi2::tcp {
 FlowTable::FlowTable() = default;
 FlowTable::~FlowTable() = default;
 
-std::int32_t FlowTable::add_tcp(CcType cc, pi2::sim::Duration base_rtt,
-                                std::unique_ptr<TcpSender> sender,
+std::int32_t FlowTable::add_tcp(CcType cc, std::unique_ptr<TcpSender> sender,
                                 std::unique_ptr<TcpReceiver> receiver) {
   const auto id = static_cast<std::int32_t>(kind_.size());
-  half_rtt_.push_back(base_rtt / 2);
   kind_.push_back(Kind::kTcp);
   senders_.push_back(sender.get());
   receivers_.push_back(receiver.get());
@@ -26,10 +24,8 @@ std::int32_t FlowTable::add_tcp(CcType cc, pi2::sim::Duration base_rtt,
   return id;
 }
 
-std::int32_t FlowTable::add_udp(pi2::sim::Duration base_rtt,
-                                std::unique_ptr<UdpSender> udp) {
+std::int32_t FlowTable::add_udp(std::unique_ptr<UdpSender> udp) {
   const auto id = static_cast<std::int32_t>(kind_.size());
-  half_rtt_.push_back(base_rtt / 2);
   kind_.push_back(Kind::kUdp);
   senders_.push_back(nullptr);
   receivers_.push_back(nullptr);

@@ -134,22 +134,24 @@ struct Routes {
 };
 
 /// The half-RTT propagation pipes of every flow: a data and an ACK pipe per
-/// half-RTT bucket.
+/// half-RTT bucket, each delaying by its bucket's half-RTT. A flow's data
+/// goes into the data pipe its entry in `data_of_flow` names; its receiver
+/// sends ACKs straight into the matching ACK pipe.
 struct Buckets {
   std::deque<net::DelayPipe> data;  // deque: stable refs as buckets appear
   std::deque<net::DelayPipe> ack;
-  std::vector<std::size_t> of_flow;
+  std::vector<net::DelayPipe*> data_of_flow;
 };
 
 /// A packet leaving link `li`: accounts its busy interval and sojourn, then
 /// propagates it the link's delay to the next queue on its route, or, after
-/// the final hop, its flow's current half-RTT to the receiver (so RTT-step
-/// faults apply to each packet sent after the step).
+/// the final hop, into its flow's current half-RTT bucket towards the
+/// receiver (so RTT-step faults apply to each packet sent after the step).
 class LinkExit final : public net::PacketSink {
  public:
   LinkExit(LinkRuntime& rt, const pi2::sim::Simulator& sim, Time stats_start,
            const tcp::FlowTable& flows, const Routes& routes,
-           net::DelayPipe& hop_pipe, Buckets& buckets, std::uint32_t li)
+           net::DelayPipe& hop_pipe, const Buckets& buckets, std::uint32_t li)
       : rt_(rt), sim_(sim), stats_start_(stats_start), flows_(flows),
         routes_(routes), hop_pipe_(hop_pipe), buckets_(buckets), li_(li) {}
 
@@ -168,8 +170,7 @@ class LinkExit final : public net::PacketSink {
       hop_pipe_.send(packet);
       return;
     }
-    buckets_.data[buckets_.of_flow[static_cast<std::size_t>(packet.flow)]].send(
-        packet, flows_.half_rtt(packet.flow));
+    buckets_.data_of_flow[static_cast<std::size_t>(packet.flow)]->send(packet);
   }
 
  private:
@@ -179,7 +180,7 @@ class LinkExit final : public net::PacketSink {
   const tcp::FlowTable& flows_;
   const Routes& routes_;
   net::DelayPipe& hop_pipe_;
-  Buckets& buckets_;
+  const Buckets& buckets_;
   std::uint32_t li_;
 };
 
@@ -213,22 +214,6 @@ class DataDelivery final : public net::PacketSink {
 
  private:
   tcp::FlowTable& flows_;
-};
-
-/// A receiver's ACK, sent back over its flow's current half-RTT.
-class AckPath final : public net::PacketSink {
- public:
-  AckPath(const tcp::FlowTable& flows, Buckets& buckets)
-      : flows_(flows), buckets_(buckets) {}
-
-  void receive(const net::Packet& ack) override {
-    buckets_.ack[buckets_.of_flow[static_cast<std::size_t>(ack.flow)]].send(
-        ack, flows_.half_rtt(ack.flow));
-  }
-
- private:
-  const tcp::FlowTable& flows_;
-  Buckets& buckets_;
 };
 
 /// An ACK reaching its sender.
@@ -305,10 +290,10 @@ TopologyResult run_topology(const TopologyConfig& config) {
   DataDelivery deliver_data{flows};
   AckDelivery deliver_ack{flows};
   Buckets buckets;
-  AckPath ack_path{flows, buckets};
-  std::vector<std::size_t>& bucket_of_flow = buckets.of_flow;
   std::unordered_map<std::int64_t, std::size_t> bucket_by_half_rtt;
-  auto bucket_for = [&](Duration half_rtt) {
+  // Points flow `flow`'s data and ACKs at the pipes of `half_rtt`, which
+  // the first flow with that half-RTT creates.
+  auto use_bucket = [&](std::int32_t flow, Duration half_rtt) {
     const auto [it, inserted] =
         bucket_by_half_rtt.try_emplace(half_rtt.count(), buckets.data.size());
     if (inserted) {
@@ -317,7 +302,11 @@ TopologyResult run_topology(const TopologyConfig& config) {
       buckets.ack.emplace_back(sim, half_rtt);
       buckets.ack.back().set_sink(deliver_ack);
     }
-    return it->second;
+    const std::size_t b = it->second;
+    buckets.data_of_flow[static_cast<std::size_t>(flow)] = &buckets.data[b];
+    if (tcp::TcpReceiver* receiver = flows.receiver(flow)) {
+      receiver->set_ack_path(buckets.ack[b]);
+    }
   };
 
   std::deque<net::DelayPipe> hop_pipes;
@@ -344,13 +333,12 @@ TopologyResult run_topology(const TopologyConfig& config) {
         sim, sc, tcp::make_congestion_control(spec.cc));
     auto receiver = std::make_unique<tcp::TcpReceiver>(sc.flow);
     const std::int32_t flow_id =
-        flows.add_tcp(spec.cc, spec.base_rtt, std::move(sender),
-                      std::move(receiver));
-    bucket_of_flow.push_back(bucket_for(spec.base_rtt / 2));
+        flows.add_tcp(spec.cc, std::move(sender), std::move(receiver));
+    buckets.data_of_flow.push_back(nullptr);
+    use_bucket(flow_id, spec.base_rtt / 2);
     route_of_flow.push_back(route);
 
     flows.sender(flow_id)->set_output(*links[route_links[route][0]].link);
-    flows.receiver(flow_id)->set_ack_path(ack_path);
 
     if (spec.segments > 0) {
       flows.sender(flow_id)->set_completion_callback([&result, &sim, flow_id] {
@@ -373,8 +361,9 @@ TopologyResult run_topology(const TopologyConfig& config) {
     uc.packet_bytes = spec.packet_bytes;
     uc.ecn = spec.ecn;
     auto udp = std::make_unique<tcp::UdpSender>(sim, uc);
-    const std::int32_t flow_id = flows.add_udp(spec.base_rtt, std::move(udp));
-    bucket_of_flow.push_back(bucket_for(spec.base_rtt / 2));
+    const std::int32_t flow_id = flows.add_udp(std::move(udp));
+    buckets.data_of_flow.push_back(nullptr);
+    use_bucket(flow_id, spec.base_rtt / 2);
     route_of_flow.push_back(route);
     flows.udp(flow_id)->set_output(*links[route_links[route][0]].link);
     sim.at(spec.start, [&flows, flow_id] { flows.udp(flow_id)->start(); });
@@ -524,18 +513,17 @@ TopologyResult run_topology(const TopologyConfig& config) {
     rt.injector = std::make_unique<faults::FaultInjector>(
         sim, config.links[li].faults, injector_seed);
     // RTT step: applies to the flows routed across this link (every flow
-    // of a single-link run). Each such flow moves to the pipes of its new
-    // half-RTT, so a pipe never mixes delays and its sends stay O(1).
+    // of a single-link run). Each such flow moves, data and ACKs, to the
+    // pipes of its new half-RTT, so a pipe never mixes delays and its
+    // sends stay O(1).
     rt.injector->set_rtt_setter([&flows, &route_links, &route_of_flow,
-                                 &bucket_of_flow, &bucket_for,
-                                 li](Duration rtt) {
+                                 &use_bucket, li](Duration rtt) {
       for (std::int32_t f = 0; f < static_cast<std::int32_t>(flows.size());
            ++f) {
         const std::vector<std::uint32_t>& route =
             route_links[route_of_flow[static_cast<std::size_t>(f)]];
         if (std::find(route.begin(), route.end(), li) != route.end()) {
-          flows.set_base_rtt(f, rtt);
-          bucket_of_flow[static_cast<std::size_t>(f)] = bucket_for(rtt / 2);
+          use_bucket(f, rtt / 2);
         }
       }
     });

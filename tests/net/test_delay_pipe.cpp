@@ -88,6 +88,25 @@ TEST(DelayPipe, ShorterDelayOvertakesTheHead) {
   EXPECT_EQ(trace, (Trace{{from_millis(10), 2}, {from_millis(50), 1}}));
 }
 
+TEST(DelayPipe, AsASinkItDelaysByItsOwnDelay) {
+  Simulator sim;
+  DelayPipe first{sim, from_millis(10)};
+  DelayPipe second{sim, from_millis(30)};
+  Trace trace;
+  CallbackSink rx_sink{[&](Packet p) { trace.emplace_back(sim.now(), p.seq); }};
+  first.set_sink(second);
+  second.set_sink(rx_sink);
+  for (std::int64_t seq = 1; seq <= 2; ++seq) {
+    sim.at(Time{from_millis(5) * seq}, [&first, seq] {
+      Packet p;
+      p.seq = seq;
+      first.receive(p);
+    });
+  }
+  sim.run();
+  EXPECT_EQ(trace, (Trace{{from_millis(45), 1}, {from_millis(50), 2}}));
+}
+
 TEST(DelayPipe, HeapHoldsOneEntryPerPipe) {
   Simulator sim;
   DelayPipe pipe{sim, from_millis(20)};
